@@ -7,11 +7,9 @@ from .engine import (
     Query,
     QuerySet,
     QueryTemplate,
-    backchain,
     bottom_up_eval,
     depth_profile,
     solutions,
-    unify,
 )
 from .graph import (
     AndNode,
@@ -47,19 +45,11 @@ from .kb import (
     KbSyntaxError,
     KbValidationError,
     KnowledgeBase,
-    Substitution,
     Variable,
     parse_kb,
     serialize_kb,
 )
 from .metrics import AlphaReport, QaResult, alpha, answered_fraction, threshold_hit
-from .sampling import (
-    MatchedPair,
-    SampleParams,
-    generate_replicates,
-    matched_pairs,
-    model1_sample,
-    model2_sample,
-)
+from .sampling import SampleParams, generate_replicates, model1_sample, model2_sample
 
 __version__ = "0.1.0"

@@ -71,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--kb", required=True)
     p.add_argument("--templates", required=True)
-    p.add_argument("--no-genlpreds", action="store_true")
 
     p = sub.add_parser("ask", help="answer the expanded template queries")
     p.add_argument("--kb", required=True)
@@ -154,7 +153,7 @@ def _cmd_sample(args) -> int:
     spaces = sampling.generate_replicates(graph, [(model, value)], args.replicates, args.seed)
     for space in spaces:
         prov = space.provenance or {}
-        path = outdir / f"{harness.param_tag(model, value)}_rep{prov.get('replicate', 0)}.json"
+        path = outdir / f"{sampling.param_tag(model, value)}_rep{prov.get('replicate', 0)}.json"
         path.write_text(space.to_json() + "\n", encoding="utf-8")
         print(f"{path.name}: {space.node_count} OR nodes, {len(space.retained_axiom_ids())} axioms")
     return EXIT_OK
@@ -165,7 +164,7 @@ def _cmd_alpha(args) -> int:
     space = _load_space(args.space, graph)
     kb, _ = parse_kb(Path(args.kb).read_text(encoding="utf-8"))
     queries = expand_templates(kb, load_templates(args.templates))
-    report = metrics.alpha(graph, space, queries, kb, genlpreds_mode=not args.no_genlpreds)
+    report = metrics.alpha(graph, space, queries, kb)
     print(report.to_json())
     return EXIT_OK
 
@@ -206,7 +205,7 @@ def _cmd_ablate(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
         raise UsageError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
-    schedule = ablate_grow(kb, sizes, random.Random(args.seed), args.order, args.seed)
+    schedule = ablate_grow(kb, sizes, random.Random(args.seed), args.order)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for sid, snapshot in schedule:

@@ -1,5 +1,4 @@
-"""Unification, depth-limited backward chaining, and bottom-up evaluation of
-search spaces.
+"""Depth-limited backward chaining and bottom-up evaluation of search spaces.
 
 Depth accounting: applying a rule costs one depth unit, ground retrieval is
 free, so depth_limit 0 answers by retrieval only.  A goal identical (up to
@@ -16,7 +15,7 @@ and rule heads whose predicate implies the goal's predicate via genlPreds.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .graph import GoalSchema, SearchSpace, greedy_body_order
@@ -26,20 +25,16 @@ from .kb import (
     Constant,
     HornClause,
     KnowledgeBase,
-    Substitution,
     Variable,
     term_key,
 )
 
 __all__ = [
-    "Substitution",
     "Query",
     "QuerySet",
     "QueryTemplate",
     "AnswerSet",
     "Evaluator",
-    "unify",
-    "backchain",
     "solutions",
     "bottom_up_eval",
     "depth_profile",
@@ -81,10 +76,6 @@ class Query:
         if n_distinct != 1:
             raise ValueError(f"query {self.atom} must contain exactly one distinct variable")
 
-    @property
-    def open_variable(self) -> Variable:
-        return self.atom.variables()[0]
-
     def schema(self) -> GoalSchema:
         mask = tuple(isinstance(t, Constant) for t in self.atom.args)
         return GoalSchema(self.atom.predicate, self.atom.arity, mask)
@@ -103,13 +94,10 @@ class QuerySet:
 
 @dataclass
 class AnswerSet:
-    """Answers for one query.  ``depth_counts[d]`` is the number of bindings
-    reachable with depth limit d (cumulative, so it is non-decreasing and its
-    last entry equals ``len(bindings)``); empty when not requested."""
+    """Answers for one query: the constants bound to its open variable."""
 
     query: Query
     bindings: frozenset[Constant]
-    depth_counts: dict[int, int] = field(default_factory=dict)
 
     def sorted_bindings(self) -> list[Constant]:
         return sorted(self.bindings, key=term_key)
@@ -120,7 +108,7 @@ class AnswerSet:
 
 
 # ---------------------------------------------------------------------------
-# Unification
+# Backward chaining
 # ---------------------------------------------------------------------------
 
 
@@ -131,33 +119,6 @@ def _walk(term, binding):
             return term
         term = nxt
     return term
-
-
-def unify(a: Atom, b: Atom) -> Optional[Substitution]:
-    """Most general unifier of two atoms, or None.
-
-    With no function symbols the result maps variables to constants or to
-    other variables of the two atoms; repeated variables must be consistent.
-    """
-    if a.predicate != b.predicate or a.arity != b.arity:
-        return None
-    binding: dict[Variable, object] = {}
-    for x, y in zip(a.args, b.args):
-        x, y = _walk(x, binding), _walk(y, binding)
-        if x == y:
-            continue
-        if isinstance(x, Variable):
-            binding[x] = y
-        elif isinstance(y, Variable):
-            binding[y] = x
-        else:
-            return None
-    return Substitution.from_mapping({v: _walk(v, binding) for v in binding})
-
-
-# ---------------------------------------------------------------------------
-# Backward chaining
-# ---------------------------------------------------------------------------
 
 
 def _canonical(atom: Atom) -> tuple:
@@ -173,12 +134,19 @@ def _canonical(atom: Atom) -> tuple:
     return (atom.predicate, tuple(parts))
 
 
-class _Backchainer:
-    def __init__(self, kb: KnowledgeBase, axioms: AxiomSet, genlpreds_mode: bool, memo: dict):
+class Evaluator:
+    """Reusable backchaining context over a fixed (kb, axioms, mode) triple.
+
+    Sharing one evaluator across a query set amortizes the goal memo, the
+    per-goal clause tables, and the lazily built positional fact indices.
+    Evaluators are not shared between threads; create one per worker.
+    """
+
+    def __init__(self, kb: KnowledgeBase, axioms: AxiomSet, genlpreds_mode: bool = True):
         self.kb = kb
         self.axioms = axioms
         self.mode = genlpreds_mode
-        self.memo = memo
+        self._memo: dict = {}
         self._rename_counter = 0
         self._clauses_for: dict[tuple[str, int], tuple[HornClause, ...]] = {}
         self._pos_index: dict[tuple[str, int], dict[str, list]] = {}
@@ -235,12 +203,18 @@ class _Backchainer:
 
         return HornClause(r(clause.head), tuple(r(a) for a in clause.body), id=clause.id)
 
-    def solve(self, goal: Atom, depth: int, stack: frozenset) -> tuple[frozenset, bool]:
+    def ask(self, query: Query, depth_limit: int) -> AnswerSet:
+        if depth_limit < 0:
+            raise ValueError("depth_limit must be >= 0")
+        tuples, _ = self._solve(query.atom, depth_limit, frozenset())
+        return AnswerSet(query, frozenset(t[0] for t in tuples))
+
+    def _solve(self, goal: Atom, depth: int, stack: frozenset) -> tuple[frozenset, bool]:
         """Answer tuples for the goal's variables (first-occurrence order) and
         a flag marking the result safe to memoize."""
         canon = _canonical(goal)
         key = (canon, depth)
-        hit = self.memo.get(key)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit, True
         if canon in stack:
@@ -275,7 +249,7 @@ class _Backchainer:
                     nxt: list[dict] = []
                     for bnd in partials:
                         sub_goal = _substitute(body_atom, bnd)
-                        sub_res, sub_clean = self.solve(sub_goal, depth - 1, substack)
+                        sub_res, sub_clean = self._solve(sub_goal, depth - 1, substack)
                         clean = clean and sub_clean
                         if not sub_res:
                             continue
@@ -292,7 +266,7 @@ class _Backchainer:
                     results.add(tuple(_walk(v, bnd) for v in var_order))
         out = frozenset(results)
         if clean:
-            self.memo[key] = out
+            self._memo[key] = out
         return out, clean
 
 
@@ -330,59 +304,6 @@ def _head_binding(goal: Atom, head: Atom) -> Optional[dict]:
 
 def _substitute(atom: Atom, binding: Mapping) -> Atom:
     return Atom(atom.predicate, tuple(_walk(t, binding) for t in atom.args))
-
-
-class Evaluator:
-    """Reusable backchaining context over a fixed (kb, axioms, mode) triple.
-
-    Sharing one evaluator across a query set amortizes the goal memo, the
-    per-goal clause tables, and the lazily built positional fact indices.
-    Evaluators are not shared between threads; create one per worker.
-    """
-
-    def __init__(self, kb: KnowledgeBase, axioms: AxiomSet, genlpreds_mode: bool = True):
-        self._bc = _Backchainer(kb, axioms, genlpreds_mode, {})
-
-    def ask(self, query: Query, depth_limit: int, depth_counts: bool = False) -> AnswerSet:
-        if depth_limit < 0:
-            raise ValueError("depth_limit must be >= 0")
-        tuples, _ = self._bc.solve(query.atom, depth_limit, frozenset())
-        bindings = frozenset(t[0] for t in tuples)
-        counts: dict[int, int] = {}
-        if depth_counts:
-            for d in range(depth_limit + 1):
-                sub, _ = self._bc.solve(query.atom, d, frozenset())
-                counts[d] = len(sub)
-        return AnswerSet(query, bindings, counts)
-
-
-def backchain(
-    kb: KnowledgeBase,
-    axioms: AxiomSet,
-    query: Query,
-    depth_limit: int,
-    genlpreds_mode: bool = True,
-    memo: Optional[dict] = None,
-    depth_counts: bool = False,
-) -> AnswerSet:
-    """Depth-limited proof search for a single-open-variable query.
-
-    ``memo`` may be shared across calls with identical (kb, axioms, mode) to
-    amortize work over a query set; for heavy use prefer :class:`Evaluator`.
-    With ``depth_counts`` the cumulative answer profile over depth limits
-    0..depth_limit is computed as well.
-    """
-    if depth_limit < 0:
-        raise ValueError("depth_limit must be >= 0")
-    bc = _Backchainer(kb, axioms, genlpreds_mode, {} if memo is None else memo)
-    tuples, _ = bc.solve(query.atom, depth_limit, frozenset())
-    bindings = frozenset(t[0] for t in tuples)
-    counts: dict[int, int] = {}
-    if depth_counts:
-        for d in range(depth_limit + 1):
-            sub, _ = bc.solve(query.atom, d, frozenset())
-            counts[d] = len(sub)
-    return AnswerSet(query, bindings, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,6 @@ class GoalSchema:
         if len(self.mask) != self.arity:
             raise ValueError(f"mask length {len(self.mask)} != arity {self.arity}")
 
-    def label(self) -> str:
-        return f"{self.predicate}/{self.arity}[{''.join('b' if b else 'f' for b in self.mask)}]"
-
 
 @dataclass
 class OrNode:

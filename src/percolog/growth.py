@@ -42,8 +42,6 @@ class GrowthSchedule:
 
     snapshot_ids: tuple[str, ...]
     snapshots: tuple[KnowledgeBase, ...]
-    sizes: tuple[int, ...]
-    master_seed: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.snapshots)
@@ -82,7 +80,6 @@ def ablate_grow(
     sizes: Sequence[int],
     rng: random.Random,
     order: str = "uniform",
-    master_seed: Optional[int] = None,
 ) -> GrowthSchedule:
     """Fix one random re-add order over the non-hierarchy facts and cut nested
     snapshots at the requested total fact counts.
@@ -113,7 +110,7 @@ def ablate_grow(
     for i, size in enumerate(sizes):
         ids.append(f"s{i}_{size}")
         snaps.append(KnowledgeBase(hierarchy + ordered[: size - len(hierarchy)]))
-    return GrowthSchedule(tuple(ids), tuple(snaps), tuple(sizes), master_seed)
+    return GrowthSchedule(tuple(ids), tuple(snaps))
 
 
 # ---------------------------------------------------------------------------

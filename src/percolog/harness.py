@@ -1,6 +1,6 @@
 """Experiment harness: template expansion, parameter sweeps across models and
 KB snapshots, transition/degeneracy detectors, matched model comparison, and
-CSV/JSON emission.
+CSV emission.
 
 A sweep cell is one (kb snapshot, model, parameter, replicate) combination;
 its RNG stream is derived from the master seed and the cell coordinates, so
@@ -25,7 +25,7 @@ from .engine import Query, QuerySet, QueryTemplate, depth_profile
 from .graph import AndOrGraph, GoalSchema, average_degree, build_graph
 from .growth import ablate_grow
 from .kb import Atom, Constant, KnowledgeBase, Variable, parse_kb
-from .sampling import SampleParams, derive_seed, greedy_degree_pairs, sample
+from .sampling import cell_params, greedy_degree_pairs, param_tag, sample
 
 log = logging.getLogger(__name__)
 
@@ -142,13 +142,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: "str | Path") -> "ExperimentConfig":
+        """Load a config file, checking every key's type and range; a bad
+        value raises ValueError naming its key."""
         path = Path(path)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        known = {f.name for f in fields(cls)}
-        unknown = doc.keys() - known
+        if not isinstance(doc, dict):
+            raise ValueError("a sweep config is a JSON object")
+        unknown = doc.keys() - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**doc)
+        for key, value in doc.items():
+            valid, expected = _CONFIG_CHECKS[key]
+            if not valid(value):
+                raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
+        try:
+            cfg = cls(**doc)
+        except TypeError as e:  # a required key is missing
+            raise ValueError(f"bad sweep config: {e}") from None
         cfg.model1_k = tuple(cfg.model1_k)
         cfg.model2_beta = tuple(cfg.model2_beta)
         if cfg.snapshot_sizes is not None:
@@ -158,6 +168,43 @@ class ExperimentConfig:
         cfg.templates = str((base / cfg.templates).resolve())
         cfg.axioms = str((base / cfg.axioms).resolve()) if cfg.axioms else None
         return cfg
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_path(v) -> bool:
+    return isinstance(v, str)
+
+
+# config key -> (check on its JSON value, what the value must be)
+_CONFIG_CHECKS = {
+    "kb": (_is_path, "a path"),
+    "templates": (_is_path, "a path"),
+    "axioms": (lambda v: v is None or _is_path(v), "a path"),
+    "snapshot_sizes": (lambda v: v is None or isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "snapshot_seed": (_is_int, "an integer"),
+    "snapshot_order": (lambda v: v in ("uniform", "stratified"), '"uniform" or "stratified"'),
+    "model1_k": (lambda v: isinstance(v, list) and all(_is_int(k) and k >= 1 for k in v), "a list of integers >= 1"),
+    "model2_beta": (
+        lambda v: isinstance(v, list) and all(_is_number(b) and 0 < b <= 100 for b in v),
+        "a list of numbers in (0, 100]",
+    ),
+    "replicates": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "master_seed": (_is_int, "an integer"),
+    "depth_bound": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "depth_limit": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "genlpreds": (lambda v: isinstance(v, bool), "true or false"),
+    "threshold": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "compare_tolerance": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    "continue_on_error": (lambda v: isinstance(v, bool), "true or false"),
+    "profile_replicates": (lambda v: v is None or _is_int(v) and v >= 1, "an integer >= 1"),
+}
 
 
 SWEEP_COLUMNS = (
@@ -227,12 +274,6 @@ class SweepRow:
         return tuple(getattr(self, c) for c in SWEEP_COLUMNS)
 
 
-def param_tag(model: str, value: float) -> str:
-    """Filename-friendly cell parameter: 'model1_k3' / 'model2_beta12.5'."""
-    num = str(int(value)) if float(value).is_integer() else repr(float(value))
-    return f"{model}_k{num}" if model == "model1" else f"{model}_beta{num}"
-
-
 @dataclass
 class SweepResult:
     rows: list[SweepRow]
@@ -263,9 +304,7 @@ def load_experiment(cfg: ExperimentConfig) -> LoadedExperiment:
         raise InfeasibleExperimentError("template expansion produced no queries")
     graph = build_graph(axioms, root_schemas(templates), cfg.depth_bound, kb=kb, genlpreds_mode=cfg.genlpreds)
     if cfg.snapshot_sizes:
-        schedule = ablate_grow(
-            kb, cfg.snapshot_sizes, random.Random(cfg.snapshot_seed), cfg.snapshot_order, cfg.snapshot_seed
-        )
+        schedule = ablate_grow(kb, cfg.snapshot_sizes, random.Random(cfg.snapshot_seed), cfg.snapshot_order)
         snapshots = list(schedule)
     else:
         snapshots = [("full", kb)]
@@ -295,23 +334,19 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     for kb_id, kb in exp.snapshots:
         for model, value in settings:
             for rep in range(cfg.replicates):
-                seed = derive_seed(cfg.master_seed, kb_id, model, value, rep)
+                params = cell_params(model, value, rep, cfg.master_seed, kb_id)
                 row = SweepRow(
                     model=model,
-                    k_or_beta=int(value) if model == "model1" else float(value),
+                    k_or_beta=params.value,
                     replicate=rep,
-                    seed=seed,
+                    seed=params.seed,
                     kb_id=kb_id,
                     kb_facts=kb.fact_count,
                 )
                 try:
                     t0 = time.perf_counter()
-                    if model == "model1":
-                        params = SampleParams("model1", k=int(value), seed=seed, replicate=rep)
-                    else:
-                        params = SampleParams("model2", beta=float(value), seed=seed, replicate=rep)
                     space = sample(exp.graph, params)
-                    report = metrics.alpha(exp.graph, space, exp.queries, kb, cfg.genlpreds)
+                    report = metrics.alpha(exp.graph, space, exp.queries, kb)
                     qa = metrics.answered_fraction(space, kb, exp.queries, cfg.depth_limit, cfg.genlpreds)
                     profile = None
                     if cfg.profile_replicates is None or rep < cfg.profile_replicates:
@@ -557,21 +592,10 @@ def format_table(rows: "Sequence[SweepRow] | Sequence[Mapping]", columns: Option
 def emit(
     rows: "Sequence[SweepRow] | Sequence[Mapping]",
     path: "str | Path",
-    fmt: str = "csv",
     columns: Optional[Sequence[str]] = None,
 ) -> None:
-    """Write rows as CSV (via :func:`format_table`) or as a JSON array."""
-    path = Path(path)
-    if fmt == "csv":
-        path.write_text(format_table(rows, columns), encoding="utf-8")
-        return
-    if fmt != "json":
-        raise ValueError(f"unknown format {fmt!r}")
-    if rows and isinstance(rows[0], SweepRow):
-        dicts = [dict(zip(SWEEP_COLUMNS, r.values())) for r in rows]  # type: ignore[union-attr]
-    else:
-        dicts = [dict(r) for r in rows]  # type: ignore[arg-type]
-    path.write_text(json.dumps(dicts, indent=1) + "\n", encoding="utf-8")
+    """Write rows as CSV via :func:`format_table`."""
+    Path(path).write_text(format_table(rows, columns), encoding="utf-8")
 
 
 _ROW_PARSERS = {
@@ -643,12 +667,12 @@ def write_sweep_outputs(result: SweepResult, outdir: "str | Path") -> None:
     the matched model comparison, and the figure aggregates."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    emit(result.rows, outdir / "sweep.csv", "csv")
+    emit(result.rows, outdir / "sweep.csv")
     profile_dir = outdir / "profiles"
     profile_dir.mkdir(exist_ok=True)
     for cell, profile in sorted(result.profiles.items()):
         (profile_dir / f"{cell}.csv").write_text(profile_to_csv(profile), encoding="utf-8")
     (outdir / "detectors.json").write_text(json.dumps(result.detectors, indent=1) + "\n", encoding="utf-8")
-    emit(result.comparison, outdir / "comparison.csv", "csv", columns=COMPARISON_COLUMNS)
-    emit(result.figures["model1"], outdir / "figure_model1.csv", "csv", columns=FIGURE_COLUMNS)
-    emit(result.figures["model2"], outdir / "figure_model2.csv", "csv", columns=FIGURE_COLUMNS)
+    emit(result.comparison, outdir / "comparison.csv", COMPARISON_COLUMNS)
+    emit(result.figures["model1"], outdir / "figure_model1.csv", FIGURE_COLUMNS)
+    emit(result.figures["model2"], outdir / "figure_model2.csv", FIGURE_COLUMNS)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 RESERVED_PREDICATES = ("isa", "genls", "genlPreds", "argIsa")
 _RESERVED_ARITY = {"isa": 2, "genls": 2, "genlPreds": 2, "argIsa": 3}
@@ -142,24 +142,18 @@ class HornClause:
         return "(<= " + " ".join([str(self.head)] + [str(a) for a in self.body]) + ")"
 
 
-def clause_key(c: HornClause) -> str:
-    return str(c)
-
-
 class AxiomSet:
-    """An ordered collection of Horn clauses with id and head-predicate lookup."""
+    """An ordered collection of Horn clauses with id lookup."""
 
     def __init__(self, clauses: Iterable[HornClause]):
         self.clauses: tuple[HornClause, ...] = tuple(clauses)
         self._by_id: dict[str, HornClause] = {}
-        self._by_head: dict[str, list[HornClause]] = defaultdict(list)
         for c in self.clauses:
             if not c.id:
                 raise ValueError(f"clause {c} has no id")
             if c.id in self._by_id:
                 raise ValueError(f"duplicate clause id {c.id!r}")
             self._by_id[c.id] = c
-            self._by_head[c.head.predicate].append(c)
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -170,77 +164,9 @@ class AxiomSet:
     def clause(self, clause_id: str) -> HornClause:
         return self._by_id[clause_id]
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.clauses)
-
-    def for_head_predicate(self, predicate: str) -> tuple[HornClause, ...]:
-        return tuple(self._by_head.get(predicate, ()))
-
     def restrict(self, ids: Iterable[str]) -> "AxiomSet":
         keep = set(ids)
         return AxiomSet(c for c in self.clauses if c.id in keep)
-
-
-# ---------------------------------------------------------------------------
-# Substitutions (shared with the engine module)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Substitution:
-    """Finite variable binding, stored as pairs sorted by variable name.
-
-    Answer substitutions are always ground (function-symbol-free retrieval
-    binds variables to constants); the general unifier may bind a variable to
-    another variable."""
-
-    bindings: tuple[tuple[Variable, Term], ...]
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[Variable, Term]) -> "Substitution":
-        return cls(tuple(sorted(mapping.items(), key=lambda kv: kv[0].name)))
-
-    @property
-    def mapping(self) -> dict[Variable, Term]:
-        return dict(self.bindings)
-
-    def get(self, var: Variable) -> Optional[Term]:
-        for v, t in self.bindings:
-            if v == var:
-                return t
-        return None
-
-    def apply(self, atom: Atom) -> Atom:
-        m = self.mapping
-        return Atom(atom.predicate, tuple(m.get(t, t) if isinstance(t, Variable) else t for t in atom.args))
-
-    def is_ground(self) -> bool:
-        return all(isinstance(t, Constant) for _, t in self.bindings)
-
-    def sort_key(self) -> tuple:
-        return tuple((v.name,) + term_key(t) for v, t in self.bindings)
-
-    def __len__(self) -> int:
-        return len(self.bindings)
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(f"{v}->{t}" for v, t in self.bindings) + "}"
-
-
-def match_ground(pattern_args: Sequence[Term], ground_args: Sequence[Term]) -> Optional[dict[Variable, Constant]]:
-    """Match pattern args against ground args; repeated variables must agree."""
-    bound: dict[Variable, Constant] = {}
-    for p, g in zip(pattern_args, ground_args):
-        if isinstance(p, Constant):
-            if p != g:
-                return None
-        else:
-            prev = bound.get(p)
-            if prev is None:
-                bound[p] = g  # type: ignore[assignment]
-            elif prev != g:
-                return None
-    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +291,8 @@ class KnowledgeBase:
     def sorted_facts(self) -> tuple[Fact, ...]:
         return self._facts
 
-    def predicates(self) -> tuple[str, ...]:
-        return tuple(sorted(self._by_pred))
-
     def arity(self, predicate: str) -> Optional[int]:
         return self._arity.get(predicate)
-
-    def has_fact(self, atom: Atom) -> bool:
-        return atom.is_ground() and Fact(atom) in self._fact_set
 
     def facts_for(self, predicate: str) -> tuple[Fact, ...]:
         return self._by_pred.get(predicate, ())
@@ -387,27 +307,6 @@ class KnowledgeBase:
             return self._by_pred_first.get((predicate, first), ())
         return self._by_pred.get(predicate, ())
 
-    def retrieve(self, pattern: Atom) -> tuple[Substitution, ...]:
-        """All substitutions grounding ``pattern`` to a stored fact, sorted.
-
-        Unknown predicates yield the empty tuple.  A ground pattern that is a
-        stored fact yields the single empty substitution ("proved").
-        """
-        known = self._arity.get(pattern.predicate)
-        if known is None:
-            return ()
-        if known != pattern.arity:
-            raise ArityConflictError(
-                f"pattern {pattern} has arity {pattern.arity}, predicate fixed at {known}"
-            )
-        first = pattern.args[0].symbol if isinstance(pattern.args[0], Constant) else None
-        out = set()
-        for f in self.candidates(pattern.predicate, first):
-            bound = match_ground(pattern.args, f.atom.args)
-            if bound is not None:
-                out.add(Substitution.from_mapping(bound))
-        return tuple(sorted(out, key=Substitution.sort_key))
-
     def instances_of(self, collection: str) -> frozenset[str]:
         """Entities that are instances of ``collection`` under the
         reflexive-transitive genls closure.  Unknown collections are empty."""
@@ -417,9 +316,6 @@ class KnowledgeBase:
         """All predicates that imply ``predicate`` via genlPreds chains,
         including ``predicate`` itself."""
         return self._specs.get(predicate, frozenset((predicate,)))
-
-    def arg_isa(self, predicate: str) -> tuple[tuple[int, str], ...]:
-        return self._arg_isa.get(predicate, ())
 
     def well_formed(self, atom: Atom) -> bool:
         """True iff every argIsa constraint on a ground argument position is

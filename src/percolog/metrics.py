@@ -52,29 +52,10 @@ class QaResult:
     per_query: tuple[tuple[str, str, int], ...]  # (query text, template id, answer count)
     total_answers: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "attempted": self.attempted,
-                "answered": self.answered,
-                "fraction": self.fraction,
-                "total_answers": self.total_answers,
-                "per_query": [
-                    {"query": q, "template": t, "answers": n} for q, t, n in self.per_query
-                ],
-            },
-            indent=1,
-        )
 
-
-def alpha(
-    g: AndOrGraph,
-    space: SearchSpace,
-    queries: QuerySet,
-    kb: KnowledgeBase,
-    genlpreds_mode: bool = True,
-) -> AlphaReport:
-    """Average per-node ground-fact contribution of the space toward Q."""
+def alpha(g: AndOrGraph, space: SearchSpace, queries: QuerySet, kb: KnowledgeBase) -> AlphaReport:
+    """Average per-node ground-fact contribution of the space toward Q,
+    counting solutions under the genlPreds mode the graph was built with."""
     if len(queries) == 0:
         raise ValueError("alpha needs a nonempty query set")
     if g.or_count == 0:
@@ -85,7 +66,7 @@ def alpha(
     terms = []
     for oid in space.sorted_or_members():
         node = g.or_nodes[oid]
-        sols = solutions(node.schema, kb, genlpreds_mode)
+        sols = solutions(node.schema, kb, g.genlpreds_mode)
         term = sols / (qn * (node.depth + 1))
         terms.append((oid, sols, node.depth, term))
     total = 0.0

@@ -5,8 +5,9 @@ out-degree distribution); Model 2 keeps ceil(beta% * c) of a node's c
 applications (preserving skew).  Both walk breadth-first from the roots,
 decide each visited OR node exactly once, and keep every body child of a kept
 rule application, so a sampled space is always closed and acyclic.  RNG
-streams are derived deterministically from (master seed, parameters,
-replicate index); results do not depend on scheduling.
+streams are derived deterministically from (master seed, scope, model,
+canonical parameter numeral, replicate index) by :func:`cell_params`, so
+results depend neither on scheduling nor on how a parameter is spelled.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .graph import AndOrGraph, SearchSpace, average_degree
+from .graph import AndOrGraph, SearchSpace
 
 
 @dataclass(frozen=True)
@@ -56,27 +57,32 @@ class SampleParams:
         }
 
 
-@dataclass(frozen=True)
-class MatchedPair:
-    """Two spaces, one per model, whose average degrees differ by at most the
-    tolerance; the basis for matched model comparisons."""
-
-    space_a: SearchSpace
-    space_b: SearchSpace
-    average: float
-    gap: float
-    tolerance: float
-
-    def __post_init__(self) -> None:
-        if self.gap > self.tolerance:
-            raise ValueError(f"degree gap {self.gap} exceeds tolerance {self.tolerance}")
-
-
 def derive_seed(master_seed: int, *parts: object) -> int:
     """Stable 64-bit stream seed for a sweep cell."""
     text = f"{master_seed}|" + "|".join(str(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def _numeral(value: float) -> str:
+    """Canonical spelling of a parameter value: '10' for 10 and 10.0."""
+    return str(int(value)) if float(value).is_integer() else repr(float(value))
+
+
+def param_tag(model: str, value: float) -> str:
+    """Filename-friendly cell parameter: 'model1_k3' / 'model2_beta12.5'."""
+    num = _numeral(value)
+    return f"{model}_k{num}" if model == "model1" else f"{model}_beta{num}"
+
+
+def cell_params(model: str, value: float, replicate: int, master_seed: int, *scope: object) -> SampleParams:
+    """The sampling cell for (model, value, replicate): its RNG seed is
+    derived from the master seed, the scope (e.g. the KB snapshot id), the
+    model, the value's canonical numeral and the replicate."""
+    seed = derive_seed(master_seed, *scope, model, _numeral(value), replicate)
+    if model == "model1":
+        return SampleParams("model1", k=int(value), seed=seed, replicate=replicate)
+    return SampleParams("model2", beta=float(value), seed=seed, replicate=replicate)
 
 
 def _keep_count_model2(beta: "float | int | str | Fraction", child_count: int) -> int:
@@ -118,34 +124,31 @@ def _sample(
     return SearchSpace(graph, visited, kept_and, provenance)
 
 
-def model1_sample(
-    graph: AndOrGraph, k: int, rng: random.Random, params: Optional[SampleParams] = None
-) -> SearchSpace:
+def model1_sample(graph: AndOrGraph, k: int, rng: random.Random) -> SearchSpace:
     """Keep min(k, c) rule applications per visited OR node, uniformly without
     replacement; every out-degree in the result is <= k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    prov = params.provenance() if params else {"model": "model1", "k": k}
-    return _sample(graph, lambda c: min(k, c), rng, prov)
+    return _sample(graph, lambda c: min(k, c), rng, {"model": "model1", "k": k})
 
 
-def model2_sample(
-    graph: AndOrGraph, beta: float, rng: random.Random, params: Optional[SampleParams] = None
-) -> SearchSpace:
+def model2_sample(graph: AndOrGraph, beta: float, rng: random.Random) -> SearchSpace:
     """Keep ceil(beta% * c) rule applications per visited OR node; beta=100
     reproduces the parent graph exactly."""
     if not 0 < float(beta) <= 100:
         raise ValueError("beta must be in (0, 100]")
-    prov = params.provenance() if params else {"model": "model2", "beta": beta}
-    return _sample(graph, lambda c: _keep_count_model2(beta, c), rng, prov)
+    return _sample(graph, lambda c: _keep_count_model2(beta, c), rng, {"model": "model2", "beta": beta})
 
 
 def sample(graph: AndOrGraph, params: SampleParams) -> SearchSpace:
     """Sample one space from its cell parameters (seed included)."""
     rng = random.Random(params.seed)
     if params.model == "model1":
-        return model1_sample(graph, params.k, rng, params)  # type: ignore[arg-type]
-    return model2_sample(graph, params.beta, rng, params)  # type: ignore[arg-type]
+        space = model1_sample(graph, params.k, rng)  # type: ignore[arg-type]
+    else:
+        space = model2_sample(graph, params.beta, rng)  # type: ignore[arg-type]
+    space.provenance = params.provenance()
+    return space
 
 
 def generate_replicates(
@@ -161,12 +164,7 @@ def generate_replicates(
     out = []
     for model, value in settings:
         for rep in range(replicates):
-            seed = derive_seed(master_seed, model, value, rep)
-            if model == "model1":
-                params = SampleParams("model1", k=int(value), seed=seed, replicate=rep)
-            else:
-                params = SampleParams("model2", beta=float(value), seed=seed, replicate=rep)
-            out.append(sample(graph, params))
+            out.append(sample(graph, cell_params(model, value, rep, master_seed)))
     return out
 
 
@@ -190,25 +188,3 @@ def greedy_degree_pairs(
         used_b.add(j)
         pairs.append((i, j))
     return sorted(pairs)
-
-
-def matched_pairs(
-    model1_spaces: Sequence[SearchSpace],
-    model2_spaces: Sequence[SearchSpace],
-    tolerance: float = 0.1,
-) -> list[MatchedPair]:
-    """Pair Model 1 against Model 2 spaces of (nearly) equal average degree."""
-    deg_a = [average_degree(s) for s in model1_spaces]
-    deg_b = [average_degree(s) for s in model2_spaces]
-    out = []
-    for i, j in greedy_degree_pairs(deg_a, deg_b, tolerance):
-        out.append(
-            MatchedPair(
-                space_a=model1_spaces[i],
-                space_b=model2_spaces[j],
-                average=(deg_a[i] + deg_b[j]) / 2,
-                gap=abs(deg_a[i] - deg_b[j]),
-                tolerance=tolerance,
-            )
-        )
-    return out

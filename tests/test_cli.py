@@ -172,6 +172,68 @@ def test_sweep_detect_compare(workspace, capsys):
     assert out[0] == "kb_id,pairs,model1_mean_answers,model2_mean_answers,change_pct"
 
 
+def _sweep_outputs(outdir):
+    """Every deterministic sweep output: sweep.csv without wall_time_s, the
+    detectors, the comparison, the figures and the per-cell profiles."""
+    files = {p.relative_to(outdir).as_posix(): p.read_text() for p in sorted(outdir.rglob("*.csv"))}
+    files["sweep.csv"] = [ln.rsplit(",", 1)[0] for ln in files["sweep.csv"].splitlines()]
+    files["detectors.json"] = (outdir / "detectors.json").read_text()
+    return files
+
+
+def test_parameter_spelling_does_not_change_the_sweep(workspace):
+    ws = workspace
+    outputs = []
+    for beta in (10, 10.0):
+        cfg = {
+            "kb": "kb.kb",
+            "templates": "templates.json",
+            "model1_k": [2],
+            "model2_beta": [beta, 30],
+            "replicates": 2,
+            "master_seed": 7,
+        }
+        (ws / "sweep.json").write_text(json.dumps(cfg), encoding="utf-8")
+        out = ws / f"out_{beta!r}"
+        assert main(["sweep", "--config", str(ws / "sweep.json"), "--out", str(out)]) == 0
+        outputs.append(_sweep_outputs(out))
+    assert any(name.startswith("profiles/") for name in outputs[0])
+    assert outputs[0] == outputs[1]
+
+
+BASE_SWEEP = {"kb": "kb.kb", "templates": "templates.json", "model1_k": [2], "replicates": 1}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("replicates", "2"),
+        ("replicates", 0),
+        ("profile_replicates", 0),
+        ("threshold", 5),
+        ("threshold", -0.1),
+        ("depth_limit", -1),
+        ("depth_bound", -1),
+        ("compare_tolerance", -0.5),
+        ("model1_k", [0]),
+        ("model1_k", [2.5]),
+        ("model2_beta", [0]),
+        ("model2_beta", [150]),
+        ("master_seed", "7"),
+        ("snapshot_order", "random"),
+        ("genlpreds", "yes"),
+        ("continue_on_error", 1),
+    ],
+)
+def test_bad_sweep_config_is_input_error(workspace, capsys, key, value):
+    ws = workspace
+    (ws / "sweep.json").write_text(json.dumps(dict(BASE_SWEEP, **{key: value})), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(ws / "sweep.json"), "--out", str(ws / "out")]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (ws / "out").exists()
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self):
         assert main(["sample", "--graph", "x.json"]) == 1  # missing required args

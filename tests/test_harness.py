@@ -204,18 +204,18 @@ class TestEmit:
 
     def test_zero_rows_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit([], path, "csv", columns=SWEEP_COLUMNS)
+        emit([], path, columns=SWEEP_COLUMNS)
         assert path.read_text() == ",".join(SWEEP_COLUMNS) + "\n"
 
     def test_one_row_two_lines(self, tmp_path):
         path = tmp_path / "one.csv"
-        emit(self._rows(1), path, "csv")
+        emit(self._rows(1), path)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
 
     def test_lf_endings_and_decimal_dot(self, tmp_path):
         path = tmp_path / "rows.csv"
-        emit(self._rows(2), path, "csv")
+        emit(self._rows(2), path)
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert b"0.25" in raw
@@ -223,23 +223,17 @@ class TestEmit:
     def test_round_trip(self, tmp_path):
         rows = self._rows(3)
         path = tmp_path / "rows.csv"
-        emit(rows, path, "csv")
+        emit(rows, path)
         parsed = parse_rows(path)
         assert parsed == rows
         again = tmp_path / "again.csv"
-        emit(parsed, again, "csv")
+        emit(parsed, again)
         assert again.read_text() == path.read_text()
-
-    def test_json_format(self, tmp_path):
-        path = tmp_path / "rows.json"
-        emit(self._rows(2), path, "json")
-        doc = json.loads(path.read_text())
-        assert len(doc) == 2 and doc[0]["model"] == "model1"
 
     def test_error_row_columns_empty(self, tmp_path):
         row = SweepRow(model="model1", k_or_beta=2, replicate=0, seed=1, kb_id="kb0", kb_facts=10)
         path = tmp_path / "err.csv"
-        emit([row], path, "csv")
+        emit([row], path)
         line = path.read_text().splitlines()[1]
         assert line == "model1,2,0,1,kb0,10,,,,,,,,,,"
         (parsed,) = parse_rows(path)
@@ -304,8 +298,8 @@ class TestRunSweep:
             master_seed=9,
         )
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit(run_sweep(cfg).rows, out_a, "csv")
-        emit(run_sweep(cfg).rows, out_b, "csv")
+        emit(run_sweep(cfg).rows, out_a)
+        emit(run_sweep(cfg).rows, out_b)
         strip = lambda p: [ln.rsplit(",", 1)[0] for ln in p.read_text().splitlines()]
         assert strip(out_a) == strip(out_b)
 

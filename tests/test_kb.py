@@ -5,20 +5,28 @@ import pytest
 from percolog import (
     ArityConflictError,
     Atom,
+    AxiomSet,
     Constant,
     Fact,
     HornClause,
     KbSyntaxError,
     KbValidationError,
     KnowledgeBase,
+    Query,
     Variable,
     parse_kb,
     serialize_kb,
 )
+from percolog.engine import Evaluator
 from percolog.growth import SynthConfig, synth_kb
-from percolog.kb import Substitution, match_ground
 
 from conftest import A, F, kb_of
+
+
+def retrieve(kb, pattern):
+    """Bindings of a single-variable pattern by retrieval alone (depth 0)."""
+    ans = Evaluator(kb, AxiomSet([]), genlpreds_mode=False).ask(Query(pattern), 0)
+    return {c.symbol for c in ans.bindings}
 
 
 class TestParsing:
@@ -26,7 +34,7 @@ class TestParsing:
         kb, axioms = parse_kb("(isa Fido Dog)")
         assert kb.fact_count == 1
         assert len(axioms) == 0
-        assert kb.has_fact(A("isa", "Fido", "Dog"))
+        assert F("isa", "Fido", "Dog") in kb
 
     def test_rule_line(self):
         kb, axioms = parse_kb("(<= (near ?x ?y) (touches ?x ?y))")
@@ -114,48 +122,41 @@ class TestTypes:
         with pytest.raises(KbValidationError):
             HornClause(A("p", "a"), (), id="r0")
 
-    def test_substitution_apply(self):
-        sub = Substitution.from_mapping({Variable("x"): Constant("a")})
-        assert sub.apply(A("p", "?x", "b")) == A("p", "a", "b")
-
 
 class TestRetrieve:
     def test_open_variable(self):
         kb = kb_of(("isa", "Fido", "Dog"))
-        subs = kb.retrieve(A("isa", "?x", "Dog"))
-        assert len(subs) == 1
-        assert subs[0].get(Variable("x")) == Constant("Fido")
+        assert retrieve(kb, A("isa", "?x", "Dog")) == {"Fido"}
 
     def test_ground_pattern_proved(self):
         kb = kb_of(("isa", "Fido", "Dog"))
-        subs = kb.retrieve(A("isa", "Fido", "Dog"))
-        assert subs == (Substitution(()),)
+        assert F("isa", "Fido", "Dog") in kb
 
     def test_no_match(self):
         kb = kb_of(("isa", "Fido", "Dog"))
-        assert kb.retrieve(A("isa", "?x", "Cat")) == ()
+        assert retrieve(kb, A("isa", "?x", "Cat")) == set()
 
     def test_unknown_predicate_is_empty(self):
         kb = kb_of(("isa", "Fido", "Dog"))
-        assert kb.retrieve(A("nosuch", "?x", "?y")) == ()
+        assert retrieve(kb, A("nosuch", "?x", "Dog")) == set()
 
     def test_arity_mismatch_raises(self):
         kb = kb_of(("p", "a", "b"))
         with pytest.raises(ArityConflictError):
-            kb.retrieve(A("p", "?x"))
+            kb.well_formed(A("p", "?x"))
 
     def test_repeated_variable_pattern(self):
         kb = kb_of(("p", "a", "a"), ("p", "a", "b"))
-        subs = kb.retrieve(A("p", "?x", "?x"))
-        assert [s.get(Variable("x")).symbol for s in subs] == ["a"]
+        assert retrieve(kb, A("p", "?x", "?x")) == {"a"}
 
     def test_ground_retrieve_iff_fact_present(self):
         kb = kb_of(("p", "a", "b"))
-        assert kb.retrieve(A("p", "a", "b")) != ()
-        assert kb.retrieve(A("p", "b", "a")) == ()
+        assert F("p", "a", "b") in kb
+        assert F("p", "b", "a") not in kb
 
     def test_index_consistency_random(self):
-        # indexed retrieval must equal an independent full scan
+        # indexed retrieval must equal an independent full scan, for the
+        # variable at every position and with either constant index
         rng = random.Random(5)
         for seed in range(10):
             cfg = SynthConfig(
@@ -165,23 +166,21 @@ class TestRetrieve:
             )
             kb, _, _ = synth_kb(cfg)
             entities = sorted({t.symbol for f in kb.sorted_facts() for t in f.atom.args})
+            predicates = sorted({f.atom.predicate for f in kb.facts})
             for _ in range(25):
-                pred = rng.choice(kb.predicates())
-                arity = kb.arity(pred)
-                args = tuple(
-                    Variable(rng.choice("xyz")) if rng.random() < 0.5 else Constant(rng.choice(entities))
-                    for _ in range(arity)
-                )
-                pattern = Atom(pred, args)
-                got = set(kb.retrieve(pattern))
+                pred = rng.choice(predicates)
+                args = [Constant(rng.choice(entities)) for _ in range(kb.arity(pred))]
+                for i in rng.sample(range(len(args)), rng.randint(1, len(args))):
+                    args[i] = Variable("x")
+                pattern = Atom(pred, tuple(args))
                 scan = {
-                    Substitution.from_mapping(m)
+                    f.atom.args[pattern.args.index(Variable("x"))].symbol
                     for f in kb.facts
                     if f.atom.predicate == pred
-                    for m in [match_ground(pattern.args, f.atom.args)]
-                    if m is not None
+                    and all(p == g for p, g in zip(pattern.args, f.atom.args) if isinstance(p, Constant))
+                    and len({g for p, g in zip(pattern.args, f.atom.args) if isinstance(p, Variable)}) == 1
                 }
-                assert got == scan
+                assert retrieve(kb, pattern) == scan
 
 
 class TestHierarchy:
@@ -276,7 +275,7 @@ class TestAddFacts:
         rebuilt = KnowledgeBase(base + batch)
         assert incremental.facts == rebuilt.facts
         for i in range(100):
-            assert incremental.retrieve(A("q", f"c{i}", "?x")) == rebuilt.retrieve(A("q", f"c{i}", "?x"))
+            assert retrieve(incremental, A("q", f"c{i}", "?x")) == retrieve(rebuilt, A("q", f"c{i}", "?x"))
 
     def test_arity_conflict_on_add(self):
         kb = kb_of(("p", "a", "b"))

@@ -8,7 +8,6 @@ from percolog import (
     GoalSchema,
     average_degree,
     build_graph,
-    matched_pairs,
     model1_sample,
     model2_sample,
     or_out_degrees,
@@ -19,8 +18,8 @@ from percolog.harness import expand_templates, root_schemas
 from percolog.kb import parse_kb
 from percolog.metrics import answered_fraction
 from percolog.sampling import (
-    MatchedPair,
     SampleParams,
+    cell_params,
     derive_seed,
     generate_replicates,
     greedy_degree_pairs,
@@ -147,6 +146,13 @@ class TestReplicates:
         assert s1 != derive_seed(42, "model1", 2, 1)
         assert s1 != derive_seed(43, "model1", 2, 0)
 
+    def test_cell_seed_ignores_value_spelling(self):
+        assert cell_params("model2", 10, 3, 42, "s0") == cell_params("model2", 10.0, 3, 42, "s0")
+        assert cell_params("model1", 2, 0, 42) == cell_params("model1", 2.0, 0, 42)
+        # integral values keep the seed their integer spelling always had
+        assert cell_params("model2", 10.0, 3, 42, "s0").seed == derive_seed(42, "s0", "model2", 10, 3)
+        assert cell_params("model2", 12.5, 0, 42).seed == derive_seed(42, "model2", 12.5, 0)
+
 
 class TestSubsetness:
     def test_axioms_subset_and_fraction_monotone(self):
@@ -184,17 +190,20 @@ class TestMatchedPairs:
         _, _, _, g = skewed_graph()
         m1 = generate_replicates(g, [("model1", k) for k in (2, 3)], 4, 5)
         m2 = generate_replicates(g, [("model2", b) for b in (30, 50, 70)], 4, 5)
-        pairs = matched_pairs(m1, m2, tolerance=0.5)
-        for p in pairs:
-            assert isinstance(p, MatchedPair)
-            assert p.gap <= 0.5
-            assert abs(average_degree(p.space_a) - average_degree(p.space_b)) == pytest.approx(p.gap)
+        pairs = degree_matched(m1, m2, tolerance=0.5)
+        assert pairs
+        for a, b in pairs:
+            assert abs(average_degree(a) - average_degree(b)) <= 0.5
+        assert len({id(a) for a, _ in pairs}) == len({id(b) for _, b in pairs}) == len(pairs)
 
-    def test_gap_beyond_tolerance_rejected(self):
-        _, _, _, g = skewed_graph()
-        s = model1_sample(g, 2, random.Random(0))
-        with pytest.raises(ValueError):
-            MatchedPair(s, s, average=1.0, gap=0.5, tolerance=0.1)
+
+def degree_matched(spaces_a, spaces_b, tolerance):
+    """(space_a, space_b) pairs of nearly equal average degree, paired the
+    way the harness pairs sweep rows."""
+    pairs = greedy_degree_pairs(
+        [average_degree(s) for s in spaces_a], [average_degree(s) for s in spaces_b], tolerance
+    )
+    return [(spaces_a[i], spaces_b[j]) for i, j in pairs]
 
 
 def _variance(xs):
@@ -209,10 +218,10 @@ class TestDegreeDistributionContrast:
         _, _, _, g = skewed_graph(seed=3)
         m1 = generate_replicates(g, [("model1", k) for k in (2, 3, 4)], 12, 7)
         m2 = generate_replicates(g, [("model2", b) for b in (20, 30, 40, 50, 60)], 12, 7)
-        pairs = matched_pairs(m1, m2, tolerance=0.15)
+        pairs = degree_matched(m1, m2, tolerance=0.15)
         assert len(pairs) >= 10
-        var1 = sum(_variance(or_out_degrees(p.space_a)) for p in pairs) / len(pairs)
-        var2 = sum(_variance(or_out_degrees(p.space_b)) for p in pairs) / len(pairs)
+        var1 = sum(_variance(or_out_degrees(a)) for a, _ in pairs) / len(pairs)
+        var2 = sum(_variance(or_out_degrees(b)) for _, b in pairs) / len(pairs)
         assert var1 < var2
 
 
