@@ -1,12 +1,18 @@
 """Depth-limited backward chaining and bottom-up evaluation of search spaces.
 
+Both engines work on the KB's per-predicate relations of symbol tuples
+(``KnowledgeBase.rows``); ``Atom`` and ``Constant`` values are built only for
+the results ``Evaluator.ask`` and ``bottom_up_eval`` return.
+
 Depth accounting: applying a rule costs one depth unit, ground retrieval is
 free, so depth_limit 0 answers by retrieval only.  A goal identical (up to
 variable renaming) to an ancestor goal on the current proof stack fails that
 branch; on the acyclic rule sets this package targets the cut never loses an
-answer.  Results are memoized per (predicate, bound-argument pattern,
-remaining depth), but only when no ancestor cut fired underneath, which keeps
-memoization sound even on rule sets with predicate-level recursion.
+answer.  Results are memoized per canonical goal (predicate, constants and
+first-occurrence variable slots) and remaining depth, but only when no
+ancestor cut fired underneath, which keeps memoization sound even on rule
+sets with predicate-level recursion.  Bottom-up evaluation hash-joins the
+row sets of a rule application's child nodes.
 
 With ``genlpreds_mode`` on (the default), a goal additionally matches facts
 and rule heads whose predicate implies the goal's predicate via genlPreds.
@@ -16,7 +22,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Iterator, Optional, Sequence
 
 from .graph import GoalSchema, SearchSpace, greedy_body_order
 from .kb import (
@@ -113,7 +120,7 @@ class AnswerSet:
 
 
 def _walk(term, binding):
-    while isinstance(term, Variable):
+    while not isinstance(term, str):  # a clause variable or a goal slot
         nxt = binding.get(term)
         if nxt is None:
             return term
@@ -121,25 +128,45 @@ def _walk(term, binding):
     return term
 
 
-def _canonical(atom: Atom) -> tuple:
-    """Goal key abstracting variable names: constants stay, variables become
-    first-occurrence slot indices."""
-    slots: dict[Variable, int] = {}
-    parts: list[object] = []
-    for t in atom.args:
-        if isinstance(t, Constant):
-            parts.append(t.symbol)
+def _plain(atom: Atom) -> tuple[str, tuple]:
+    """(predicate, terms) with constants as their symbols and variables kept."""
+    return (atom.predicate, tuple(t.symbol if isinstance(t, Constant) else t for t in atom.args))
+
+
+def _unify_head(parts: tuple, head: tuple) -> Optional[dict]:
+    """Unify a canonical goal's parts (symbols and slot ints) with a clause
+    head's terms (symbols and the clause's own variables).  The binding maps
+    clause variables and goal slots to symbols, slots or variables, and binds
+    clause variables first so that the goal's bindings flow into the body."""
+    binding: dict = {}
+    for g, h in zip(parts, head):
+        if not isinstance(g, str):
+            g = _walk(g, binding)
+        if not isinstance(h, str):
+            h = _walk(h, binding)
+        if g == h:
+            continue
+        if not isinstance(h, str):
+            binding[h] = g
+        elif not isinstance(g, str):
+            binding[g] = h
         else:
-            parts.append(slots.setdefault(t, len(slots)))
-    return (atom.predicate, tuple(parts))
+            return None
+    return binding
 
 
 class Evaluator:
     """Reusable backchaining context over a fixed (kb, axioms, mode) triple.
 
-    Sharing one evaluator across a query set amortizes the goal memo, the
-    per-goal clause tables, and the lazily built positional fact indices.
-    Evaluators are not shared between threads; create one per worker.
+    Goals are canonical pairs ``(predicate, parts)``: each part is a constant
+    symbol or the int slot of a goal variable, numbered by first occurrence.
+    A rule application unifies the goal with the clause's own variables in a
+    binding local to that application, so clauses are never renamed, and
+    facts are matched as the KB's symbol-tuple rows.  Sharing one evaluator
+    across a query set amortizes the goal memo, the per-goal clause tables,
+    the body orders per (clause, goal shape) and the lazily built positional
+    row indices.  Evaluators are not shared between threads; create one per
+    worker.
     """
 
     def __init__(self, kb: KnowledgeBase, axioms: AxiomSet, genlpreds_mode: bool = True):
@@ -147,163 +174,144 @@ class Evaluator:
         self.axioms = axioms
         self.mode = genlpreds_mode
         self._memo: dict = {}
-        self._rename_counter = 0
-        self._clauses_for: dict[tuple[str, int], tuple[HornClause, ...]] = {}
+        self._preds: dict[tuple[str, int], tuple[str, ...]] = {}
+        self._clauses_for: dict[tuple[str, int], tuple] = {}
+        self._orders: dict[tuple, list[int]] = {}
         self._pos_index: dict[tuple[str, int], dict[str, list]] = {}
 
-    def goal_predicates(self, predicate: str) -> Iterable[str]:
-        if self.mode:
-            return sorted(self.kb.spec_preds(predicate))
-        return (predicate,)
+    def _goal_predicates(self, predicate: str, arity: int) -> tuple[str, ...]:
+        """Sorted predicates whose facts can answer the goal."""
+        key = (predicate, arity)
+        preds = self._preds.get(key)
+        if preds is None:
+            cands = sorted(self.kb.spec_preds(predicate)) if self.mode else (predicate,)
+            preds = self._preds[key] = tuple(p for p in cands if self.kb.arity(p) == arity)
+        return preds
 
-    def clauses_for_goal(self, predicate: str, arity: int) -> tuple[HornClause, ...]:
+    def _clauses_for_goal(self, predicate: str, arity: int) -> tuple:
+        """(clause, head terms, plain body) of every clause whose head can
+        answer the goal."""
         key = (predicate, arity)
         cached = self._clauses_for.get(key)
         if cached is None:
-            preds = set(self.goal_predicates(predicate))
+            preds = set(self.kb.spec_preds(predicate)) if self.mode else {predicate}
             cached = tuple(
-                c for c in self.axioms if c.head.predicate in preds and c.head.arity == arity
+                (c, _plain(c.head)[1], tuple(_plain(a) for a in c.body))
+                for c in self.axioms
+                if c.head.predicate in preds and c.head.arity == arity
             )
             self._clauses_for[key] = cached
         return cached
 
-    def _facts_matching(self, predicate: str, args: Sequence) -> Iterator:
-        """Candidate facts narrowed by the best bound position: the KB's
-        first-argument index when possible, otherwise a lazily built index on
-        the first bound position."""
-        if isinstance(args[0], Constant):
-            yield from self.kb.candidates(predicate, args[0].symbol)
-            return
-        bound_pos = next((i for i, t in enumerate(args) if isinstance(t, Constant)), None)
-        if bound_pos is None:
-            yield from self.kb.candidates(predicate)
-            return
-        key = (predicate, bound_pos)
-        index = self._pos_index.get(key)
+    def _rows_matching(self, predicate: str, bound: Optional[tuple[int, str]]) -> Sequence[tuple]:
+        """Rows of the predicate, narrowed to those holding the symbol at the
+        position of ``bound`` by a lazily built index on that position."""
+        if bound is None:
+            return self.kb.rows(predicate)
+        pos, symbol = bound
+        index = self._pos_index.get((predicate, pos))
         if index is None:
             index = defaultdict(list)
-            for f in self.kb.candidates(predicate):
-                index[f.atom.args[bound_pos].symbol].append(f)
-            self._pos_index[key] = index
-        yield from index.get(args[bound_pos].symbol, ())
-
-    def _rename(self, clause: HornClause) -> HornClause:
-        self._rename_counter += 1
-        tag = self._rename_counter
-        table: dict[Variable, Variable] = {}
-
-        def r(atom: Atom) -> Atom:
-            return Atom(
-                atom.predicate,
-                tuple(
-                    table.setdefault(t, Variable(f"#{tag}.{t.name}")) if isinstance(t, Variable) else t
-                    for t in atom.args
-                ),
-            )
-
-        return HornClause(r(clause.head), tuple(r(a) for a in clause.body), id=clause.id)
+            for row in self.kb.rows(predicate):
+                index[row[pos]].append(row)
+            self._pos_index[(predicate, pos)] = index
+        return index.get(symbol, ())
 
     def ask(self, query: Query, depth_limit: int) -> AnswerSet:
         if depth_limit < 0:
             raise ValueError("depth_limit must be >= 0")
-        tuples, _ = self._solve(query.atom, depth_limit, frozenset())
-        return AnswerSet(query, frozenset(t[0] for t in tuples))
+        slots: dict[Variable, int] = {}
+        parts = tuple(
+            t.symbol if isinstance(t, Constant) else slots.setdefault(t, len(slots))  # type: ignore[arg-type]
+            for t in query.atom.args
+        )
+        tuples, _ = self._solve((query.atom.predicate, parts), depth_limit, frozenset())
+        return AnswerSet(query, frozenset(Constant(t[0]) for t in tuples))
 
-    def _solve(self, goal: Atom, depth: int, stack: frozenset) -> tuple[frozenset, bool]:
-        """Answer tuples for the goal's variables (first-occurrence order) and
-        a flag marking the result safe to memoize."""
-        canon = _canonical(goal)
+    def _solve(self, canon: tuple, depth: int, stack: frozenset) -> tuple[frozenset, bool]:
+        """Answer tuples for the goal's slots (in slot order) and a flag
+        marking the result safe to memoize."""
         key = (canon, depth)
         hit = self._memo.get(key)
         if hit is not None:
             return hit, True
         if canon in stack:
             return frozenset(), False  # ancestor cut: proof branch repeats a goal schema
-        var_order = goal.variables()
+        predicate, parts = canon
+        consts = [(i, p) for i, p in enumerate(parts) if isinstance(p, str)]
+        first: dict[int, int] = {}  # slot -> position of its first occurrence
+        same: list[tuple[int, int]] = []  # later occurrences of a repeated slot
+        for i, p in enumerate(parts):
+            if not isinstance(p, str):
+                if p in first:
+                    same.append((i, first[p]))
+                else:
+                    first[p] = i
+        checks = consts[1:]  # the first bound position is looked up in an index
+        project = _getter(list(first.values()))
         results: set[tuple] = set()
+        for pred in self._goal_predicates(predicate, len(parts)):
+            rows = self._rows_matching(pred, consts[0] if consts else None)
+            if checks or same:
+                rows = [r for r in rows if all(r[i] == c for i, c in checks) and all(r[i] == r[j] for i, j in same)]
+            results.update(map(project, rows))
         clean = True
-        arity = goal.arity
-        for pred in self.goal_predicates(goal.predicate):
-            if self.kb.arity(pred) != arity:
-                continue
-            for f in self._facts_matching(pred, goal.args):
-                bound = _match_tuple(goal.args, f.atom.args, var_order)
-                if bound is not None:
-                    results.add(bound)
-        if depth > 0:
+        clauses = self._clauses_for_goal(predicate, len(parts)) if depth > 0 else ()
+        if clauses:
             substack = stack | {canon}
-            for clause in self.clauses_for_goal(goal.predicate, arity):
-                rc = self._rename(clause)
-                binding = _head_binding(goal, rc.head)
+            shape = tuple([None if isinstance(p, str) else p for p in parts])
+            for clause, head, body in clauses:
+                binding = _unify_head(parts, head)
                 if binding is None:
                     continue
-                bound_now = {
-                    v for a in rc.body for v in a.variables() if isinstance(_walk(v, binding), Constant)
-                }
-                order = greedy_body_order(rc.body, bound_now)
-                partials = [binding]
+                order = self._orders.get((clause.id, shape))
+                if order is None:
+                    bound_now = {
+                        v for a in clause.body for v in a.variables() if isinstance(_walk(v, binding), str)
+                    }
+                    order = self._orders[(clause.id, shape)] = greedy_body_order(clause.body, bound_now)
+                # Resolve the body through the head binding: each term is then a
+                # symbol or a free variable or slot, and a partial solution is
+                # the tuple of the free ones' values in the order they get bound.
+                where: dict = {}  # free variable or slot -> position in a partial
+                steps = []
                 for pos in order:
+                    sub_pred, terms = body[pos]
+                    fresh: dict = {}  # unbound so far -> subgoal slot
+                    spec = []  # (is a partial position, symbol or slot or position)
+                    for t in terms:
+                        t = _walk(t, binding)
+                        if isinstance(t, str):
+                            spec.append((False, t))
+                        elif t in where:
+                            spec.append((True, where[t]))
+                        else:
+                            spec.append((False, fresh.setdefault(t, len(fresh))))
+                    for t in fresh:
+                        where[t] = len(where)
+                    steps.append((sub_pred, spec))
+                partials: list[tuple] = [()]
+                for sub_pred, spec in steps:
+                    nxt: list[tuple] = []
+                    for p in partials:
+                        sub = (sub_pred, tuple([p[v] if ref else v for ref, v in spec]))
+                        sub_res = self._memo.get((sub, depth - 1))
+                        if sub_res is None:
+                            sub_res, sub_clean = self._solve(sub, depth - 1, substack)
+                            clean = clean and sub_clean
+                        nxt.extend([p + t for t in sub_res])
+                    partials = nxt
                     if not partials:
                         break
-                    body_atom = rc.body[pos]
-                    nxt: list[dict] = []
-                    for bnd in partials:
-                        sub_goal = _substitute(body_atom, bnd)
-                        sub_res, sub_clean = self._solve(sub_goal, depth - 1, substack)
-                        clean = clean and sub_clean
-                        if not sub_res:
-                            continue
-                        sub_vars = sub_goal.variables()
-                        if sub_vars:
-                            for tup in sub_res:
-                                nb = dict(bnd)
-                                nb.update(zip(sub_vars, tup))
-                                nxt.append(nb)
-                        else:
-                            nxt.append(bnd)
-                    partials = nxt
-                for bnd in partials:
-                    results.add(tuple(_walk(v, bnd) for v in var_order))
-        out = frozenset(results)
+                out = []  # every goal slot is a symbol or bound by the body
+                for slot in range(len(first)):
+                    t = _walk(slot, binding)
+                    out.append((False, t) if isinstance(t, str) else (True, where[t]))
+                results.update([tuple([p[v] if ref else v for ref, v in out]) for p in partials])
+        res = frozenset(results)
         if clean:
-            self._memo[key] = out
-        return out, clean
-
-
-def _match_tuple(goal_args, fact_args, var_order) -> Optional[tuple]:
-    bound: dict[Variable, Constant] = {}
-    for g, f in zip(goal_args, fact_args):
-        if isinstance(g, Constant):
-            if g != f:
-                return None
-        else:
-            prev = bound.get(g)
-            if prev is None:
-                bound[g] = f
-            elif prev != f:
-                return None
-    return tuple(bound[v] for v in var_order)
-
-
-def _head_binding(goal: Atom, head: Atom) -> Optional[dict]:
-    """Unify a goal against a freshly renamed clause head, preferring to bind
-    clause variables so that bindings flow into the body."""
-    binding: dict[Variable, object] = {}
-    for g, h in zip(goal.args, head.args):
-        g, h = _walk(g, binding), _walk(h, binding)
-        if g == h:
-            continue
-        if isinstance(h, Variable):
-            binding[h] = g
-        elif isinstance(g, Variable):
-            binding[g] = h
-        else:
-            return None
-    return binding
-
-
-def _substitute(atom: Atom, binding: Mapping) -> Atom:
-    return Atom(atom.predicate, tuple(_walk(t, binding) for t in atom.args))
+            self._memo[key] = res
+        return res, clean
 
 
 # ---------------------------------------------------------------------------
@@ -316,29 +324,21 @@ def solutions(node_goal: GoalSchema, kb: KnowledgeBase, genlpreds_mode: bool = T
     schema's predicate (through the genlPreds closure when the mode is on)."""
     preds = kb.spec_preds(node_goal.predicate) if genlpreds_mode else (node_goal.predicate,)
     return sum(
-        len(kb.facts_for(p)) for p in preds if kb.arity(p) == node_goal.arity
+        len(kb.rows(p)) for p in preds if kb.arity(p) == node_goal.arity
     )
 
 
-def _base_atoms(kb: KnowledgeBase, predicate: str, arity: int, genlpreds_mode: bool) -> frozenset[Atom]:
-    """Retrieval layer of an OR node: KB facts, rewritten onto the node's own
-    predicate when they arrive via a genlPreds specializer."""
-    if not genlpreds_mode:
-        return kb.atoms_for(predicate) if kb.arity(predicate) == arity else frozenset()
-    out: set[Atom] = set()
-    for p in kb.spec_preds(predicate):
-        if kb.arity(p) != arity:
-            continue
-        if p == predicate:
-            out |= kb.atoms_for(p)
-        else:
-            out.update(Atom(predicate, a.args) for a in kb.atoms_for(p))
-    return frozenset(out)
+def _getter(positions: Sequence[int]):
+    """A function taking a tuple to the tuple of its values at the positions."""
+    if len(positions) == 1:
+        i = positions[0]
+        return lambda row: (row[i],)
+    return itemgetter(*positions) if positions else lambda row: ()
 
 
-def _fire_clause(clause: HornClause, child_sets: Sequence[frozenset[Atom]], out_pred: str) -> set[Atom]:
-    """Hash-join the clause body against the child OR sets and emit the
-    instantiated heads under the parent node's predicate.
+def _fire_clause(clause: HornClause, child_sets: Sequence[frozenset[tuple]]) -> set[tuple]:
+    """Hash-join the clause body against the child OR nodes' row sets and emit
+    the instantiated head rows.
 
     After each body atom the solutions are projected onto the variables still
     needed downstream and deduplicated, which keeps intermediate joins bounded
@@ -354,62 +354,71 @@ def _fire_clause(clause: HornClause, child_sets: Sequence[frozenset[Atom]], out_
     var_order: list[Variable] = []
     sols: set[tuple] = {()}
     for rank, pos in enumerate(order):
-        atom, atoms, needed = clause.body[pos], child_sets[pos], needed_after[rank]
-        if not atoms:
-            return set()
+        atom, rows, needed = clause.body[pos], child_sets[pos], needed_after[rank]
         pos_of = {v: i for i, v in enumerate(var_order)}
-        keyed: list[tuple[int, object]] = []  # (arg position, const or var index)
-        free_pos: list[int] = []
+        consts = [(i, t.symbol) for i, t in enumerate(atom.args) if isinstance(t, Constant)]
+        join_row: list[int] = []  # row positions of variables bound by earlier atoms
+        join_sol: list[int] = []  # their positions in a solution
+        first: dict[Variable, int] = {}  # new variable -> row position of its first occurrence
+        same: list[tuple[int, int]] = []  # in-atom repeats of a new variable must agree
         for i, t in enumerate(atom.args):
             if isinstance(t, Constant):
-                keyed.append((i, t))
-            elif t in pos_of:
-                keyed.append((i, pos_of[t]))
-            else:
-                free_pos.append(i)
-        new_vars: list[Variable] = []
-        for i in free_pos:
-            if atom.args[i] not in new_vars:
-                new_vars.append(atom.args[i])  # type: ignore[arg-type]
-        index: dict[tuple, list[tuple]] = defaultdict(list)
-        for ga in atoms:
-            ok = True
-            vals: dict[Variable, Constant] = {}
-            for i in free_pos:  # in-atom repeated variables must agree
-                v = atom.args[i]
-                prev = vals.get(v)
-                if prev is None:
-                    vals[v] = ga.args[i]  # type: ignore[index,assignment]
-                elif prev != ga.args[i]:
-                    ok = False
-                    break
-            if not ok:
                 continue
-            const_key = tuple(ga.args[i] for i, _ in keyed)
-            index[const_key].append(tuple(vals[v] for v in new_vars))
-        next_order = [v for v in var_order + new_vars if v in needed]
+            if t in pos_of:
+                join_row.append(i)
+                join_sol.append(pos_of[t])
+            elif t in first:
+                same.append((i, first[t]))
+            else:
+                first[t] = i
+        if consts or same:
+            rows = [r for r in rows if all(r[i] == c for i, c in consts) and all(r[i] == r[j] for i, j in same)]
+        keep = [v for v in first if v in needed]
+        row_key, row_val = _getter(join_row), _getter([first[v] for v in keep])
+        index: dict[tuple, set[tuple]] = defaultdict(set)
+        for row in rows:
+            index[row_key(row)].add(row_val(row))
         old_keep = [i for i, v in enumerate(var_order) if v in needed]
-        new_keep = [i for i, v in enumerate(new_vars) if v in needed]
+        sol_key, sol_base = _getter(join_sol), _getter(old_keep)
         nxt: set[tuple] = set()
         for s in sols:
-            key = tuple(ref if isinstance(ref, Constant) else s[ref] for _, ref in keyed)
-            hits = index.get(key)
-            if not hits:
-                continue
-            base = tuple(s[i] for i in old_keep)
-            for vals_tuple in hits:
-                nxt.add(base + tuple(vals_tuple[i] for i in new_keep))
+            hits = index.get(sol_key(s))
+            if hits:
+                base = sol_base(s)
+                nxt.update([base + h for h in hits])
         sols = nxt
-        var_order = next_order
+        var_order = [var_order[i] for i in old_keep] + keep
         if not sols:
             return set()
     pos_of = {v: i for i, v in enumerate(var_order)}
-    heads = set()
-    for s in sols:
-        heads.add(
-            Atom(out_pred, tuple(t if isinstance(t, Constant) else s[pos_of[t]] for t in clause.head.args))
-        )
-    return heads
+    head = _plain(clause.head)[1]
+    if all(isinstance(t, Variable) for t in head):
+        return set(map(_getter([pos_of[t] for t in head]), sols))
+    return {tuple([t if isinstance(t, str) else s[pos_of[t]] for t in head]) for s in sols}
+
+
+def _node_rows(space: SearchSpace, kb: KnowledgeBase, genlpreds_mode: bool) -> dict[str, frozenset[tuple]]:
+    """Derived rows per member OR node, children evaluated first.  A node's
+    base rows are the KB rows of every predicate specializing its own (just
+    its own with the mode off); retained rule applications add head rows."""
+    graph = space.graph
+    axioms = graph.axioms
+    base_cache: dict[tuple[str, int], frozenset[tuple]] = {}
+    sets: dict[str, frozenset[tuple]] = {}
+    for oid in space.reverse_topological_or_order():
+        node = graph.or_nodes[oid]
+        ck = (node.predicate, node.arity)
+        base = base_cache.get(ck)
+        if base is None:
+            preds = kb.spec_preds(node.predicate) if genlpreds_mode else (node.predicate,)
+            base = frozenset().union(*(kb.rows(p) for p in preds if kb.arity(p) == node.arity))
+            base_cache[ck] = base
+        derived: set[tuple] = set()
+        for aid in space.member_and_children(oid):
+            anode = graph.and_nodes[aid]
+            derived |= _fire_clause(axioms.clause(anode.clause_id), [sets[c] for c in anode.children])
+        sets[oid] = base | derived if derived else base
+    return sets
 
 
 def bottom_up_eval(
@@ -419,33 +428,24 @@ def bottom_up_eval(
 
     A node's set is its retrieval matches plus every head derivable through a
     retained rule application whose body atoms are all satisfied from the
-    child sets; pass the same genlpreds_mode the graph was built with.
+    child sets, each atom under the node's own predicate; pass the same
+    genlpreds_mode the graph was built with.
     """
-    graph = space.graph
-    axioms = graph.axioms
-    base_cache: dict[tuple[str, int], frozenset[Atom]] = {}
-    sets: dict[str, frozenset[Atom]] = {}
-    for oid in space.reverse_topological_or_order():
-        node = graph.or_nodes[oid]
-        ck = (node.predicate, node.arity)
-        base = base_cache.get(ck)
-        if base is None:
-            base = _base_atoms(kb, node.predicate, node.arity, genlpreds_mode)
-            base_cache[ck] = base
-        acc = set(base)
-        for aid in space.member_and_children(oid):
-            anode = graph.and_nodes[aid]
-            clause = axioms.clause(anode.clause_id)
-            acc |= _fire_clause(clause, [sets[c] for c in anode.children], node.predicate)
-        sets[oid] = frozenset(acc)
-    return sets
+    or_nodes = space.graph.or_nodes
+    return {
+        oid: frozenset(Atom(or_nodes[oid].predicate, tuple(map(Constant, row))) for row in rows)
+        for oid, rows in _node_rows(space, kb, genlpreds_mode).items()
+    }
 
 
 def depth_profile(space: SearchSpace, kb: KnowledgeBase, genlpreds_mode: bool = True) -> dict[int, int]:
     """Distinct derived atoms per depth (union across the OR nodes of that
     depth), the percolation profile from the leaves toward the roots."""
-    sets = bottom_up_eval(space, kb, genlpreds_mode)
-    by_depth: dict[int, set[Atom]] = defaultdict(set)
+    sets = _node_rows(space, kb, genlpreds_mode)
+    by_depth: dict[int, dict[str, frozenset[tuple]]] = defaultdict(dict)
     for oid in space.or_members:
-        by_depth[space.graph.or_nodes[oid].depth] |= sets[oid]
-    return {d: len(atoms) for d, atoms in sorted(by_depth.items())}
+        node = space.graph.or_nodes[oid]
+        rows = by_depth[node.depth]  # an atom is a (predicate, row) pair
+        prev = rows.get(node.predicate)
+        rows[node.predicate] = sets[oid] if prev is None else prev | sets[oid]
+    return {d: sum(map(len, rows.values())) for d, rows in sorted(by_depth.items())}

@@ -140,10 +140,23 @@ class ExperimentConfig:
     # replicate, n > 0 only the first n replicates of each cell group
     profile_replicates: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        """Check every key's type and range, whether the config was loaded or
+        built in Python; a bad value raises ValueError naming its key."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            valid, expected = _CONFIG_CHECKS[f.name]
+            if not valid(value):
+                raise ValueError(f"config key {f.name!r} must be {expected}, got {value!r}")
+        self.model1_k = tuple(self.model1_k)
+        self.model2_beta = tuple(self.model2_beta)
+        if self.snapshot_sizes is not None:
+            self.snapshot_sizes = tuple(self.snapshot_sizes)
+
     @classmethod
     def from_json(cls, path: "str | Path") -> "ExperimentConfig":
-        """Load a config file, checking every key's type and range; a bad
-        value raises ValueError naming its key."""
+        """Load a config file with paths relative to it; an unknown key or a
+        bad value raises ValueError naming the key."""
         path = Path(path)
         doc = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
@@ -151,18 +164,10 @@ class ExperimentConfig:
         unknown = doc.keys() - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in doc.items():
-            valid, expected = _CONFIG_CHECKS[key]
-            if not valid(value):
-                raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
         try:
             cfg = cls(**doc)
         except TypeError as e:  # a required key is missing
             raise ValueError(f"bad sweep config: {e}") from None
-        cfg.model1_k = tuple(cfg.model1_k)
-        cfg.model2_beta = tuple(cfg.model2_beta)
-        if cfg.snapshot_sizes is not None:
-            cfg.snapshot_sizes = tuple(cfg.snapshot_sizes)
         base = path.parent
         cfg.kb = str((base / cfg.kb).resolve())
         cfg.templates = str((base / cfg.templates).resolve())
@@ -182,17 +187,22 @@ def _is_path(v) -> bool:
     return isinstance(v, str)
 
 
-# config key -> (check on its JSON value, what the value must be)
+def _is_list(v) -> bool:
+    return isinstance(v, (list, tuple))
+
+
+# config key -> (check on its value, what the value must be); a list is a
+# JSON list or a Python tuple
 _CONFIG_CHECKS = {
     "kb": (_is_path, "a path"),
     "templates": (_is_path, "a path"),
     "axioms": (lambda v: v is None or _is_path(v), "a path"),
-    "snapshot_sizes": (lambda v: v is None or isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "snapshot_sizes": (lambda v: v is None or _is_list(v) and all(map(_is_int, v)), "a list of integers"),
     "snapshot_seed": (_is_int, "an integer"),
     "snapshot_order": (lambda v: v in ("uniform", "stratified"), '"uniform" or "stratified"'),
-    "model1_k": (lambda v: isinstance(v, list) and all(_is_int(k) and k >= 1 for k in v), "a list of integers >= 1"),
+    "model1_k": (lambda v: _is_list(v) and all(_is_int(k) and k >= 1 for k in v), "a list of integers >= 1"),
     "model2_beta": (
-        lambda v: isinstance(v, list) and all(_is_number(b) and 0 < b <= 100 for b in v),
+        lambda v: _is_list(v) and all(_is_number(b) and 0 < b <= 100 for b in v),
         "a list of numbers in (0, 100]",
     ),
     "replicates": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),

@@ -178,13 +178,13 @@ class KnowledgeBase:
     """Immutable indexed set of ground facts.
 
     Hierarchy closures (instances_of / spec_preds), argIsa constraints and the
-    retrieval indices are all precomputed here, so reads never mutate state.
+    per-predicate symbol-tuple rows are all precomputed here, so reads never
+    mutate state.
     """
 
     def __init__(self, facts: Iterable[Fact]):
         by_key: dict[tuple, Fact] = {}
         arity: dict[str, int] = dict(_RESERVED_ARITY)
-        order: list[Fact] = []
         for f in facts:
             pred = f.atom.predicate
             known = arity.get(pred)
@@ -194,25 +194,19 @@ class KnowledgeBase:
                 raise ArityConflictError(
                     f"predicate {pred!r} used with arity {f.atom.arity} but fixed at {known}"
                 )
-            k = fact_key(f)
-            if k not in by_key:
-                by_key[k] = f
-                order.append(f)
-        self._facts: tuple[Fact, ...] = tuple(sorted(order, key=fact_key))
+            by_key.setdefault(fact_key(f), f)
+        keys = sorted(by_key)
+        self._facts: tuple[Fact, ...] = tuple(by_key[k] for k in keys)
         self._fact_set: frozenset[Fact] = frozenset(self._facts)
         self._arity = arity
 
-        self._by_pred: dict[str, tuple[Fact, ...]] = {}
-        self._by_pred_first: dict[tuple[str, str], tuple[Fact, ...]] = {}
-        self._atoms_by_pred: dict[str, frozenset[Atom]] = {}
         bp: dict[str, list[Fact]] = defaultdict(list)
-        bpf: dict[tuple[str, str], list[Fact]] = defaultdict(list)
-        for f in self._facts:
-            bp[f.atom.predicate].append(f)
-            bpf[(f.atom.predicate, f.atom.args[0].symbol)].append(f)  # type: ignore[union-attr]
-        self._by_pred = {k: tuple(v) for k, v in bp.items()}
-        self._by_pred_first = {k: tuple(v) for k, v in bpf.items()}
-        self._atoms_by_pred = {k: frozenset(f.atom for f in v) for k, v in self._by_pred.items()}
+        rows: dict[str, list[tuple[str, ...]]] = defaultdict(list)
+        for k in keys:
+            bp[k[0]].append(by_key[k])
+            rows[k[0]].append(k[1:])
+        self._by_pred: dict[str, tuple[Fact, ...]] = {k: tuple(v) for k, v in bp.items()}
+        self._rows: dict[str, tuple[tuple[str, ...], ...]] = {k: tuple(v) for k, v in rows.items()}
 
         self._arg_isa = self._collect_arg_isa()
         genls_edges = [(f.atom.args[0].symbol, f.atom.args[1].symbol) for f in self._by_pred.get("genls", ())]  # type: ignore[union-attr]
@@ -297,15 +291,10 @@ class KnowledgeBase:
     def facts_for(self, predicate: str) -> tuple[Fact, ...]:
         return self._by_pred.get(predicate, ())
 
-    def atoms_for(self, predicate: str) -> frozenset[Atom]:
-        return self._atoms_by_pred.get(predicate, frozenset())
-
-    def candidates(self, predicate: str, first: Optional[str] = None) -> tuple[Fact, ...]:
-        """Index-backed candidate facts for a pattern with the given predicate
-        and (optionally) a constant first argument."""
-        if first is not None:
-            return self._by_pred_first.get((predicate, first), ())
-        return self._by_pred.get(predicate, ())
+    def rows(self, predicate: str) -> tuple[tuple[str, ...], ...]:
+        """The predicate's facts as tuples of argument symbols, in sorted fact
+        order: the relation both engines evaluate over."""
+        return self._rows.get(predicate, ())
 
     def instances_of(self, collection: str) -> frozenset[str]:
         """Entities that are instances of ``collection`` under the

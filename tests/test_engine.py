@@ -15,7 +15,7 @@ from percolog import (
     induced_space,
     solutions,
 )
-from percolog.engine import Evaluator, _head_binding
+from percolog.engine import Evaluator, _unify_head, _walk
 from percolog.harness import expand_templates, root_schemas
 from percolog.kb import parse_kb
 
@@ -30,25 +30,35 @@ def ask(kb, axioms, query, depth_limit, genlpreds_mode=True):
     return Evaluator(kb, axioms, genlpreds_mode).ask(query, depth_limit)
 
 
+def G(*tokens):
+    """Canonical goal parts: ``?n`` is goal slot n, anything else a constant."""
+    return tuple(int(t[1:]) if t.startswith("?") else t for t in tokens)
+
+
+def H(*tokens):
+    """Clause head terms: ``?name`` is a clause variable."""
+    return tuple(Variable(t[1:]) if t.startswith("?") else t for t in tokens)
+
+
 class TestUnify:
-    """The engine's goal/clause-head unifier."""
+    """The engine's canonical-goal/clause-head unifier."""
 
     def test_variable_against_constant(self):
-        binding = _head_binding(A("p", "?x"), A("p", "a"))
+        binding = _unify_head(G("?0"), H("a"))
         assert binding is not None
-        assert binding[Variable("x")] == Constant("a")
+        assert _walk(0, binding) == "a"
 
     def test_constant_clash_fails(self):
-        assert _head_binding(A("p", "a"), A("p", "b")) is None
+        assert _unify_head(G("a"), H("b")) is None
 
     def test_repeated_variable_consistency(self):
-        assert _head_binding(A("p", "?x", "?x"), A("p", "a", "b")) is None
-        binding = _head_binding(A("p", "?x", "?x"), A("p", "a", "a"))
-        assert binding[Variable("x")] == Constant("a")
+        assert _unify_head(G("?0", "?0"), H("a", "b")) is None
+        binding = _unify_head(G("?0", "?0"), H("a", "a"))
+        assert _walk(0, binding) == "a"
 
     def test_variable_to_variable(self):
-        binding = _head_binding(A("p", "?x"), A("p", "?y"))
-        assert binding is not None and len(binding) == 1
+        binding = _unify_head(G("?0"), H("?y"))
+        assert binding == {Variable("y"): 0}
 
     def test_predicate_or_arity_mismatch(self):
         # goals only meet facts and rule heads of their own predicate and arity
@@ -58,9 +68,18 @@ class TestUnify:
         assert {c.symbol for c in ask(kb, axioms, Q("p", "a", "?y"), 1).bindings} == {"b"}
 
     def test_symmetric_bindings(self):
-        left = _head_binding(A("p", "?x", "b"), A("p", "a", "?y"))
-        right = _head_binding(A("p", "a", "?y"), A("p", "?x", "b"))
-        assert left == right
+        # either way round, goal and head resolve to the same instance
+        for goal, head in ((G("?0", "b"), H("a", "?y")), (G("a", "?0"), H("?x", "b"))):
+            binding = _unify_head(goal, head)
+            assert [_walk(t, binding) for t in goal] == [_walk(t, binding) for t in head] == ["a", "b"]
+
+    def test_repeated_slot_binds_through_head_constant(self):
+        # (p ?0 ?0) meets (p ?a C): ?a is ?0, and ?0 is C
+        assert _walk(Variable("a"), _unify_head(G("?0", "?0"), H("?a", "C"))) == "C"
+        # (p ?0 ?1) meets (p ?a C): only ?1 is C, ?a stays free
+        binding = _unify_head(G("?0", "?1"), H("?a", "C"))
+        assert _walk(Variable("a"), binding) == 0
+        assert _walk(1, binding) == "C"
 
 
 class TestBackchain:
@@ -296,6 +315,32 @@ class TestBottomUp:
             }
             full = ask(dom.kb, axioms, q, g.depth_bound).bindings
             assert got <= full
+
+
+class TestBottomUpOracle:
+    """On the whole graph of a random domain, every OR node derives exactly
+    the atoms of its predicate in the independent fixpoint."""
+
+    @staticmethod
+    def check(dom, fixpoint):
+        g = build_graph(dom.axioms, root_schemas(dom.templates), 10, kb=dom.kb)
+        sets = bottom_up_eval(induced_space(g, g.or_nodes.keys()), dom.kb)
+        assert sets.keys() == g.or_nodes.keys()
+        for oid, atoms in sets.items():
+            pred = g.or_nodes[oid].predicate
+            assert all(a.predicate == pred for a in atoms)
+            want = {args for p, args in fixpoint if p == pred}
+            assert {tuple(str(t) for t in a.args) for a in atoms} == want, f"node {oid} ({pred})"
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_fixpoint(self, seed):
+        dom = random_domain(seed)
+        self.check(dom, naive_fixpoint(dom.kb, dom.axioms))
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_fixpoint_with_genlpreds(self, seed):
+        dom = random_domain(seed, with_genlpreds=True)
+        self.check(dom, naive_fixpoint(dom.kb, dom.axioms, dom.genl_edges))
 
 
 def bottleneck_fixture(satisfiable: bool):

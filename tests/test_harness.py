@@ -1,9 +1,14 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import percolog
 from percolog import QueryTemplate, expand_templates, serialize_kb
 from percolog.growth import SynthConfig, synth_kb
 from percolog.harness import (
@@ -415,11 +420,44 @@ class TestRunSweep:
         result = run_sweep(cfg)
         assert len(result.rows) == 1
 
+    @pytest.mark.parametrize(
+        "key, override",
+        [("replicates", {"replicates": 0}), ("model1_k", {"model1_k": (0,), "continue_on_error": True})],
+    )
+    def test_python_built_config_is_checked(self, tmp_path, key, override):
+        # a config built in Python gets the checks a loaded one gets, before any sweep runs
+        write_experiment(tmp_path)
+        base = {"kb": str(tmp_path / "kb.kb"), "templates": str(tmp_path / "templates.json"), "model1_k": (2,)}
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            ExperimentConfig(**dict(base, **override))
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"kb": "x", "templates": "y", "bogus": 1}))
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(cfg_path)
+
+
+def test_sweep_outputs_ignore_hash_seed(tmp_path):
+    """The engines iterate sets of symbol strings, whose order follows
+    PYTHONHASHSEED; the deterministic sweep outputs must not."""
+    write_experiment(tmp_path)
+    doc = {"kb": "kb.kb", "templates": "templates.json", "model1_k": [2, 3], "model2_beta": [30], "replicates": 2}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(percolog.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"out{hash_seed}"
+        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
+        cmd = [sys.executable, "-m", "percolog.cli", "sweep", "--config", str(tmp_path / "sweep.json"), "--out", str(out)]
+        subprocess.run(cmd, env=env, check=True, capture_output=True, timeout=300)
+        files = {p.relative_to(out).as_posix(): p.read_text() for p in sorted(out.rglob("*.csv"))}
+        files["sweep.csv"] = [ln.rsplit(",", 1)[0] for ln in files["sweep.csv"].splitlines()]  # minus wall_time_s
+        files["detectors.json"] = (out / "detectors.json").read_text()
+        outputs.append(files)
+    assert any(name.startswith("profiles/") for name in outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 class TestBuildDetectors:
