@@ -2,7 +2,14 @@
 
 Both engines work on the KB's per-predicate relations of symbol tuples
 (``KnowledgeBase.rows``); ``Atom`` and ``Constant`` values are built only for
-the results ``Evaluator.ask`` and ``bottom_up_eval`` return.
+the results ``Evaluator.ask`` and ``bottom_up_eval`` return.  Both run a rule
+through the same compiled plan (``_rule_plan``), built once per clause and
+goal shape: the head match as checks on the goal's constants, then the body
+in ``greedy_body_order``, each atom's arguments read from a symbol, a column
+of the partial solutions or a fresh variable, with the columns still needed
+kept after each atom.  The body is joined set-at-a-time (``_join``):
+top-down solves each distinct subgoal once per rule application, bottom-up
+hash-joins the child nodes' row sets.
 
 Depth accounting: applying a rule costs one depth unit, ground retrieval is
 free, so depth_limit 0 answers by retrieval only.  A goal identical (up to
@@ -11,8 +18,7 @@ branch; on the acyclic rule sets this package targets the cut never loses an
 answer.  Results are memoized per canonical goal (predicate, constants and
 first-occurrence variable slots) and remaining depth, but only when no
 ancestor cut fired underneath, which keeps memoization sound even on rule
-sets with predicate-level recursion.  Bottom-up evaluation hash-joins the
-row sets of a rule application's child nodes.
+sets with predicate-level recursion.
 
 With ``genlpreds_mode`` on (the default), a goal additionally matches facts
 and rule heads whose predicate implies the goal's predicate via genlPreds.
@@ -22,8 +28,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .graph import GoalSchema, SearchSpace, greedy_body_order
 from .kb import (
@@ -119,40 +126,175 @@ class AnswerSet:
 # ---------------------------------------------------------------------------
 
 
-def _walk(term, binding):
-    while not isinstance(term, str):  # a clause variable or a goal slot
-        nxt = binding.get(term)
-        if nxt is None:
-            return term
-        term = nxt
-    return term
+@lru_cache(maxsize=1024)
+def _getter(*positions: int) -> Callable:
+    """A function taking a tuple to the tuple of its values at the positions,
+    one shared instance per position list."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions) if positions else itemgetter(slice(0, 0))
 
 
-def _plain(atom: Atom) -> tuple[str, tuple]:
-    """(predicate, terms) with constants as their symbols and variables kept."""
-    return (atom.predicate, tuple(t.symbol if isinstance(t, Constant) else t for t in atom.args))
+def _emitter(spec: Sequence[tuple[bool, object]]):
+    """A function taking a partial to a tuple: per entry ``(True, column)``
+    reads the partial's column, ``(False, value)`` is the value itself."""
+    if all(ref for ref, _ in spec):
+        return _getter(*[c for _, c in spec])
+    return lambda p: tuple([p[v] if ref else v for ref, v in spec])
 
 
-def _unify_head(parts: tuple, head: tuple) -> Optional[dict]:
-    """Unify a canonical goal's parts (symbols and slot ints) with a clause
-    head's terms (symbols and the clause's own variables).  The binding maps
-    clause variables and goal slots to symbols, slots or variables, and binds
-    clause variables first so that the goal's bindings flow into the body."""
-    binding: dict = {}
-    for g, h in zip(parts, head):
-        if not isinstance(g, str):
-            g = _walk(g, binding)
-        if not isinstance(h, str):
-            h = _walk(h, binding)
-        if g == h:
-            continue
-        if not isinstance(h, str):
-            binding[h] = g
-        elif not isinstance(g, str):
-            binding[g] = h
+class _Step(NamedTuple):
+    """One body atom of a compiled plan, joined against the partial solutions
+    (tuples of the free classes' values, one column each)."""
+
+    index: int  # the atom's position in the clause body
+    pred: str
+    spec: tuple  # per argument: (True, index into key) or (False, symbol or subgoal slot)
+    key: Callable  # partial -> the values of the columns the atom reads
+    base: Callable  # partial -> the columns still needed after the atom
+    new: Optional[Callable]  # subgoal answer (slot order) -> kept slots; None keeps all
+    consts: Optional[tuple]  # (getter of the arguments holding symbols, those symbols)
+    same: tuple  # (argument, argument) a matching row repeats a slot at
+    row_key: Callable  # row -> its values at the arguments the key reads
+    row_new: Callable  # row -> its values of the kept slots
+
+    def subgoal(self, key: tuple) -> tuple:
+        """The canonical goal the atom makes under a key."""
+        return (self.pred, tuple([key[v] if ref else v for ref, v in self.spec]))
+
+
+class _Plan(NamedTuple):
+    """A clause applied to goals of one shape: the head match as runtime
+    checks on the goal's constants, then the body join."""
+
+    checks: tuple  # (goal position, symbol) the goal's constant must equal
+    eqs: tuple  # (goal position, goal position) whose constants must agree
+    start: Callable  # goal parts -> the initial partial (goal constants the body reads)
+    steps: tuple[_Step, ...]
+    emit: Callable  # final partial -> answer tuple in goal slot order
+
+    def admits(self, parts: tuple) -> bool:
+        """Whether the goal's constants pass the head match."""
+        return all(parts[j] == s for j, s in self.checks) and all(parts[j] == parts[k] for j, k in self.eqs)
+
+
+@lru_cache(maxsize=4096)
+def _rule_plan(clause: HornClause, shape: tuple) -> Optional[_Plan]:
+    """Compile the clause for goals of ``shape``: the goal's parts with each
+    constant masked as None, each variable kept as its first-occurrence slot.
+    Returns None when no goal of the shape unifies with the head.  The plan
+    depends only on the clause's content and the shape, so it is shared by
+    every evaluator; ``_fire_clause`` uses the all-slots shape."""
+    parent: dict = {}
+
+    def find(x):
+        while x in parent:
+            x = parent[x]
+        return x
+
+    # unify goal and head: union-find over goal constant positions, goal
+    # slots, head symbols and clause variables
+    items = []
+    for i, (g, h) in enumerate(zip(shape, clause.head.args)):
+        items += [("goal", i) if g is None else ("slot", g), ("sym", h.symbol) if isinstance(h, Constant) else h]
+        a, b = find(items[-2]), find(items[-1])
+        if a != b:
+            parent[b] = a
+    members: dict = defaultdict(set)
+    for x in items:
+        members[find(x)].add(x)
+    value: dict = {}  # class root -> its symbol, or the root itself if free
+    checks, eqs, start = [], [], []
+    for root, xs in members.items():
+        syms = {x[1] for x in xs if isinstance(x, tuple) and x[0] == "sym"}
+        goals = sorted(x[1] for x in xs if isinstance(x, tuple) and x[0] == "goal")
+        if len(syms) > 1:
+            return None  # two different head symbols meet
+        if syms:
+            value[root] = sym = syms.pop()
+            checks += [(j, sym) for j in goals]
         else:
-            return None
-    return binding
+            value[root] = root
+            if goals:
+                eqs += [(j, goals[0]) for j in goals[1:]]
+                start.append((goals[0], root))
+    start.sort(key=itemgetter(0))
+
+    def resolve(v):
+        return v.symbol if isinstance(v, Constant) else value.get(find(v), v)
+
+    body = clause.body
+    from_goal = {root for _, root in start}
+    order = greedy_body_order(body, {
+        v for a in body for v in a.variables() if isinstance(c := resolve(v), str) or c in from_goal
+    })
+    out = [value[find(("slot", s))] for s in range(len({g for g in shape if g is not None}))]
+    # classes each rank must still carry: those read by later atoms or the answer
+    needed: list[set] = [set() for _ in order]
+    acc = {c for c in out if not isinstance(c, str)}
+    for rank in range(len(order) - 1, -1, -1):
+        needed[rank] = set(acc)
+        acc |= {resolve(v) for v in body[order[rank]].variables()}
+    cols = [root for _, root in start]  # the class held by each partial column
+    steps = []
+    for rank, i in enumerate(order):
+        where = {c: j for j, c in enumerate(cols)}
+        fresh: dict = {}  # class first met in this atom -> subgoal slot
+        spec, key, first, same, consts = [], [], [], [], []
+        for pos, t in enumerate(body[i].args):
+            c = resolve(t)
+            if isinstance(c, str):
+                spec.append((False, c))
+                consts.append((pos, c))
+            elif c in where:
+                spec.append((True, len(key)))
+                key.append((pos, where[c]))
+            elif c in fresh:
+                spec.append((False, fresh[c]))
+                same.append((pos, first[fresh[c]]))
+            else:
+                spec.append((False, fresh.setdefault(c, len(fresh))))
+                first.append(pos)
+        keep_old = [j for j, c in enumerate(cols) if c in needed[rank]]
+        keep_new = [s for c, s in fresh.items() if c in needed[rank]]
+        steps.append(_Step(
+            i, body[i].predicate, tuple(spec), _getter(*[j for _, j in key]), _getter(*keep_old),
+            None if keep_new == list(range(len(fresh))) else _getter(*keep_new),
+            (_getter(*[pos for pos, _ in consts]), tuple(c for _, c in consts)) if consts else None,
+            tuple(same), _getter(*[pos for pos, _ in key]), _getter(*[first[s] for s in keep_new]),
+        ))
+        cols = [cols[j] for j in keep_old] + [c for c, s in fresh.items() if c in needed[rank]]
+    where = {c: j for j, c in enumerate(cols)}
+    emit = _emitter([(False, c) if isinstance(c, str) else (True, where[c]) for c in out])
+    return _Plan(tuple(checks), tuple(eqs), _getter(*[j for j, _ in start]), tuple(steps), emit)
+
+
+def _join(partials: set[tuple], step: _Step, lookup: Callable) -> set[tuple]:
+    """Join the partials with one body atom: ``lookup`` takes the values the
+    atom reads (a key) to the kept new values it binds.  Each partial's kept
+    columns are extended with its key's values; the output is deduplicated."""
+    out: set[tuple] = set()
+    key, base = step.key, step.base
+    for p in partials:
+        hits = lookup(key(p))
+        if hits:
+            b = base(p)
+            out.update([b + h for h in hits])
+    return out
+
+
+class _Probes(dict):
+    """The kept new values per key of the subgoals one body atom makes, each
+    distinct subgoal solved on first use."""
+
+    def __init__(self, solve: Callable, step: _Step, depth: int, stack: frozenset):
+        self.solve, self.step, self.depth, self.stack = solve, step, depth, stack
+
+    def __missing__(self, key: tuple):
+        res = self.solve(self.step.subgoal(key), self.depth, self.stack)
+        new = self.step.new
+        hits = self[key] = res if new is None else set(map(new, res))
+        return hits
 
 
 class Evaluator:
@@ -160,12 +302,13 @@ class Evaluator:
 
     Goals are canonical pairs ``(predicate, parts)``: each part is a constant
     symbol or the int slot of a goal variable, numbered by first occurrence.
-    A rule application unifies the goal with the clause's own variables in a
-    binding local to that application, so clauses are never renamed, and
-    facts are matched as the KB's symbol-tuple rows.  Sharing one evaluator
-    across a query set amortizes the goal memo, the per-goal clause tables,
-    the body orders per (clause, goal shape) and the lazily built positional
-    row indices.  Evaluators are not shared between threads; create one per
+    A rule application runs the clause's plan for the goal's shape
+    (``_rule_plan``): it checks the goal's constants against the head, then
+    joins the body set-at-a-time, solving each distinct subgoal once per body
+    atom.  Facts are matched as the KB's symbol-tuple rows.  Sharing one
+    evaluator across a query set amortizes the goal memo, the per-shape
+    tables of retained clause plans and the lazily built positional row
+    indices.  Evaluators are not shared between threads; create one per
     worker.
     """
 
@@ -174,48 +317,48 @@ class Evaluator:
         self.axioms = axioms
         self.mode = genlpreds_mode
         self._memo: dict = {}
-        self._preds: dict[tuple[str, int], tuple[str, ...]] = {}
-        self._clauses_for: dict[tuple[str, int], tuple] = {}
-        self._orders: dict[tuple, list[int]] = {}
+        self._cuts = 0  # ancestor cuts fired so far
+        self._shapes: dict[tuple, tuple] = {}
         self._pos_index: dict[tuple[str, int], dict[str, list]] = {}
 
-    def _goal_predicates(self, predicate: str, arity: int) -> tuple[str, ...]:
-        """Sorted predicates whose facts can answer the goal."""
-        key = (predicate, arity)
-        preds = self._preds.get(key)
-        if preds is None:
-            cands = sorted(self.kb.spec_preds(predicate)) if self.mode else (predicate,)
-            preds = self._preds[key] = tuple(p for p in cands if self.kb.arity(p) == arity)
-        return preds
+    def _shape_table(self, predicate: str, shape: tuple) -> tuple:
+        """Build the table for goals of the predicate and shape: the row
+        sources of the predicates whose facts answer them (the rows, or their
+        index on the first bound position), the retrieval checks and
+        projection, and the plans of the retained clauses whose heads can
+        answer them."""
+        arity = len(shape)
+        preds = set(self.kb.spec_preds(predicate)) if self.mode else {predicate}
+        consts = [i for i, g in enumerate(shape) if g is None]
+        first: dict[int, int] = {}  # slot -> position of its first occurrence
+        same = []  # later occurrences of a repeated slot
+        for i, g in enumerate(shape):
+            if g is not None:
+                if g in first:
+                    same.append((i, first[g]))
+                else:
+                    first[g] = i
+        plans = (_rule_plan(c, shape) for c in self.axioms if c.head.predicate in preds and c.head.arity == arity)
+        table = self._shapes[(predicate, shape)] = (
+            tuple(self._index(p, consts[0]) if consts else self.kb.rows(p)
+                  for p in sorted(preds) if self.kb.arity(p) == arity),
+            consts[0] if consts else None,
+            _getter(*consts[1:]) if len(consts) > 1 else None,  # the first is looked up in an index
+            tuple(same),
+            _getter(*first.values()),
+            tuple(p for p in plans if p is not None),
+        )
+        return table
 
-    def _clauses_for_goal(self, predicate: str, arity: int) -> tuple:
-        """(clause, head terms, plain body) of every clause whose head can
-        answer the goal."""
-        key = (predicate, arity)
-        cached = self._clauses_for.get(key)
-        if cached is None:
-            preds = set(self.kb.spec_preds(predicate)) if self.mode else {predicate}
-            cached = tuple(
-                (c, _plain(c.head)[1], tuple(_plain(a) for a in c.body))
-                for c in self.axioms
-                if c.head.predicate in preds and c.head.arity == arity
-            )
-            self._clauses_for[key] = cached
-        return cached
-
-    def _rows_matching(self, predicate: str, bound: Optional[tuple[int, str]]) -> Sequence[tuple]:
-        """Rows of the predicate, narrowed to those holding the symbol at the
-        position of ``bound`` by a lazily built index on that position."""
-        if bound is None:
-            return self.kb.rows(predicate)
-        pos, symbol = bound
+    def _index(self, predicate: str, pos: int) -> dict[str, list]:
+        """The predicate's rows by their symbol at the position, built on
+        first use."""
         index = self._pos_index.get((predicate, pos))
         if index is None:
-            index = defaultdict(list)
+            index = self._pos_index[(predicate, pos)] = defaultdict(list)
             for row in self.kb.rows(predicate):
                 index[row[pos]].append(row)
-            self._pos_index[(predicate, pos)] = index
-        return index.get(symbol, ())
+        return index
 
     def ask(self, query: Query, depth_limit: int) -> AnswerSet:
         if depth_limit < 0:
@@ -225,93 +368,51 @@ class Evaluator:
             t.symbol if isinstance(t, Constant) else slots.setdefault(t, len(slots))  # type: ignore[arg-type]
             for t in query.atom.args
         )
-        tuples, _ = self._solve((query.atom.predicate, parts), depth_limit, frozenset())
+        tuples = self._solve((query.atom.predicate, parts), depth_limit, frozenset())
         return AnswerSet(query, frozenset(Constant(t[0]) for t in tuples))
 
-    def _solve(self, canon: tuple, depth: int, stack: frozenset) -> tuple[frozenset, bool]:
-        """Answer tuples for the goal's slots (in slot order) and a flag
-        marking the result safe to memoize."""
+    def _solve(self, canon: tuple, depth: int, stack: frozenset) -> frozenset:
+        """Answer tuples for the goal's slots, in slot order.  The result is
+        memoized only if no ancestor cut fired while computing it."""
         key = (canon, depth)
         hit = self._memo.get(key)
         if hit is not None:
-            return hit, True
+            return hit
         if canon in stack:
-            return frozenset(), False  # ancestor cut: proof branch repeats a goal schema
+            self._cuts += 1
+            return frozenset()  # ancestor cut: proof branch repeats a goal schema
+        cuts = self._cuts
         predicate, parts = canon
-        consts = [(i, p) for i, p in enumerate(parts) if isinstance(p, str)]
-        first: dict[int, int] = {}  # slot -> position of its first occurrence
-        same: list[tuple[int, int]] = []  # later occurrences of a repeated slot
-        for i, p in enumerate(parts):
-            if not isinstance(p, str):
-                if p in first:
-                    same.append((i, first[p]))
-                else:
-                    first[p] = i
-        checks = consts[1:]  # the first bound position is looked up in an index
-        project = _getter(list(first.values()))
+        shape = tuple([None if isinstance(p, str) else p for p in parts])
+        sources, bound_at, checks, same, project, plans = self._shapes.get((predicate, shape)) or self._shape_table(
+            predicate, shape
+        )
+        symbol = None if bound_at is None else parts[bound_at]
         results: set[tuple] = set()
-        for pred in self._goal_predicates(predicate, len(parts)):
-            rows = self._rows_matching(pred, consts[0] if consts else None)
-            if checks or same:
-                rows = [r for r in rows if all(r[i] == c for i, c in checks) and all(r[i] == r[j] for i, j in same)]
+        for rows in sources:
+            if symbol is not None:
+                rows = rows.get(symbol, ())
+            if checks:
+                want = checks(parts)
+                rows = [r for r in rows if checks(r) == want]
+            if same:
+                rows = [r for r in rows if all(r[i] == r[j] for i, j in same)]
             results.update(map(project, rows))
-        clean = True
-        clauses = self._clauses_for_goal(predicate, len(parts)) if depth > 0 else ()
-        if clauses:
+        if depth > 0 and plans:
             substack = stack | {canon}
-            shape = tuple([None if isinstance(p, str) else p for p in parts])
-            for clause, head, body in clauses:
-                binding = _unify_head(parts, head)
-                if binding is None:
+            for plan in plans:
+                if (plan.checks or plan.eqs) and not plan.admits(parts):
                     continue
-                order = self._orders.get((clause.id, shape))
-                if order is None:
-                    bound_now = {
-                        v for a in clause.body for v in a.variables() if isinstance(_walk(v, binding), str)
-                    }
-                    order = self._orders[(clause.id, shape)] = greedy_body_order(clause.body, bound_now)
-                # Resolve the body through the head binding: each term is then a
-                # symbol or a free variable or slot, and a partial solution is
-                # the tuple of the free ones' values in the order they get bound.
-                where: dict = {}  # free variable or slot -> position in a partial
-                steps = []
-                for pos in order:
-                    sub_pred, terms = body[pos]
-                    fresh: dict = {}  # unbound so far -> subgoal slot
-                    spec = []  # (is a partial position, symbol or slot or position)
-                    for t in terms:
-                        t = _walk(t, binding)
-                        if isinstance(t, str):
-                            spec.append((False, t))
-                        elif t in where:
-                            spec.append((True, where[t]))
-                        else:
-                            spec.append((False, fresh.setdefault(t, len(fresh))))
-                    for t in fresh:
-                        where[t] = len(where)
-                    steps.append((sub_pred, spec))
-                partials: list[tuple] = [()]
-                for sub_pred, spec in steps:
-                    nxt: list[tuple] = []
-                    for p in partials:
-                        sub = (sub_pred, tuple([p[v] if ref else v for ref, v in spec]))
-                        sub_res = self._memo.get((sub, depth - 1))
-                        if sub_res is None:
-                            sub_res, sub_clean = self._solve(sub, depth - 1, substack)
-                            clean = clean and sub_clean
-                        nxt.extend([p + t for t in sub_res])
-                    partials = nxt
+                partials = {plan.start(parts)}
+                for step in plan.steps:
+                    partials = _join(partials, step, _Probes(self._solve, step, depth - 1, substack).__getitem__)
                     if not partials:
                         break
-                out = []  # every goal slot is a symbol or bound by the body
-                for slot in range(len(first)):
-                    t = _walk(slot, binding)
-                    out.append((False, t) if isinstance(t, str) else (True, where[t]))
-                results.update([tuple([p[v] if ref else v for ref, v in out]) for p in partials])
+                results.update(map(plan.emit, partials))
         res = frozenset(results)
-        if clean:
+        if self._cuts == cuts:
             self._memo[key] = res
-        return res, clean
+        return res
 
 
 # ---------------------------------------------------------------------------
@@ -328,73 +429,28 @@ def solutions(node_goal: GoalSchema, kb: KnowledgeBase, genlpreds_mode: bool = T
     )
 
 
-def _getter(positions: Sequence[int]):
-    """A function taking a tuple to the tuple of its values at the positions."""
-    if len(positions) == 1:
-        i = positions[0]
-        return lambda row: (row[i],)
-    return itemgetter(*positions) if positions else lambda row: ()
-
-
 def _fire_clause(clause: HornClause, child_sets: Sequence[frozenset[tuple]]) -> set[tuple]:
-    """Hash-join the clause body against the child OR nodes' row sets and emit
-    the instantiated head rows.
-
-    After each body atom the solutions are projected onto the variables still
-    needed downstream and deduplicated, which keeps intermediate joins bounded
-    on fact-rich KBs.
-    """
-    order = greedy_body_order(clause.body, set())
-    head_vars = set(clause.head.variables())
-    needed_after: list[set[Variable]] = [set() for _ in order]
-    acc = set(head_vars)
-    for rank in range(len(order) - 1, -1, -1):
-        needed_after[rank] = set(acc)
-        acc |= set(clause.body[order[rank]].variables())
-    var_order: list[Variable] = []
-    sols: set[tuple] = {()}
-    for rank, pos in enumerate(order):
-        atom, rows, needed = clause.body[pos], child_sets[pos], needed_after[rank]
-        pos_of = {v: i for i, v in enumerate(var_order)}
-        consts = [(i, t.symbol) for i, t in enumerate(atom.args) if isinstance(t, Constant)]
-        join_row: list[int] = []  # row positions of variables bound by earlier atoms
-        join_sol: list[int] = []  # their positions in a solution
-        first: dict[Variable, int] = {}  # new variable -> row position of its first occurrence
-        same: list[tuple[int, int]] = []  # in-atom repeats of a new variable must agree
-        for i, t in enumerate(atom.args):
-            if isinstance(t, Constant):
-                continue
-            if t in pos_of:
-                join_row.append(i)
-                join_sol.append(pos_of[t])
-            elif t in first:
-                same.append((i, first[t]))
-            else:
-                first[t] = i
-        if consts or same:
-            rows = [r for r in rows if all(r[i] == c for i, c in consts) and all(r[i] == r[j] for i, j in same)]
-        keep = [v for v in first if v in needed]
-        row_key, row_val = _getter(join_row), _getter([first[v] for v in keep])
+    """Hash-join the clause body against the child OR nodes' row sets through
+    the clause's all-slots plan and emit the instantiated head rows.  Each
+    join keeps only the columns still needed downstream, which keeps
+    intermediate results bounded on fact-rich KBs."""
+    plan = _rule_plan(clause, tuple(range(clause.head.arity)))
+    partials: set[tuple] = {()}
+    for step in plan.steps:
+        rows = child_sets[step.index]
+        if step.consts:
+            at, want = step.consts
+            rows = [r for r in rows if at(r) == want]
+        if step.same:
+            rows = [r for r in rows if all(r[i] == r[j] for i, j in step.same)]
         index: dict[tuple, set[tuple]] = defaultdict(set)
+        row_key, row_new = step.row_key, step.row_new
         for row in rows:
-            index[row_key(row)].add(row_val(row))
-        old_keep = [i for i, v in enumerate(var_order) if v in needed]
-        sol_key, sol_base = _getter(join_sol), _getter(old_keep)
-        nxt: set[tuple] = set()
-        for s in sols:
-            hits = index.get(sol_key(s))
-            if hits:
-                base = sol_base(s)
-                nxt.update([base + h for h in hits])
-        sols = nxt
-        var_order = [var_order[i] for i in old_keep] + keep
-        if not sols:
+            index[row_key(row)].add(row_new(row))
+        partials = _join(partials, step, index.get)
+        if not partials:
             return set()
-    pos_of = {v: i for i, v in enumerate(var_order)}
-    head = _plain(clause.head)[1]
-    if all(isinstance(t, Variable) for t in head):
-        return set(map(_getter([pos_of[t] for t in head]), sols))
-    return {tuple([t if isinstance(t, str) else s[pos_of[t]] for t in head]) for s in sols}
+    return set(map(plan.emit, partials))
 
 
 def _node_rows(space: SearchSpace, kb: KnowledgeBase, genlpreds_mode: bool) -> dict[str, frozenset[tuple]]:

@@ -15,9 +15,9 @@ from percolog import (
     induced_space,
     solutions,
 )
-from percolog.engine import Evaluator, _unify_head, _walk
+from percolog.engine import Evaluator, _join, _rule_plan
 from percolog.harness import expand_templates, root_schemas
-from percolog.kb import parse_kb
+from percolog.kb import Atom, HornClause, parse_kb
 
 from conftest import A, F, kb_of, naive_fixpoint, oracle_bindings, random_domain
 
@@ -40,25 +40,51 @@ def H(*tokens):
     return tuple(Variable(t[1:]) if t.startswith("?") else t for t in tokens)
 
 
+def _head_vars(head):
+    return tuple(dict.fromkeys(t for t in head if isinstance(t, Variable))) or (Variable("z"),)
+
+
+def head_match(goal, head):
+    """Run the compiled head match of ``(<= (p head) (body ?v ...))``, whose
+    body lists the head's variables, on the goal parts.  None if the match
+    fails; else the body subgoal's parts and the goal's answer tuple when the
+    subgoal's slot k is answered by the symbol ``_k``."""
+    args = tuple(t if isinstance(t, Variable) else Constant(t) for t in head)
+    clause = HornClause(Atom("p", args), (Atom("body", _head_vars(head)),), id="r")
+    plan = _rule_plan(clause, tuple(None if isinstance(g, str) else g for g in goal))
+    if plan is None or not plan.admits(goal):
+        return None
+    (step,) = plan.steps
+    subgoals = []
+
+    def lookup(key):
+        subgoals.append(step.subgoal(key)[1])
+        answer = tuple(f"_{s}" for s in sorted({p for p in subgoals[-1] if isinstance(p, int)}))
+        return {step.new(answer) if step.new else answer}
+
+    (answer,) = {plan.emit(p) for p in _join({plan.start(goal)}, step, lookup)}
+    return subgoals[0], answer
+
+
 class TestUnify:
-    """The engine's canonical-goal/clause-head unifier."""
+    """The compiled head match: a clause's plan for a goal shape checks the
+    goal's constants against the head at runtime."""
 
     def test_variable_against_constant(self):
-        binding = _unify_head(G("?0"), H("a"))
-        assert binding is not None
-        assert _walk(0, binding) == "a"
+        # the head holds no variable, so the body is (body ?z) with ?z free
+        assert head_match(G("?0"), H("a")) == ((0,), ("a",))
 
     def test_constant_clash_fails(self):
-        assert _unify_head(G("a"), H("b")) is None
+        assert head_match(G("a"), H("b")) is None
+        assert head_match(G("a", "?0"), H("b", "?y")) is None
 
     def test_repeated_variable_consistency(self):
-        assert _unify_head(G("?0", "?0"), H("a", "b")) is None
-        binding = _unify_head(G("?0", "?0"), H("a", "a"))
-        assert _walk(0, binding) == "a"
+        assert head_match(G("?0", "?0"), H("a", "b")) is None
+        assert head_match(G("?0", "?0"), H("a", "a"))[1] == ("a",)
 
     def test_variable_to_variable(self):
-        binding = _unify_head(G("?0"), H("?y"))
-        assert binding == {Variable("y"): 0}
+        # ?y is free: the body binds it, and slot 0 takes its value
+        assert head_match(G("?0"), H("?y")) == ((0,), ("_0",))
 
     def test_predicate_or_arity_mismatch(self):
         # goals only meet facts and rule heads of their own predicate and arity
@@ -70,16 +96,27 @@ class TestUnify:
     def test_symmetric_bindings(self):
         # either way round, goal and head resolve to the same instance
         for goal, head in ((G("?0", "b"), H("a", "?y")), (G("a", "?0"), H("?x", "b"))):
-            binding = _unify_head(goal, head)
-            assert [_walk(t, binding) for t in goal] == [_walk(t, binding) for t in head] == ["a", "b"]
+            sub, answer = head_match(goal, head)
+            values = dict(zip(_head_vars(head), sub))
+            assert [answer[t] if isinstance(t, int) else t for t in goal] == ["a", "b"]
+            assert [values.get(t, t) for t in head] == ["a", "b"]
 
     def test_repeated_slot_binds_through_head_constant(self):
         # (p ?0 ?0) meets (p ?a C): ?a is ?0, and ?0 is C
-        assert _walk(Variable("a"), _unify_head(G("?0", "?0"), H("?a", "C"))) == "C"
+        assert head_match(G("?0", "?0"), H("?a", "C")) == (("C",), ("C",))
         # (p ?0 ?1) meets (p ?a C): only ?1 is C, ?a stays free
-        binding = _unify_head(G("?0", "?1"), H("?a", "C"))
-        assert _walk(Variable("a"), binding) == 0
-        assert _walk(1, binding) == "C"
+        assert head_match(G("?0", "?1"), H("?a", "C")) == ((0,), ("_0", "C"))
+        # (p ?0 ?0) meets (p C D): the slot cannot be both
+        assert head_match(G("?0", "?0"), H("C", "D")) is None
+
+    def test_repeated_head_variable_checks_goal_constants(self):
+        # both goals have the shape (const const), so they share one plan:
+        # (p C D) fails on its runtime check, (p C C) passes it
+        assert head_match(G("C", "D"), H("?a", "?a")) is None
+        assert head_match(G("C", "C"), H("?a", "?a")) == (("C",), ())
+
+    def test_head_constant_meeting_goal_slot_is_answered(self):
+        assert head_match(G("C", "?0"), H("?a", "D")) == (("C",), ("D",))
 
 
 class TestBackchain:
@@ -200,6 +237,36 @@ class TestBackchain:
             Q("p", "?x", "?y")
         with pytest.raises(ValueError):
             Q("p", "a", "b")
+
+
+class _MemoThatForgets(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestSetAtATimeJoin:
+    @pytest.mark.parametrize("memo", [True, False])
+    def test_each_distinct_subgoal_is_solved_once(self, memo):
+        # twelve ?x share three ?y: the b step must probe each ?y once, not
+        # once per partial solution, with or without the memo's help
+        lines = [f"(a X{i} Y{i % 3})" for i in range(12)]
+        lines += [f"(b Y{j} Z{k})" for j in range(3) for k in range(j + 1)]
+        lines.append("(<= (r ?x ?z) (a ?x ?y) (b ?y ?z))")
+        kb, axioms = parse_kb("\n".join(lines))
+        ev = Evaluator(kb, axioms)
+        if not memo:
+            ev._memo = _MemoThatForgets()
+        solved = []
+        solve = ev._solve
+
+        def spy(canon, depth, stack):
+            solved.append(canon)
+            return solve(canon, depth, stack)
+
+        ev._solve = spy
+        answers = ev._solve(("r", (0, 1)), 1, frozenset())
+        assert sorted(c for c in solved if c[0] == "b") == [("b", (f"Y{j}", 0)) for j in range(3)]
+        assert set(answers) == {args for pred, args in naive_fixpoint(kb, axioms) if pred == "r"}
 
 
 class TestOracleEquivalence:
