@@ -92,10 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="run detectors over an emitted sweep CSV")
     p.add_argument("--rows", required=True)
-    p.add_argument("--min-range", type=float, default=0.2)
-    p.add_argument("--jump-share", type=float, default=0.5)
-    p.add_argument("--min-peak", type=int, default=100)
-    p.add_argument("--root-share", type=float, default=0.01)
+    p.add_argument("--min-range", type=float, default=harness.MIN_RANGE)
+    p.add_argument("--jump-share", type=float, default=harness.JUMP_SHARE)
+    p.add_argument("--min-peak", type=int, default=harness.MIN_PEAK)
+    p.add_argument("--root-share", type=float, default=harness.ROOT_SHARE)
 
     p = sub.add_parser("compare", help="matched-degree model comparison over a sweep CSV")
     p.add_argument("--rows", required=True)

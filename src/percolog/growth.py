@@ -50,16 +50,12 @@ class GrowthSchedule:
         return iter(zip(self.snapshot_ids, self.snapshots))
 
 
-def _is_hierarchy(fact: Fact) -> bool:
-    return fact.atom.predicate in RESERVED_PREDICATES
-
-
 def _stratified_order(content: list[Fact], rng: random.Random) -> list[Fact]:
     """Re-add order holding per-predicate proportions roughly constant: each
     prefix takes from the predicate that is currently most under-represented."""
     groups: dict[str, list[Fact]] = defaultdict(list)
     for f in content:
-        groups[f.atom.predicate].append(f)
+        groups[f.predicate].append(f)
     for preds in groups.values():
         rng.shuffle(preds)
     taken = {p: 0 for p in groups}
@@ -91,8 +87,10 @@ def ablate_grow(
         raise ValueError("at least one snapshot size is required")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"sizes must be strictly increasing, got {list(sizes)}")
-    hierarchy = [f for f in kb_full.sorted_facts() if _is_hierarchy(f)]
-    content = [f for f in kb_full.sorted_facts() if not _is_hierarchy(f)]
+    # one pass over the full KB's rows: every snapshot shares its row tuples
+    facts = kb_full.sorted_facts()
+    hierarchy = [f for f in facts if f.predicate in RESERVED_PREDICATES]
+    content = [f for f in facts if f.predicate not in RESERVED_PREDICATES]
     if max(sizes) > kb_full.fact_count:
         raise ValueError(f"size {max(sizes)} exceeds the KB's {kb_full.fact_count} facts")
     if min(sizes) < len(hierarchy):
@@ -215,14 +213,14 @@ def synth_kb(
                 parent = rng.choice([c for c in collections[:i] if tree_depth[c] < config.genls_depth])
             tree_depth[col] = tree_depth[parent] + 1
             children[parent].append(col)
-            facts.append(Fact(Atom("genls", (Constant(col), Constant(parent)))))
+            facts.append(Fact("genls", (col, parent)))
 
     # entities: cover every collection first, then spread at random
     direct: dict[str, list[str]] = defaultdict(list)
     for i, ent in enumerate(entities):
         col = collections[i] if i < len(collections) else rng.choice(collections)
         direct[col].append(ent)
-        facts.append(Fact(Atom("isa", (Constant(ent), Constant(col)))))
+        facts.append(Fact("isa", (ent, col)))
 
     def closure_instances(col: str) -> list[str]:
         acc: list[str] = []
@@ -253,8 +251,8 @@ def synth_kb(
     arg_cols = {p: (rng.choice(populated), rng.choice(populated)) for p in predicates}
     for p in predicates:
         c1, c2 = arg_cols[p]
-        facts.append(Fact(Atom("argIsa", (Constant(p), Constant("1"), Constant(c1)))))
-        facts.append(Fact(Atom("argIsa", (Constant(p), Constant("2"), Constant(c2)))))
+        facts.append(Fact("argIsa", (p, "1", c1)))
+        facts.append(Fact("argIsa", (p, "2", c2)))
 
     # rules: Zipf-ranked head ownership over the predicates that have a
     # nonempty higher-level pool, chain-shaped bodies so bindings flow through
@@ -326,7 +324,7 @@ def synth_kb(
         if (a, b) in used[p]:
             continue
         used[p].add((a, b))
-        facts.append(Fact(Atom(p, (Constant(a), Constant(b)))))
+        facts.append(Fact(p, (a, b)))
         placed += 1
 
     templates = []

@@ -404,8 +404,21 @@ class DetectorReport:
         return {"kind": self.kind, "evidence": self.evidence, "parameters": self.parameters}
 
 
+# detector defaults, shared by the sweep and `percolog detect`
+MIN_RANGE, JUMP_SHARE = 0.2, 0.5  # transition
+MIN_PEAK, ROOT_SHARE = 100, 0.01  # degeneracy
+
+
+def _transition_params(min_range: float, jump_share: float) -> dict:
+    return {"min_range": min_range, "jump_share": jump_share}
+
+
+def _degenerate_params(min_peak: int, root_share: float) -> dict:
+    return {"min_peak": min_peak, "root_share": root_share}
+
+
 def detect_transition(
-    points: Sequence[tuple[float, float]], min_range: float = 0.2, jump_share: float = 0.5
+    points: Sequence[tuple[float, float]], min_range: float = MIN_RANGE, jump_share: float = JUMP_SHARE
 ) -> DetectorReport:
     """Flag a sharp transition in (alpha, fraction) points sorted by alpha.
 
@@ -413,7 +426,7 @@ def detect_transition(
     consecutive step must carry at least ``jump_share`` of R.  Linear ramps
     and flat curves stay unflagged.
     """
-    params = {"min_range": min_range, "jump_share": jump_share}
+    params = _transition_params(min_range, jump_share)
     if len(points) < 3:
         raise ValueError("transition detection needs at least 3 points")
     alphas = [p[0] for p in points]
@@ -438,11 +451,11 @@ def detect_transition(
 
 
 def detect_degenerate(
-    profile: Mapping[int, int], min_peak: int = 100, root_share: float = 0.01
+    profile: Mapping[int, int], min_peak: int = MIN_PEAK, root_share: float = ROOT_SHARE
 ) -> DetectorReport:
     """Flag the die-down shape: a large peak of derived atoms at depth that
     collapses to (almost) nothing at the root."""
-    params = {"min_peak": min_peak, "root_share": root_share}
+    params = _degenerate_params(min_peak, root_share)
     if not profile:
         raise ValueError("degeneracy detection needs a nonempty depth profile")
     peak_depth, peak_count = max(profile.items(), key=lambda kv: (kv[1], -kv[0]))
@@ -456,10 +469,10 @@ def detect_degenerate(
 def build_detectors(
     rows: Sequence[SweepRow],
     profiles: Mapping[str, Mapping[int, int]],
-    min_range: float = 0.2,
-    jump_share: float = 0.5,
-    min_peak: int = 100,
-    root_share: float = 0.01,
+    min_range: float = MIN_RANGE,
+    jump_share: float = JUMP_SHARE,
+    min_peak: int = MIN_PEAK,
+    root_share: float = ROOT_SHARE,
 ) -> dict:
     """Transition detection per (model, parameter) pooled across snapshots and
     replicates, degeneracy detection per cell, and the observed rates."""
@@ -475,7 +488,7 @@ def build_detectors(
         if len(pts) >= 3:
             rep = detect_transition(pts, min_range, jump_share)
         else:
-            rep = DetectorReport("none", None, {"min_range": min_range, "jump_share": jump_share, "points": len(pts)})
+            rep = DetectorReport("none", None, {**_transition_params(min_range, jump_share), "points": len(pts)})
         if rep.kind == "transition":
             flagged += 1
         transitions.append({"model": model, "k_or_beta": value, **rep.to_dict()})
@@ -483,7 +496,7 @@ def build_detectors(
     deg_flagged = 0
     for cell in sorted(profiles):
         rep = detect_degenerate(dict(profiles[cell]), min_peak, root_share) if profiles[cell] else DetectorReport(
-            "none", None, {"min_peak": min_peak, "root_share": root_share}
+            "none", None, _degenerate_params(min_peak, root_share)
         )
         if rep.kind == "degenerate":
             deg_flagged += 1

@@ -11,9 +11,10 @@ are cheap.  KnowledgeBase instances are immutable after construction:
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 RESERVED_PREDICATES = ("isa", "genls", "genlPreds", "argIsa")
 _RESERVED_ARITY = {"isa": 2, "genls": 2, "genlPreds": 2, "argIsa": 3}
@@ -88,9 +89,6 @@ class Atom:
     def arity(self) -> int:
         return len(self.args)
 
-    def is_ground(self) -> bool:
-        return all(isinstance(t, Constant) for t in self.args)
-
     def variables(self) -> tuple[Variable, ...]:
         """Distinct variables in order of first occurrence."""
         seen: dict[Variable, None] = {}
@@ -103,20 +101,19 @@ class Atom:
         return "(" + " ".join([self.predicate] + [str(t) for t in self.args]) + ")"
 
 
-@dataclass(frozen=True)
-class Fact:
-    atom: Atom
+class Fact(NamedTuple):
+    """A ground fact as the row the engines read: a predicate and its argument
+    symbols.  ``atom`` builds the equivalent :class:`Atom` on demand."""
 
-    def __post_init__(self) -> None:
-        if not self.atom.is_ground():
-            raise KbValidationError(f"fact {self.atom} is not ground")
+    predicate: str
+    args: tuple[str, ...]
+
+    @property
+    def atom(self) -> Atom:
+        return Atom(self.predicate, tuple(Constant(s) for s in self.args))
 
     def __str__(self) -> str:
-        return str(self.atom)
-
-
-def fact_key(f: Fact) -> tuple:
-    return (f.atom.predicate,) + tuple(t.symbol for t in f.atom.args)  # type: ignore[union-attr]
+        return "(" + " ".join((self.predicate, *self.args)) + ")"
 
 
 @dataclass(frozen=True)
@@ -177,53 +174,41 @@ class AxiomSet:
 class KnowledgeBase:
     """Immutable indexed set of ground facts.
 
-    Hierarchy closures (instances_of / spec_preds), argIsa constraints and the
-    per-predicate symbol-tuple rows are all precomputed here, so reads never
-    mutate state.
+    Each fact is stored once, in its predicate's sorted symbol-tuple rows; the
+    Fact views are built from the rows when called.  Hierarchy closures and
+    argIsa constraints are precomputed, so reads never mutate state.
     """
 
     def __init__(self, facts: Iterable[Fact]):
-        by_key: dict[tuple, Fact] = {}
         arity: dict[str, int] = dict(_RESERVED_ARITY)
-        for f in facts:
-            pred = f.atom.predicate
-            known = arity.get(pred)
-            if known is None:
-                arity[pred] = f.atom.arity
-            elif known != f.atom.arity:
+        grouped: dict[str, set[tuple[str, ...]]] = defaultdict(set)
+        for pred, args in facts:
+            if not args:
+                raise KbValidationError(f"fact {pred!r} has no arguments (arity >= 1 required)")
+            known = arity.setdefault(pred, len(args))
+            if known != len(args):
                 raise ArityConflictError(
-                    f"predicate {pred!r} used with arity {f.atom.arity} but fixed at {known}"
+                    f"predicate {pred!r} used with arity {len(args)} but fixed at {known}"
                 )
-            by_key.setdefault(fact_key(f), f)
-        keys = sorted(by_key)
-        self._facts: tuple[Fact, ...] = tuple(by_key[k] for k in keys)
-        self._fact_set: frozenset[Fact] = frozenset(self._facts)
+            grouped[pred].add(args)
         self._arity = arity
-
-        bp: dict[str, list[Fact]] = defaultdict(list)
-        rows: dict[str, list[tuple[str, ...]]] = defaultdict(list)
-        for k in keys:
-            bp[k[0]].append(by_key[k])
-            rows[k[0]].append(k[1:])
-        self._by_pred: dict[str, tuple[Fact, ...]] = {k: tuple(v) for k, v in bp.items()}
-        self._rows: dict[str, tuple[tuple[str, ...], ...]] = {k: tuple(v) for k, v in rows.items()}
+        # the only per-fact storage; predicates and their rows both sorted
+        self._rows: dict[str, tuple[tuple[str, ...], ...]] = {p: tuple(sorted(grouped[p])) for p in sorted(grouped)}
 
         self._arg_isa = self._collect_arg_isa()
-        genls_edges = [(f.atom.args[0].symbol, f.atom.args[1].symbol) for f in self._by_pred.get("genls", ())]  # type: ignore[union-attr]
-        genlpreds_edges = [(f.atom.args[0].symbol, f.atom.args[1].symbol) for f in self._by_pred.get("genlPreds", ())]  # type: ignore[union-attr]
-        _check_acyclic("genls", genls_edges)
-        _check_acyclic("genlPreds", genlpreds_edges)
-        self._instances = self._build_instance_closure(genls_edges)
-        self._specs = self._build_spec_pred_closure(genlpreds_edges)
+        _check_acyclic("genls", self.rows("genls"))
+        _check_acyclic("genlPreds", self.rows("genlPreds"))
+        self._instances = self._build_instance_closure()
+        self._specs = self._build_spec_pred_closure()
 
     # -- construction helpers -------------------------------------------------
 
     def _collect_arg_isa(self) -> dict[str, tuple[tuple[int, str], ...]]:
         out: dict[str, list[tuple[int, str]]] = defaultdict(list)
-        for f in self._by_pred.get("argIsa", ()):
-            pred, pos_term, col = (t.symbol for t in f.atom.args)  # type: ignore[union-attr]
+        for row in self.rows("argIsa"):
+            pred, pos_term, col = row
             if not pos_term.isdigit() or int(pos_term) < 1:
-                raise KbValidationError(f"argIsa position must be a positive integer, got {pos_term!r} in {f}")
+                raise KbValidationError(f"argIsa position must be a positive integer, got {pos_term!r} in {Fact('argIsa', row)}")
             pos = int(pos_term)
             known = self._arity.get(pred)
             if known is not None and pos > known:
@@ -231,20 +216,19 @@ class KnowledgeBase:
             out[pred].append((pos, col))
         return {k: tuple(sorted(v)) for k, v in out.items()}
 
-    def _build_instance_closure(self, genls_edges: list[tuple[str, str]]) -> dict[str, frozenset[str]]:
+    def _build_instance_closure(self) -> dict[str, frozenset[str]]:
         direct: dict[str, set[str]] = defaultdict(set)
-        for f in self._by_pred.get("isa", ()):
-            ent, col = (t.symbol for t in f.atom.args)  # type: ignore[union-attr]
+        for ent, col in self.rows("isa"):
             direct[col].add(ent)
         collections = set(direct)
         subs: dict[str, set[str]] = defaultdict(set)  # super -> direct subs
-        for sub, sup in genls_edges:
+        for sub, sup in self.rows("genls"):
             collections.update((sub, sup))
             subs[sup].add(sub)
         for constraints in self._arg_isa.values():
             collections.update(col for _, col in constraints)
         # accumulate in topological order, subs before supers
-        order = _topo_order(collections, genls_edges)
+        order = _topo_order(collections, self.rows("genls"))
         closed: dict[str, frozenset[str]] = {}
         for col in order:
             acc = set(direct.get(col, ()))
@@ -253,10 +237,10 @@ class KnowledgeBase:
             closed[col] = frozenset(acc)
         return closed
 
-    def _build_spec_pred_closure(self, edges: list[tuple[str, str]]) -> dict[str, frozenset[str]]:
+    def _build_spec_pred_closure(self) -> dict[str, frozenset[str]]:
         into: dict[str, set[str]] = defaultdict(set)  # g -> direct specializers s
         preds = set()
-        for s, g in edges:
+        for s, g in self.rows("genlPreds"):
             into[g].add(s)
             preds.update((s, g))
         closed: dict[str, frozenset[str]] = {}
@@ -276,20 +260,21 @@ class KnowledgeBase:
 
     @property
     def facts(self) -> frozenset[Fact]:
-        return self._fact_set
+        return frozenset(self.sorted_facts())
 
     @property
     def fact_count(self) -> int:
-        return len(self._facts)
+        return sum(map(len, self._rows.values()))
 
     def sorted_facts(self) -> tuple[Fact, ...]:
-        return self._facts
+        """Every fact in (predicate, args) order, built from the rows."""
+        return tuple(Fact(p, args) for p, rows in self._rows.items() for args in rows)
 
     def arity(self, predicate: str) -> Optional[int]:
         return self._arity.get(predicate)
 
     def facts_for(self, predicate: str) -> tuple[Fact, ...]:
-        return self._by_pred.get(predicate, ())
+        return tuple(Fact(predicate, args) for args in self.rows(predicate))
 
     def rows(self, predicate: str) -> tuple[tuple[str, ...], ...]:
         """The predicate's facts as tuples of argument symbols, in sorted fact
@@ -326,16 +311,18 @@ class KnowledgeBase:
     def add_facts(self, facts: Iterable[Fact]) -> "KnowledgeBase":
         """A new KnowledgeBase containing the union; duplicates are silently
         deduplicated, this value is left untouched."""
-        return KnowledgeBase(list(self._facts) + list(facts))
+        return KnowledgeBase([*self.sorted_facts(), *facts])
 
     def __contains__(self, fact: Fact) -> bool:
-        return fact in self._fact_set
+        rows = self.rows(fact.predicate)
+        i = bisect_left(rows, fact.args)
+        return i < len(rows) and rows[i] == fact.args
 
     def __repr__(self) -> str:
-        return f"KnowledgeBase({len(self._facts)} facts, {len(self._by_pred)} predicates)"
+        return f"KnowledgeBase({self.fact_count} facts, {len(self._rows)} predicates)"
 
 
-def _topo_order(nodes: Iterable[str], edges: list[tuple[str, str]]) -> list[str]:
+def _topo_order(nodes: Iterable[str], edges: Sequence[tuple[str, ...]]) -> list[str]:
     """Topological order of an acyclic edge list (sources first); shorter than
     the node set iff the edges contain a cycle."""
     nodes = set(nodes)
@@ -358,7 +345,7 @@ def _topo_order(nodes: Iterable[str], edges: list[tuple[str, str]]) -> list[str]
     return order
 
 
-def _check_acyclic(name: str, edges: list[tuple[str, str]]) -> None:
+def _check_acyclic(name: str, edges: Sequence[tuple[str, ...]]) -> None:
     nodes = {n for e in edges for n in e}
     if len(_topo_order(nodes, edges)) != len(nodes):
         raise KbValidationError(f"{name} hierarchy contains a cycle")
@@ -526,10 +513,10 @@ def parse_kb(text: str) -> tuple[KnowledgeBase, AxiomSet]:
         parsed = _parse_line(toks, lineno)
         if isinstance(parsed, Atom):
             register(parsed, lineno)
-            if not parsed.is_ground():
-                first_var = next(col for kind, _, col in toks if kind == "var")
+            first_var = next((col for kind, _, col in toks if kind == "var"), None)
+            if first_var is not None:
                 raise KbValidationError(f"fact {parsed} is not ground", lineno, first_var)
-            facts.append(Fact(parsed))
+            facts.append(Fact(parsed.predicate, tuple(t.symbol for t in parsed.args)))  # type: ignore[union-attr]
         else:
             head, body = parsed
             register(head, lineno)
@@ -554,7 +541,7 @@ def serialize_kb(kb: KnowledgeBase, axioms: Optional[AxiomSet] = None) -> str:
     """Deterministic text rendering; ``parse_kb`` round-trips fact and clause
     sets exactly (clause ids are regenerated)."""
     lines = ["; percolog knowledge base"]
-    lines.extend(str(f.atom) for f in kb.sorted_facts())
+    lines.extend(map(str, kb.sorted_facts()))
     if axioms is not None:
         lines.extend(sorted(str(c) for c in axioms))
     return "\n".join(lines) + "\n"

@@ -40,7 +40,7 @@ def A(pred: str, *args: str) -> Atom:
 
 
 def F(pred: str, *args: str) -> Fact:
-    return Fact(A(pred, *args))
+    return Fact(pred, args)
 
 
 def kb_of(*fact_specs) -> KnowledgeBase:

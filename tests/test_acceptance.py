@@ -31,7 +31,7 @@ from percolog.harness import (
     parse_rows,
     root_schemas,
 )
-from percolog.kb import KnowledgeBase, Fact, Atom, Constant
+from percolog.kb import KnowledgeBase, Fact
 from percolog.metrics import alpha, answered_fraction, threshold_hit
 
 from conftest import F, naive_fixpoint, oracle_bindings, random_domain
@@ -152,7 +152,7 @@ def test_criterion_4_alpha_correctness():
             space = model1_sample(g, 2, rng)
             base = alpha(g, space, qs, kb).alpha
             pred = g.or_nodes[sorted(space.or_members)[0]].predicate
-            grown_kb = kb.add_facts([Fact(Atom(pred, (Constant("Ex"), Constant("Ey"))))])
+            grown_kb = kb.add_facts([Fact(pred, ("Ex", "Ey"))])
             assert alpha(g, space, qs, grown_kb).alpha >= base
             cut = max(1, len(ids) // 3)
             assert (

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -5,8 +6,6 @@ from collections import Counter
 import pytest
 
 from percolog import (
-    Atom,
-    Constant,
     Fact,
     KnowledgeBase,
     build_graph,
@@ -20,11 +19,11 @@ from percolog.metrics import answered_fraction
 
 
 def flat_kb(n_content, n_hierarchy=20, preds=("obs", "rel", "seen")):
-    consts = [Constant(f"E{i}") for i in range(1200)]
-    facts = [Fact(Atom("isa", (consts[i], Constant("Thing")))) for i in range(n_hierarchy)]
+    consts = [f"E{i}" for i in range(1200)]
+    facts = [Fact("isa", (consts[i], "Thing")) for i in range(n_hierarchy)]
     for i in range(n_content):
         p = preds[i % len(preds)]
-        facts.append(Fact(Atom(p, (consts[i % 1200], consts[(i * 7 + i // 1200) % 1200]))))
+        facts.append(Fact(p, (consts[i % 1200], consts[(i * 7 + i // 1200) % 1200])))
     return KnowledgeBase(facts)
 
 
@@ -82,6 +81,28 @@ class TestAblateGrow:
         q = 100 / 300
         for pred, total in totals.items():
             assert abs(counts.get(pred, 0) - total * q) <= 2
+
+    # sha256 of serialize_kb(snapshot) for ablate_grow(synth_kb(small_cfg(3)),
+    # [45, 60, 80], Random(11)): pins the re-add order of both orders
+    PINNED = {
+        "uniform": (
+            "f8d158755bcb8629a4630fd90430b548779cdcde67337013dd0357f41b5a7598",
+            "609ff3ab125db1bd1cc7db2c5bb3cf4d05319a447500a0779d5232cf7c619299",
+            "5b05ef6afadc8235fa6bda29eb09a78d73cfb250601477e6d7a02201e5b7da6f",
+        ),
+        "stratified": (
+            "c8cd31e8490e87d184547fd22c4d0dced2d48e186e4be00b9dc0f587c559bd47",
+            "f5446185ef1fed400491d9a0c3a5a832d7dd443580f15b61734408da57ba8e50",
+            "d1b4f202a2e607fcb86517d9f7c52cc3c837dea87ecb9012fe057dae16dfeede",
+        ),
+    }
+
+    @pytest.mark.parametrize("order", sorted(PINNED))
+    def test_pinned_snapshots(self, order):
+        kb, _, _ = synth_kb(small_cfg(3))
+        schedule = ablate_grow(kb, [45, 60, 80], random.Random(11), order=order)
+        digests = tuple(hashlib.sha256(serialize_kb(s).encode()).hexdigest() for s in schedule.snapshots)
+        assert digests == self.PINNED[order]
 
     def test_paper_scale_sizes(self):
         # the three reported KB sizes, on a synthetic stand-in of >= 491,091 facts

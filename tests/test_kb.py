@@ -1,6 +1,9 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from percolog import (
     ArityConflictError,
@@ -109,9 +112,9 @@ class TestParsing:
 
 
 class TestTypes:
-    def test_fact_must_be_ground(self):
+    def test_fact_needs_arguments(self):
         with pytest.raises(KbValidationError):
-            Fact(A("p", "?x", "b"))
+            KnowledgeBase([Fact("p", ())])
 
     def test_clause_equality_ignores_id(self):
         c1 = HornClause(A("p", "?x"), (A("q", "?x"),), id="r0")
@@ -281,6 +284,36 @@ class TestAddFacts:
         kb = kb_of(("p", "a", "b"))
         with pytest.raises(ArityConflictError):
             kb.add_facts([F("p", "a")])
+
+
+# every fact over a small vocabulary, so random lists repeat facts often
+_ARITY = {"isa": 2, "p": 1, "q": 2, "r": 3}
+_UNIVERSE = tuple(
+    Fact(pred, args) for pred, n in _ARITY.items() for args in product("abc", repeat=n)
+)
+
+
+class TestRowStore:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(_UNIVERSE), max_size=40))
+    def test_views_agree_with_the_fact_list(self, facts):
+        kb = KnowledgeBase(facts)
+        distinct = set(facts)
+        assert kb.sorted_facts() == tuple(sorted(distinct))
+        assert kb.facts == distinct
+        assert kb.fact_count == len(distinct)
+        for pred in _ARITY:
+            assert kb.facts_for(pred) == tuple(sorted(f for f in distinct if f.predicate == pred))
+        for f in _UNIVERSE:  # present and absent facts alike
+            assert (f in kb) == (f in distinct)
+        kb2, axioms = parse_kb(serialize_kb(kb))
+        assert kb2.sorted_facts() == kb.sorted_facts()
+        assert len(axioms) == 0
+
+    def test_fact_prints_as_its_atom(self):
+        f = Fact("p", ("a", "b"))
+        assert str(f) == str(f.atom) == "(p a b)"
+        assert f.atom == A("p", "a", "b")
 
 
 class TestSerialization:
