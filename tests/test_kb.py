@@ -12,6 +12,7 @@ from percolog import (
     Constant,
     Fact,
     HornClause,
+    KbError,
     KbSyntaxError,
     KbValidationError,
     KnowledgeBase,
@@ -30,6 +31,33 @@ def retrieve(kb, pattern):
     """Bindings of a single-variable pattern by retrieval alone (depth 0)."""
     ans = Evaluator(kb, AxiomSet([]), genlpreds_mode=False).ask(Query(pattern), 0)
     return {c.symbol for c in ans.bindings}
+
+
+_NO_BODY = "rule has no body atoms (enter bodiless rules as facts)"
+_NESTED = "nested terms are not supported (no function symbols)"
+
+# one line of text -> the reader's error: class, line, column, message
+_READER_ERRORS = [
+    ("(isa Fido Dog))", KbSyntaxError, 1, 15, "trailing tokens after fact"),
+    ("(p a b) (q c)", KbSyntaxError, 1, 9, "trailing tokens after fact"),
+    ("(isa Fido", KbSyntaxError, 1, 2, "unterminated atom"),
+    ("(isa (f Fido) Dog)", KbSyntaxError, 1, 6, _NESTED),
+    ("(?p a b)", KbSyntaxError, 1, 2, "predicate must be a constant symbol"),
+    ("()", KbSyntaxError, 1, 2, "predicate must be a constant symbol"),
+    ("(p)", KbSyntaxError, 1, 2, "atom 'p' needs at least one argument"),
+    ("(touches ?x Fido)", KbValidationError, 1, 10, "fact (touches ?x Fido) is not ground"),
+    ("(<= (p a b))", KbSyntaxError, 1, 1, _NO_BODY),
+    ("(<= (p ?x) (q ?x)) x", KbSyntaxError, 1, 20, "trailing tokens after rule"),
+    ("(<= (p ?x) q)", KbSyntaxError, 1, 12, "rule bodies must be parenthesized atoms"),
+    ("(<= (p ?x) (q ?x)", KbSyntaxError, 1, 1, "unterminated rule"),
+    ("(", KbSyntaxError, 1, 1, "empty expression"),
+    ("p a b", KbSyntaxError, 1, 1, "expected '(', got 'p'"),
+    ("(p a ?)", KbSyntaxError, 1, 6, "malformed variable"),
+    ("(p a #b)", KbSyntaxError, 1, 6, "unexpected character '#'"),
+    ("(<=)", KbSyntaxError, 1, 4, "expected '(', got ')'"),
+    ("(<= p)", KbSyntaxError, 1, 5, "expected '(', got 'p'"),
+    ("(p a b)\n(p a)", ArityConflictError, 2, None, "predicate 'p' used with arity 1 but fixed at 2"),
+]
 
 
 class TestParsing:
@@ -109,6 +137,15 @@ class TestParsing:
     def test_empty_atom_rejected(self):
         with pytest.raises(KbSyntaxError):
             parse_kb("(p)")
+
+    @pytest.mark.parametrize("text, cls, line, column, message", _READER_ERRORS, ids=[r[0] for r in _READER_ERRORS])
+    def test_reader_error(self, text, cls, line, column, message):
+        with pytest.raises(KbError) as err:
+            parse_kb(text)
+        assert type(err.value) is cls
+        assert (err.value.line, err.value.column) == (line, column)
+        where = f"line {line}" + (f", column {column}" if column is not None else "")
+        assert str(err.value) == f"{where}: {message}"
 
 
 class TestTypes:
