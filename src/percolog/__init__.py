@@ -5,7 +5,6 @@ from .engine import (
     AnswerSet,
     Evaluator,
     Query,
-    QuerySet,
     QueryTemplate,
     bottom_up_eval,
     depth_profile,
@@ -22,7 +21,7 @@ from .graph import (
     induced_space,
     or_out_degrees,
 )
-from .growth import GrowthSchedule, InfeasibleConfigError, SynthConfig, ablate_grow, synth_kb
+from .growth import InfeasibleConfigError, SynthConfig, ablate_grow, synth_kb
 from .harness import (
     DetectorReport,
     ExperimentConfig,
@@ -38,7 +37,6 @@ from .kb import (
     ArityConflictError,
     Atom,
     AxiomSet,
-    Constant,
     Fact,
     HornClause,
     KbError,

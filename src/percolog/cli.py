@@ -186,7 +186,7 @@ def _cmd_ask(args) -> int:
             {
                 "query": str(q.atom),
                 "template": q.template_id,
-                "bindings": [c.symbol for c in ans.sorted_bindings()],
+                "bindings": sorted(ans.bindings),
             }
         )
     doc = {
@@ -205,10 +205,10 @@ def _cmd_ablate(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
         raise UsageError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
-    schedule = ablate_grow(kb, sizes, random.Random(args.seed), args.order)
+    snapshots = ablate_grow(kb, sizes, random.Random(args.seed), args.order)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for sid, snapshot in schedule:
+    for sid, snapshot in snapshots:
         path = outdir / f"{sid}.kb"
         path.write_text(serialize_kb(snapshot, axioms), encoding="utf-8")
         print(f"{path.name}: {snapshot.fact_count} facts")

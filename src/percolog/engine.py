@@ -1,13 +1,12 @@
 """Depth-limited backward chaining and bottom-up evaluation of search spaces.
 
 Both engines work on the KB's per-predicate relations of symbol tuples
-(``KnowledgeBase.rows``); ``Atom`` and ``Constant`` values are built only for
-the results ``Evaluator.ask`` and ``bottom_up_eval`` return.  Both run a rule
-through the same compiled plan (``_rule_plan``), built once per clause and
-goal shape: the head match as checks on the goal's constants, then the body
-in ``greedy_body_order``, each atom's arguments read from a symbol, a column
-of the partial solutions or a fresh variable, with the columns still needed
-kept after each atom.  The body is joined set-at-a-time (``_join``):
+(``KnowledgeBase.rows``); a constant is its symbol string in rows, goals,
+atoms and answers alike.  Both run a rule through the same compiled plan
+(``_rule_plan``), built once per clause and goal shape: the head match as
+checks on the goal's constants, then the body in ``greedy_body_order``, each
+atom's arguments read from a symbol, a column of the partial solutions or a
+fresh variable, with the columns still needed kept after each atom.  The body is joined set-at-a-time (``_join``):
 top-down solves each distinct subgoal once per rule application, bottom-up
 hash-joins the child nodes' row sets.
 
@@ -30,22 +29,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .graph import GoalSchema, SearchSpace, greedy_body_order
-from .kb import (
-    Atom,
-    AxiomSet,
-    Constant,
-    HornClause,
-    KnowledgeBase,
-    Variable,
-    term_key,
-)
+from .kb import Atom, AxiomSet, HornClause, KnowledgeBase, Variable
 
 __all__ = [
     "Query",
-    "QuerySet",
     "QueryTemplate",
     "AnswerSet",
     "Evaluator",
@@ -91,19 +81,8 @@ class Query:
             raise ValueError(f"query {self.atom} must contain exactly one distinct variable")
 
     def schema(self) -> GoalSchema:
-        mask = tuple(isinstance(t, Constant) for t in self.atom.args)
+        mask = tuple(isinstance(t, str) for t in self.atom.args)
         return GoalSchema(self.atom.predicate, self.atom.arity, mask)
-
-
-@dataclass(frozen=True)
-class QuerySet:
-    queries: tuple[Query, ...]
-
-    def __len__(self) -> int:
-        return len(self.queries)
-
-    def __iter__(self) -> Iterator[Query]:
-        return iter(self.queries)
 
 
 @dataclass
@@ -111,10 +90,7 @@ class AnswerSet:
     """Answers for one query: the constants bound to its open variable."""
 
     query: Query
-    bindings: frozenset[Constant]
-
-    def sorted_bindings(self) -> list[Constant]:
-        return sorted(self.bindings, key=term_key)
+    bindings: frozenset[str]
 
     @property
     def answered(self) -> bool:
@@ -196,7 +172,7 @@ def _rule_plan(clause: HornClause, shape: tuple) -> Optional[_Plan]:
     # slots, head symbols and clause variables
     items = []
     for i, (g, h) in enumerate(zip(shape, clause.head.args)):
-        items += [("goal", i) if g is None else ("slot", g), ("sym", h.symbol) if isinstance(h, Constant) else h]
+        items += [("goal", i) if g is None else ("slot", g), ("sym", h) if isinstance(h, str) else h]
         a, b = find(items[-2]), find(items[-1])
         if a != b:
             parent[b] = a
@@ -221,7 +197,7 @@ def _rule_plan(clause: HornClause, shape: tuple) -> Optional[_Plan]:
     start.sort(key=itemgetter(0))
 
     def resolve(v):
-        return v.symbol if isinstance(v, Constant) else value.get(find(v), v)
+        return v if isinstance(v, str) else value.get(find(v), v)
 
     body = clause.body
     from_goal = {root for _, root in start}
@@ -364,12 +340,9 @@ class Evaluator:
         if depth_limit < 0:
             raise ValueError("depth_limit must be >= 0")
         slots: dict[Variable, int] = {}
-        parts = tuple(
-            t.symbol if isinstance(t, Constant) else slots.setdefault(t, len(slots))  # type: ignore[arg-type]
-            for t in query.atom.args
-        )
+        parts = tuple(t if isinstance(t, str) else slots.setdefault(t, len(slots)) for t in query.atom.args)
         tuples = self._solve((query.atom.predicate, parts), depth_limit, frozenset())
-        return AnswerSet(query, frozenset(Constant(t[0]) for t in tuples))
+        return AnswerSet(query, frozenset([t[0] for t in tuples]))
 
     def _solve(self, canon: tuple, depth: int, stack: frozenset) -> frozenset:
         """Answer tuples for the goal's slots, in slot order.  The result is
@@ -489,7 +462,7 @@ def bottom_up_eval(
     """
     or_nodes = space.graph.or_nodes
     return {
-        oid: frozenset(Atom(or_nodes[oid].predicate, tuple(map(Constant, row))) for row in rows)
+        oid: frozenset(Atom(or_nodes[oid].predicate, row) for row in rows)
         for oid, rows in _node_rows(space, kb, genlpreds_mode).items()
     }
 

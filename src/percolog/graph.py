@@ -12,20 +12,11 @@ ancestor schema is dropped, which keeps the graph acyclic.
 from __future__ import annotations
 
 import json
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .kb import (
-    Atom,
-    AxiomSet,
-    Constant,
-    HornClause,
-    KbError,
-    KnowledgeBase,
-    Variable,
-    parse_kb,
-)
+from .kb import Atom, AxiomSet, HornClause, KbError, KnowledgeBase, Variable, _topo_order, parse_kb
 
 
 class GraphCycleError(Exception):
@@ -117,19 +108,8 @@ class AndOrGraph:
 
     def topological_or_order(self) -> list[str]:
         """OR ids, parents before children; raises GraphCycleError on a cycle."""
-        in_deg = {oid: 0 for oid in self.or_nodes}
-        for oid in self.or_nodes:
-            for child in self.or_children(oid):
-                in_deg[child] += 1
-        queue = deque(sorted((oid for oid, d in in_deg.items() if d == 0), key=_id_key))
-        order = []
-        while queue:
-            oid = queue.popleft()
-            order.append(oid)
-            for child in self.or_children(oid):
-                in_deg[child] -= 1
-                if in_deg[child] == 0:
-                    queue.append(child)
+        edges = [(oid, child) for oid in self.or_nodes for child in self.or_children(oid)]
+        order = _topo_order(self.or_nodes, edges, _id_key)
         if len(order) != len(self.or_nodes):
             raise GraphCycleError("AND/OR graph contains a cycle")
         return order
@@ -233,7 +213,7 @@ def _adorn_body(clause: HornClause, schema: GoalSchema) -> list[GoalSchema]:
     schemas: list[Optional[GoalSchema]] = [None] * len(clause.body)
     for i in greedy_body_order(clause.body, bound_vars):
         atom = clause.body[i]
-        m = tuple(isinstance(t, Constant) or t in bound_vars for t in atom.args)
+        m = tuple(isinstance(t, str) or t in bound_vars for t in atom.args)
         schemas[i] = GoalSchema(atom.predicate, atom.arity, m)
         bound_vars.update(atom.variables())
     return schemas  # type: ignore[return-value]
@@ -360,22 +340,11 @@ class SearchSpace:
     def reverse_topological_or_order(self) -> list[str]:
         """Member OR ids with children before parents (the bottom-up
         evaluation order); doubles as the per-sample acyclicity check."""
-        out_deg = {}
-        parents_of: dict[str, list[str]] = defaultdict(list)
-        for oid in self.or_members:
-            children = [c for aid in self.member_and_children(oid) for c in self.graph.and_nodes[aid].children]
-            out_deg[oid] = len(children)
-            for c in children:
-                parents_of[c].append(oid)
-        queue = deque(sorted((oid for oid, d in out_deg.items() if d == 0), key=_id_key))
-        order = []
-        while queue:
-            oid = queue.popleft()
-            order.append(oid)
-            for p in parents_of.get(oid, ()):
-                out_deg[p] -= 1
-                if out_deg[p] == 0:
-                    queue.append(p)
+        and_nodes = self.graph.and_nodes
+        edges = [
+            (c, oid) for oid in self.or_members for aid in self.member_and_children(oid) for c in and_nodes[aid].children
+        ]
+        order = _topo_order(self.or_members, edges, _id_key)
         if len(order) != len(self.or_members):
             raise GraphCycleError("search space contains a cycle")
         return order

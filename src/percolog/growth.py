@@ -17,7 +17,6 @@ from .engine import QueryTemplate
 from .kb import (
     Atom,
     AxiomSet,
-    Constant,
     Fact,
     HornClause,
     KnowledgeBase,
@@ -33,21 +32,6 @@ class InfeasibleConfigError(Exception):
 # ---------------------------------------------------------------------------
 # Inverse ablation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GrowthSchedule:
-    """Nested KB snapshots of strictly increasing size; hierarchy facts are
-    present in every snapshot so templates expand identically along the way."""
-
-    snapshot_ids: tuple[str, ...]
-    snapshots: tuple[KnowledgeBase, ...]
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
-    def __iter__(self):
-        return iter(zip(self.snapshot_ids, self.snapshots))
 
 
 def _stratified_order(content: list[Fact], rng: random.Random) -> list[Fact]:
@@ -76,9 +60,11 @@ def ablate_grow(
     sizes: Sequence[int],
     rng: random.Random,
     order: str = "uniform",
-) -> GrowthSchedule:
+) -> list[tuple[str, KnowledgeBase]]:
     """Fix one random re-add order over the non-hierarchy facts and cut nested
-    snapshots at the requested total fact counts.
+    snapshots at the requested total fact counts: ``(snapshot_id, kb)``
+    pairs of strictly increasing size.  Hierarchy facts are in every snapshot,
+    so templates expand identically along the way.
 
     ``sizes`` count whole snapshots (hierarchy included), must be strictly
     increasing, at least the hierarchy size, and at most the full KB size.
@@ -104,11 +90,9 @@ def ablate_grow(
         ordered = _stratified_order(content, rng)
     else:
         raise ValueError(f"unknown ablation order {order!r}")
-    ids, snaps = [], []
-    for i, size in enumerate(sizes):
-        ids.append(f"s{i}_{size}")
-        snaps.append(KnowledgeBase(hierarchy + ordered[: size - len(hierarchy)]))
-    return GrowthSchedule(tuple(ids), tuple(snaps))
+    return [
+        (f"s{i}_{size}", KnowledgeBase(hierarchy + ordered[: size - len(hierarchy)])) for i, size in enumerate(sizes)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +264,7 @@ def synth_kb(
                 # join through a fixed entity: the bottleneck shape behind
                 # degenerate percolation
                 mid = rng.randrange(1, length)
-                chain[mid] = Constant(rng.choice(entities))
+                chain[mid] = rng.choice(entities)
             body = []
             for i in range(length):
                 q = rng.choice(pool)

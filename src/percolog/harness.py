@@ -21,10 +21,10 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from . import metrics
-from .engine import Query, QuerySet, QueryTemplate, depth_profile
+from .engine import Query, QueryTemplate, depth_profile
 from .graph import AndOrGraph, GoalSchema, average_degree, build_graph
 from .growth import ablate_grow
-from .kb import Atom, Constant, KnowledgeBase, Variable, parse_kb
+from .kb import Atom, KnowledgeBase, Variable, parse_kb
 from .sampling import cell_params, greedy_degree_pairs, param_tag, sample
 
 log = logging.getLogger(__name__)
@@ -57,7 +57,7 @@ def root_schemas(templates: Sequence[QueryTemplate]) -> list[GoalSchema]:
     return list(seen)
 
 
-def expand_templates(kb: KnowledgeBase, templates: Sequence[QueryTemplate]) -> QuerySet:
+def expand_templates(kb: KnowledgeBase, templates: Sequence[QueryTemplate]) -> tuple[Query, ...]:
     """Bind each template's parameter to every instance of its collection.
 
     Ill-formed candidates (a bound entity violating an argIsa constraint) are
@@ -73,7 +73,7 @@ def expand_templates(kb: KnowledgeBase, templates: Sequence[QueryTemplate]) -> Q
             raise ValueError(f"template {t.id}: positions must cover both arguments of a binary predicate")
         for entity in sorted(kb.instances_of(t.param_collection)):
             args: list = [None, None]
-            args[t.bound_position - 1] = Constant(entity)
+            args[t.bound_position - 1] = entity
             args[t.open_position - 1] = Variable("x")
             atom = Atom(t.predicate, tuple(args))
             if atom in seen:
@@ -82,7 +82,7 @@ def expand_templates(kb: KnowledgeBase, templates: Sequence[QueryTemplate]) -> Q
                 continue
             seen.add(atom)
             queries.append(Query(atom, t.id))
-    return QuerySet(tuple(queries))
+    return tuple(queries)
 
 
 def load_templates(path: "str | Path") -> list[QueryTemplate]:
@@ -297,7 +297,7 @@ class SweepResult:
 class LoadedExperiment:
     kb: KnowledgeBase
     graph: AndOrGraph
-    queries: QuerySet
+    queries: tuple[Query, ...]
     snapshots: list[tuple[str, KnowledgeBase]]
     config: ExperimentConfig
 
@@ -314,8 +314,7 @@ def load_experiment(cfg: ExperimentConfig) -> LoadedExperiment:
         raise InfeasibleExperimentError("template expansion produced no queries")
     graph = build_graph(axioms, root_schemas(templates), cfg.depth_bound, kb=kb, genlpreds_mode=cfg.genlpreds)
     if cfg.snapshot_sizes:
-        schedule = ablate_grow(kb, cfg.snapshot_sizes, random.Random(cfg.snapshot_seed), cfg.snapshot_order)
-        snapshots = list(schedule)
+        snapshots = ablate_grow(kb, cfg.snapshot_sizes, random.Random(cfg.snapshot_seed), cfg.snapshot_order)
     else:
         snapshots = [("full", kb)]
     return LoadedExperiment(kb, graph, queries, snapshots, cfg)

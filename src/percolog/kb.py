@@ -14,7 +14,7 @@ import re
 from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 RESERVED_PREDICATES = ("isa", "genls", "genlPreds", "argIsa")
 _RESERVED_ARITY = {"isa": 2, "genls": 2, "genlPreds": 2, "argIsa": 3}
@@ -51,14 +51,6 @@ class KbValidationError(KbError):
 
 
 @dataclass(frozen=True)
-class Constant:
-    symbol: str
-
-    def __str__(self) -> str:
-        return self.symbol
-
-
-@dataclass(frozen=True)
 class Variable:
     name: str  # without the "?" sigil
 
@@ -66,14 +58,7 @@ class Variable:
         return "?" + self.name
 
 
-Term = Union[Constant, Variable]
-
-
-def term_key(term: Term) -> tuple[str, str]:
-    """Total order over terms: constants before variables, then lexicographic."""
-    if isinstance(term, Constant):
-        return ("c", term.symbol)
-    return ("v", term.name)
+Term = Union[str, Variable]  # a constant is its symbol
 
 
 @dataclass(frozen=True)
@@ -103,14 +88,14 @@ class Atom:
 
 class Fact(NamedTuple):
     """A ground fact as the row the engines read: a predicate and its argument
-    symbols.  ``atom`` builds the equivalent :class:`Atom` on demand."""
+    symbols.  ``atom`` is the equivalent :class:`Atom`."""
 
     predicate: str
     args: tuple[str, ...]
 
     @property
     def atom(self) -> Atom:
-        return Atom(self.predicate, tuple(Constant(s) for s in self.args))
+        return Atom(self.predicate, self.args)
 
     def __str__(self) -> str:
         return "(" + " ".join((self.predicate, *self.args)) + ")"
@@ -304,7 +289,7 @@ class KnowledgeBase:
             if pos > atom.arity:
                 raise ArityConflictError(f"argIsa position {pos} exceeds arity of {atom}")
             t = atom.args[pos - 1]
-            if isinstance(t, Constant) and t.symbol not in self.instances_of(col):
+            if isinstance(t, str) and t not in self.instances_of(col):
                 return False
         return True
 
@@ -322,9 +307,10 @@ class KnowledgeBase:
         return f"KnowledgeBase({self.fact_count} facts, {len(self._rows)} predicates)"
 
 
-def _topo_order(nodes: Iterable[str], edges: Sequence[tuple[str, ...]]) -> list[str]:
-    """Topological order of an acyclic edge list (sources first); shorter than
-    the node set iff the edges contain a cycle."""
+def _topo_order(nodes: Iterable[str], edges: Sequence[tuple[str, ...]], key: Optional[Callable] = None) -> list[str]:
+    """Kahn's topological order of an edge list: sources first, the initial
+    sources in ``key`` order, each node's successors in edge order.  Shorter
+    than the node set iff the edges contain a cycle."""
     nodes = set(nodes)
     for a, b in edges:
         nodes.update((a, b))
@@ -333,7 +319,7 @@ def _topo_order(nodes: Iterable[str], edges: Sequence[tuple[str, ...]]) -> list[
     for a, b in edges:
         in_deg[b] += 1
         succ[a].append(b)
-    queue = deque(sorted(n for n in nodes if in_deg[n] == 0))
+    queue = deque(sorted((n for n in nodes if in_deg[n] == 0), key=key))
     order = []
     while queue:
         n = queue.popleft()
@@ -360,12 +346,10 @@ def _check_acyclic(name: str, edges: Sequence[tuple[str, ...]]) -> None:
 #   comment:     ; to end of line
 #
 # One expression per line; nested terms are rejected (Datalog restriction).
+# ``<=`` is a token only right after the line's opening parenthesis.
 
 _CONST_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.+-]*")
 _VAR_RE = re.compile(r"\?[A-Za-z0-9_][A-Za-z0-9_-]*")
-
-_TOK_OPEN = "("
-_TOK_CLOSE = ")"
 
 
 def _tokenize_line(line: str, lineno: int) -> list[tuple[str, str, int]]:
@@ -391,7 +375,7 @@ def _tokenize_line(line: str, lineno: int) -> list[tuple[str, str, int]]:
             toks.append(("var", m.group()[1:], col))
             i = m.end()
             continue
-        if line.startswith("<=", i):
+        if len(toks) == 1 and toks[0][0] == "(" and line.startswith("<=", i):
             toks.append(("const", "<=", col))
             i += 2
             continue
@@ -403,85 +387,59 @@ def _tokenize_line(line: str, lineno: int) -> list[tuple[str, str, int]]:
     return toks
 
 
-class _LineParser:
-    def __init__(self, toks: list[tuple[str, str, int]], lineno: int):
-        self.toks = toks
-        self.lineno = lineno
-        self.pos = 0
-
-    def peek(self) -> Optional[tuple[str, str, int]]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            last_col = self.toks[-1][2] if self.toks else 1
-            raise KbSyntaxError("unexpected end of line", self.lineno, last_col)
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.take()
-        if tok[0] != kind:
-            raise KbSyntaxError(f"expected {kind!r}, got {tok[1]!r}", self.lineno, tok[2])
-        return tok
-
-    def parse_atom(self) -> Atom:
-        self.expect(_TOK_OPEN)
-        kind, text, col = self.take()
-        if kind != "const":
-            raise KbSyntaxError("predicate must be a constant symbol", self.lineno, col)
-        predicate = text
-        args: list[Term] = []
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise KbSyntaxError("unterminated atom", self.lineno, col)
-            kind, text, tcol = tok
-            if kind == _TOK_CLOSE:
-                self.take()
-                break
-            if kind == _TOK_OPEN:
-                raise KbSyntaxError("nested terms are not supported (no function symbols)", self.lineno, tcol)
-            self.take()
-            args.append(Constant(text) if kind == "const" else Variable(text))
-        if not args:
-            raise KbSyntaxError(f"atom {predicate!r} needs at least one argument", self.lineno, col)
-        return Atom(predicate, tuple(args))
+def _atom_end(toks: list[tuple[str, str, int]], i: int, lineno: int) -> int:
+    """The index past the flat atom opening at ``toks[i]``: a parenthesis, a
+    constant predicate, at least one argument and the closing parenthesis."""
+    n = len(toks)
+    if i < n and toks[i][0] != "(":
+        raise KbSyntaxError(f"expected '(', got {toks[i][1]!r}", lineno, toks[i][2])
+    if i + 1 >= n:
+        raise KbSyntaxError("unexpected end of line", lineno, toks[-1][2])
+    kind, predicate, col = toks[i + 1]
+    if kind != "const":
+        raise KbSyntaxError("predicate must be a constant symbol", lineno, col)
+    j = i + 2
+    while True:
+        if j == n:
+            raise KbSyntaxError("unterminated atom", lineno, col)
+        kind = toks[j][0]
+        if kind == ")":
+            break
+        if kind == "(":
+            raise KbSyntaxError("nested terms are not supported (no function symbols)", lineno, toks[j][2])
+        j += 1
+    if j == i + 2:
+        raise KbSyntaxError(f"atom {predicate!r} needs at least one argument", lineno, col)
+    return j + 1
 
 
-def _parse_line(toks: list[tuple[str, str, int]], lineno: int) -> Union[Atom, tuple[Atom, tuple[Atom, ...]]]:
-    """Either a fact atom or a (head, body) rule pair."""
-    p = _LineParser(toks, lineno)
-    first = p.expect(_TOK_OPEN)
-    nxt = p.peek()
-    if nxt is None:
-        raise KbSyntaxError("empty expression", lineno, first[2])
-    if nxt[0] == "const" and nxt[1] == "<=":
-        p.take()
-        head = p.parse_atom()
-        body: list[Atom] = []
-        while True:
-            tok = p.peek()
-            if tok is None:
-                raise KbSyntaxError("unterminated rule", lineno, first[2])
-            if tok[0] == _TOK_CLOSE:
-                p.take()
-                break
-            if tok[0] != _TOK_OPEN:
-                raise KbSyntaxError("rule bodies must be parenthesized atoms", lineno, tok[2])
-            body.append(p.parse_atom())
-        if p.peek() is not None:
-            raise KbSyntaxError("trailing tokens after rule", lineno, p.peek()[2])  # type: ignore[index]
-        if not body:
-            raise KbSyntaxError("rule has no body atoms (enter bodiless rules as facts)", lineno, first[2])
-        return head, tuple(body)
-    # fact: re-parse from the start as a single atom
-    p.pos = 0
-    atom = p.parse_atom()
-    if p.peek() is not None:
-        raise KbSyntaxError("trailing tokens after fact", lineno, p.peek()[2])  # type: ignore[index]
-    return atom
+def _atom(toks: list[tuple[str, str, int]], i: int, end: int) -> Atom:
+    """The atom spanning ``toks[i:end]``, as ``_atom_end`` delimits it."""
+    return Atom(toks[i + 1][1], tuple(Variable(t) if k == "var" else t for k, t, _ in toks[i + 2 : end - 1]))
+
+
+def _read_rule(toks: list[tuple[str, str, int]], lineno: int) -> tuple[Atom, tuple[Atom, ...]]:
+    """The head and body of a line opening with ``(<=``."""
+    end = _atom_end(toks, 2, lineno)
+    head = _atom(toks, 2, end)
+    body: list[Atom] = []
+    i = end
+    while True:
+        if i == len(toks):
+            raise KbSyntaxError("unterminated rule", lineno, toks[0][2])
+        kind, _, col = toks[i]
+        if kind == ")":
+            break
+        if kind != "(":
+            raise KbSyntaxError("rule bodies must be parenthesized atoms", lineno, col)
+        end = _atom_end(toks, i, lineno)
+        body.append(_atom(toks, i, end))
+        i = end
+    if i + 1 < len(toks):
+        raise KbSyntaxError("trailing tokens after rule", lineno, toks[i + 1][2])
+    if not body:
+        raise KbSyntaxError("rule has no body atoms (enter bodiless rules as facts)", lineno, toks[0][2])
+    return head, tuple(body)
 
 
 def parse_kb(text: str) -> tuple[KnowledgeBase, AxiomSet]:
@@ -496,45 +454,40 @@ def parse_kb(text: str) -> tuple[KnowledgeBase, AxiomSet]:
     clauses: list[HornClause] = []
     arity: dict[str, int] = dict(_RESERVED_ARITY)
 
-    def register(atom: Atom, lineno: int) -> None:
-        known = arity.get(atom.predicate)
-        if known is None:
-            arity[atom.predicate] = atom.arity
-        elif known != atom.arity:
-            raise ArityConflictError(
-                f"predicate {atom.predicate!r} used with arity {atom.arity} but fixed at {known}", lineno
-            )
+    def register(predicate: str, n: int, lineno: int) -> None:
+        known = arity.setdefault(predicate, n)
+        if known != n:
+            raise ArityConflictError(f"predicate {predicate!r} used with arity {n} but fixed at {known}", lineno)
 
-    rule_no = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = _tokenize_line(raw, lineno)
         if not toks:
             continue
-        parsed = _parse_line(toks, lineno)
-        if isinstance(parsed, Atom):
-            register(parsed, lineno)
-            first_var = next((col for kind, _, col in toks if kind == "var"), None)
-            if first_var is not None:
-                raise KbValidationError(f"fact {parsed} is not ground", lineno, first_var)
-            facts.append(Fact(parsed.predicate, tuple(t.symbol for t in parsed.args)))  # type: ignore[union-attr]
-        else:
-            head, body = parsed
-            register(head, lineno)
-            for a in body:
-                register(a, lineno)
+        if len(toks) == 1 and toks[0][0] == "(":
+            raise KbSyntaxError("empty expression", lineno, toks[0][2])
+        if len(toks) > 1 and toks[1][1] == "<=":
+            head, body = _read_rule(toks, lineno)
+            for a in (head, *body):
+                register(a.predicate, a.arity, lineno)
             if head.predicate in RESERVED_PREDICATES:
                 # derived hierarchy facts would bypass the precomputed closures
-                raise KbValidationError(
-                    f"reserved predicate {head.predicate!r} cannot be a rule head", lineno
-                )
+                raise KbValidationError(f"reserved predicate {head.predicate!r} cannot be a rule head", lineno)
             try:
-                clauses.append(HornClause(head, body, id=f"r{rule_no}"))
+                clauses.append(HornClause(head, body, id=f"r{len(clauses)}"))
             except KbValidationError as e:
                 raise KbValidationError(str(e), lineno) from None
-            rule_no += 1
+            continue
+        end = _atom_end(toks, 0, lineno)
+        if end < len(toks):
+            raise KbSyntaxError("trailing tokens after fact", lineno, toks[end][2])
+        args = toks[2 : end - 1]
+        register(toks[1][1], len(args), lineno)
+        first_var = next((col for kind, _, col in args if kind == "var"), None)
+        if first_var is not None:
+            raise KbValidationError(f"fact {_atom(toks, 0, end)} is not ground", lineno, first_var)
+        facts.append(Fact(toks[1][1], tuple([t for _, t, _ in args])))
 
-    kb = KnowledgeBase(facts)
-    return kb, AxiomSet(clauses)
+    return KnowledgeBase(facts), AxiomSet(clauses)
 
 
 def serialize_kb(kb: KnowledgeBase, axioms: Optional[AxiomSet] = None) -> str:

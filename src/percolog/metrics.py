@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
-from .engine import Evaluator, QuerySet, solutions
+from .engine import Evaluator, Query, solutions
 from .graph import AndOrGraph, SearchSpace
 from .kb import KnowledgeBase
 
@@ -53,7 +54,7 @@ class QaResult:
     total_answers: int
 
 
-def alpha(g: AndOrGraph, space: SearchSpace, queries: QuerySet, kb: KnowledgeBase) -> AlphaReport:
+def alpha(g: AndOrGraph, space: SearchSpace, queries: Sequence[Query], kb: KnowledgeBase) -> AlphaReport:
     """Average per-node ground-fact contribution of the space toward Q,
     counting solutions under the genlPreds mode the graph was built with."""
     if len(queries) == 0:
@@ -84,7 +85,7 @@ def alpha(g: AndOrGraph, space: SearchSpace, queries: QuerySet, kb: KnowledgeBas
 def answered_fraction(
     space: SearchSpace,
     kb: KnowledgeBase,
-    queries: QuerySet,
+    queries: Sequence[Query],
     depth_limit: int,
     genlpreds_mode: bool = True,
 ) -> QaResult:

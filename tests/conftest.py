@@ -17,7 +17,6 @@ import pytest
 from percolog import (
     Atom,
     AxiomSet,
-    Constant,
     Fact,
     HornClause,
     KnowledgeBase,
@@ -32,7 +31,7 @@ from percolog import (
 
 
 def T(token: str):
-    return Variable(token[1:]) if token.startswith("?") else Constant(token)
+    return Variable(token[1:]) if token.startswith("?") else token
 
 
 def A(pred: str, *args: str) -> Atom:

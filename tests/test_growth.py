@@ -30,21 +30,20 @@ def flat_kb(n_content, n_hierarchy=20, preds=("obs", "rel", "seen")):
 class TestAblateGrow:
     def test_full_size_single_snapshot(self):
         kb = flat_kb(100)
-        schedule = ablate_grow(kb, [kb.fact_count], random.Random(0))
-        assert len(schedule) == 1
-        assert schedule.snapshots[0].facts == kb.facts
+        snapshots = ablate_grow(kb, [kb.fact_count], random.Random(0))
+        assert len(snapshots) == 1
+        assert snapshots[0][1].facts == kb.facts
 
     def test_nested_and_exact_sizes(self):
         kb = flat_kb(200)
-        schedule = ablate_grow(kb, [50, 120, 220], random.Random(1))
-        assert [s.fact_count for s in schedule.snapshots] == [50, 120, 220]
-        for small, large in zip(schedule.snapshots, schedule.snapshots[1:]):
+        snaps = [s for _, s in ablate_grow(kb, [50, 120, 220], random.Random(1))]
+        assert [s.fact_count for s in snaps] == [50, 120, 220]
+        for small, large in zip(snaps, snaps[1:]):
             assert small.facts <= large.facts
 
     def test_hierarchy_exempt_from_ablation(self):
         kb = flat_kb(100, n_hierarchy=30)
-        schedule = ablate_grow(kb, [40, 90], random.Random(2))
-        for snap in schedule.snapshots:
+        for _, snap in ablate_grow(kb, [40, 90], random.Random(2)):
             isa = [f for f in snap.facts if f.atom.predicate == "isa"]
             assert len(isa) == 30
 
@@ -69,13 +68,13 @@ class TestAblateGrow:
         kb = flat_kb(120)
         s1 = ablate_grow(kb, [60, 100], random.Random(9))
         s2 = ablate_grow(kb, [60, 100], random.Random(9))
-        for a, b in zip(s1.snapshots, s2.snapshots):
+        assert [sid for sid, _ in s1] == [sid for sid, _ in s2] == ["s0_60", "s1_100"]
+        for (_, a), (_, b) in zip(s1, s2):
             assert a.facts == b.facts
 
     def test_stratified_order_keeps_proportions(self):
         kb = flat_kb(300, n_hierarchy=0, preds=("heavy",) * 4 + ("light",))
-        schedule = ablate_grow(kb, [100, 300], random.Random(5), order="stratified")
-        snap = schedule.snapshots[0]
+        _, snap = ablate_grow(kb, [100, 300], random.Random(5), order="stratified")[0]
         counts = Counter(f.atom.predicate for f in snap.facts)
         totals = Counter(f.atom.predicate for f in kb.facts)
         q = 100 / 300
@@ -100,16 +99,16 @@ class TestAblateGrow:
     @pytest.mark.parametrize("order", sorted(PINNED))
     def test_pinned_snapshots(self, order):
         kb, _, _ = synth_kb(small_cfg(3))
-        schedule = ablate_grow(kb, [45, 60, 80], random.Random(11), order=order)
-        digests = tuple(hashlib.sha256(serialize_kb(s).encode()).hexdigest() for s in schedule.snapshots)
+        snapshots = ablate_grow(kb, [45, 60, 80], random.Random(11), order=order)
+        digests = tuple(hashlib.sha256(serialize_kb(s).encode()).hexdigest() for _, s in snapshots)
         assert digests == self.PINNED[order]
 
     def test_paper_scale_sizes(self):
         # the three reported KB sizes, on a synthetic stand-in of >= 491,091 facts
         kb = flat_kb(491_200, n_hierarchy=100)
-        schedule = ablate_grow(kb, [5_180, 165_992, 491_091], random.Random(13))
-        assert [s.fact_count for s in schedule.snapshots] == [5_180, 165_992, 491_091]
-        assert schedule.snapshots[0].facts <= schedule.snapshots[2].facts
+        snaps = [s for _, s in ablate_grow(kb, [5_180, 165_992, 491_091], random.Random(13))]
+        assert [s.fact_count for s in snaps] == [5_180, 165_992, 491_091]
+        assert snaps[0].facts <= snaps[2].facts
 
 
 def small_cfg(seed, **overrides):
@@ -243,9 +242,8 @@ class TestGrowthMonotonicity:
         space = induced_space(g, g.or_nodes.keys())
         hierarchy = kb.fact_count - 120
         sizes = sorted({hierarchy + 20, hierarchy + 60, kb.fact_count})
-        schedule = ablate_grow(kb, sizes, random.Random(seed))
         fractions = [
             answered_fraction(space, snap, queries, 10).fraction
-            for _, snap in schedule
+            for _, snap in ablate_grow(kb, sizes, random.Random(seed))
         ]
         assert fractions == sorted(fractions)

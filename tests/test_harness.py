@@ -48,13 +48,13 @@ class TestExpandTemplates:
         t = QueryTemplate("t0", "p", 1, "C", 2)
         queries = expand_templates(kb, [t])
         assert len(queries) == 3
-        assert {q.atom.args[0].symbol for q in queries} == {"e1", "e2", "e3"}
+        assert {q.atom.args[0] for q in queries} == {"e1", "e2", "e3"}
 
     def test_bound_position_two(self):
         kb = kb_of(("isa", "e1", "C"), ("p", "x", "e1"))
         t = QueryTemplate("t0", "p", 2, "C", 1)
         (q,) = expand_templates(kb, [t])
-        assert q.atom.args[1].symbol == "e1"
+        assert q.atom.args[1] == "e1"
         assert q.atom.args[0].name == "x"
 
     def test_duplicates_across_templates_dropped(self):
@@ -73,7 +73,7 @@ class TestExpandTemplates:
         )
         t = QueryTemplate("t0", "p", 1, "C", 2)
         queries = expand_templates(kb, [t])
-        assert {q.atom.args[0].symbol for q in queries} == {"good"}
+        assert {q.atom.args[0] for q in queries} == {"good"}
 
     def test_arity_mismatch_rejected(self):
         kb = kb_of(("tri", "a", "b", "c"), ("isa", "e", "C"))

@@ -9,7 +9,6 @@ from percolog import (
     ArityConflictError,
     Atom,
     AxiomSet,
-    Constant,
     Fact,
     HornClause,
     KbError,
@@ -30,7 +29,7 @@ from conftest import A, F, kb_of
 def retrieve(kb, pattern):
     """Bindings of a single-variable pattern by retrieval alone (depth 0)."""
     ans = Evaluator(kb, AxiomSet([]), genlpreds_mode=False).ask(Query(pattern), 0)
-    return {c.symbol for c in ans.bindings}
+    return ans.bindings
 
 
 _NO_BODY = "rule has no body atoms (enter bodiless rules as facts)"
@@ -57,6 +56,9 @@ _READER_ERRORS = [
     ("(<=)", KbSyntaxError, 1, 4, "expected '(', got ')'"),
     ("(<= p)", KbSyntaxError, 1, 5, "expected '(', got 'p'"),
     ("(p a b)\n(p a)", ArityConflictError, 2, None, "predicate 'p' used with arity 1 but fixed at 2"),
+    # "<=" is a token only right after the line's opening parenthesis
+    ("(p a<=b)", KbSyntaxError, 1, 5, "unexpected character '<'"),
+    ("(p <= b)", KbSyntaxError, 1, 4, "unexpected character '<'"),
 ]
 
 
@@ -205,19 +207,19 @@ class TestRetrieve:
                 levels=2, root_predicates=2, seed=seed,
             )
             kb, _, _ = synth_kb(cfg)
-            entities = sorted({t.symbol for f in kb.sorted_facts() for t in f.atom.args})
+            entities = sorted({t for f in kb.sorted_facts() for t in f.args})
             predicates = sorted({f.atom.predicate for f in kb.facts})
             for _ in range(25):
                 pred = rng.choice(predicates)
-                args = [Constant(rng.choice(entities)) for _ in range(kb.arity(pred))]
+                args = [rng.choice(entities) for _ in range(kb.arity(pred))]
                 for i in rng.sample(range(len(args)), rng.randint(1, len(args))):
                     args[i] = Variable("x")
                 pattern = Atom(pred, tuple(args))
                 scan = {
-                    f.atom.args[pattern.args.index(Variable("x"))].symbol
+                    f.args[pattern.args.index(Variable("x"))]
                     for f in kb.facts
                     if f.atom.predicate == pred
-                    and all(p == g for p, g in zip(pattern.args, f.atom.args) if isinstance(p, Constant))
+                    and all(p == g for p, g in zip(pattern.args, f.args) if isinstance(p, str))
                     and len({g for p, g in zip(pattern.args, f.atom.args) if isinstance(p, Variable)}) == 1
                 }
                 assert retrieve(kb, pattern) == scan

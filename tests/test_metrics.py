@@ -7,7 +7,6 @@ from percolog import (
     GoalSchema,
     KnowledgeBase,
     Query,
-    QuerySet,
     build_graph,
     induced_space,
     model1_sample,
@@ -27,7 +26,7 @@ def queries(pred, entities, bound_pos=1):
         args = ["?x", "?x"]
         args[bound_pos - 1] = e
         out.append(Query(A(pred, *args)))
-    return QuerySet(tuple(out))
+    return tuple(out)
 
 
 class TestAlphaFixtures:
@@ -70,7 +69,7 @@ class TestAlphaFixtures:
         g = build_graph(AxiomSet([]), [GoalSchema("p", 2, (True, False))], 10, kb=kb)
         space = induced_space(g, g.or_nodes.keys())
         with pytest.raises(ValueError):
-            alpha(g, space, QuerySet(()), kb)
+            alpha(g, space, (), kb)
 
 
 def synth_setup(seed):
