@@ -2,7 +2,6 @@
 search-space connectivity drive the percolation of Horn-clause inference."""
 
 from .engine import (
-    AnswerSet,
     Evaluator,
     Query,
     QueryTemplate,

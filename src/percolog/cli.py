@@ -179,14 +179,14 @@ def _cmd_ask(args) -> int:
     results = []
     answered = 0
     for q in queries:
-        ans = ev.ask(q, args.depth)
-        if ans.answered:
+        bindings = ev.ask(q, args.depth)
+        if bindings:
             answered += 1
         results.append(
             {
                 "query": str(q.atom),
                 "template": q.template_id,
-                "bindings": sorted(ans.bindings),
+                "bindings": sorted(bindings),
             }
         )
     doc = {

@@ -11,13 +11,13 @@ top-down solves each distinct subgoal once per rule application, bottom-up
 hash-joins the child nodes' row sets.
 
 Depth accounting: applying a rule costs one depth unit, ground retrieval is
-free, so depth_limit 0 answers by retrieval only.  A goal identical (up to
-variable renaming) to an ancestor goal on the current proof stack fails that
-branch; on the acyclic rule sets this package targets the cut never loses an
-answer.  Results are memoized per canonical goal (predicate, constants and
-first-occurrence variable slots) and remaining depth, but only when no
-ancestor cut fired underneath, which keeps memoization sound even on rule
-sets with predicate-level recursion.
+free, so depth_limit 0 answers by retrieval only.  Every subgoal is solved
+with one unit less, so the search ends at the depth limit on any rule set,
+recursive ones included, and the answers at limit d are exactly the atoms
+with a proof of height at most d.  Results are memoized per canonical goal
+(predicate, constants and first-occurrence variable slots) and remaining
+depth; a deep query over recursive rules holds up to one answer set per
+(goal, depth) pair.
 
 With ``genlpreds_mode`` on (the default), a goal additionally matches facts
 and rule heads whose predicate implies the goal's predicate via genlPreds.
@@ -37,7 +37,6 @@ from .kb import Atom, AxiomSet, HornClause, KnowledgeBase, Variable
 __all__ = [
     "Query",
     "QueryTemplate",
-    "AnswerSet",
     "Evaluator",
     "solutions",
     "bottom_up_eval",
@@ -79,22 +78,6 @@ class Query:
         n_distinct = len(self.atom.variables())
         if n_distinct != 1:
             raise ValueError(f"query {self.atom} must contain exactly one distinct variable")
-
-    def schema(self) -> GoalSchema:
-        mask = tuple(isinstance(t, str) for t in self.atom.args)
-        return GoalSchema(self.atom.predicate, self.atom.arity, mask)
-
-
-@dataclass
-class AnswerSet:
-    """Answers for one query: the constants bound to its open variable."""
-
-    query: Query
-    bindings: frozenset[str]
-
-    @property
-    def answered(self) -> bool:
-        return bool(self.bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +246,11 @@ class _Probes(dict):
     """The kept new values per key of the subgoals one body atom makes, each
     distinct subgoal solved on first use."""
 
-    def __init__(self, solve: Callable, step: _Step, depth: int, stack: frozenset):
-        self.solve, self.step, self.depth, self.stack = solve, step, depth, stack
+    def __init__(self, solve: Callable, step: _Step, depth: int):
+        self.solve, self.step, self.depth = solve, step, depth
 
     def __missing__(self, key: tuple):
-        res = self.solve(self.step.subgoal(key), self.depth, self.stack)
+        res = self.solve(self.step.subgoal(key), self.depth)
         new = self.step.new
         hits = self[key] = res if new is None else set(map(new, res))
         return hits
@@ -281,11 +264,14 @@ class Evaluator:
     A rule application runs the clause's plan for the goal's shape
     (``_rule_plan``): it checks the goal's constants against the head, then
     joins the body set-at-a-time, solving each distinct subgoal once per body
-    atom.  Facts are matched as the KB's symbol-tuple rows.  Sharing one
-    evaluator across a query set amortizes the goal memo, the per-shape
-    tables of retained clause plans and the lazily built positional row
-    indices.  Evaluators are not shared between threads; create one per
-    worker.
+    atom, one depth unit below the goal.  Facts are matched as the KB's
+    symbol-tuple rows.  No goal is cut for repeating an ancestor: the depth
+    limit alone ends the search, so recursive rules get every answer whose
+    proof fits in the limit, at up to one memo entry per (goal, depth).
+    Sharing one evaluator across a query set amortizes the goal memo, the
+    per-shape tables of retained clause plans and the lazily built
+    positional row indices.  Evaluators are not shared between threads;
+    create one per worker.
     """
 
     def __init__(self, kb: KnowledgeBase, axioms: AxiomSet, genlpreds_mode: bool = True):
@@ -293,7 +279,6 @@ class Evaluator:
         self.axioms = axioms
         self.mode = genlpreds_mode
         self._memo: dict = {}
-        self._cuts = 0  # ancestor cuts fired so far
         self._shapes: dict[tuple, tuple] = {}
         self._pos_index: dict[tuple[str, int], dict[str, list]] = {}
 
@@ -336,25 +321,22 @@ class Evaluator:
                 index[row[pos]].append(row)
         return index
 
-    def ask(self, query: Query, depth_limit: int) -> AnswerSet:
+    def ask(self, query: Query, depth_limit: int) -> frozenset[str]:
+        """The constants that answer the query's open variable by a proof of
+        height at most ``depth_limit``."""
         if depth_limit < 0:
             raise ValueError("depth_limit must be >= 0")
         slots: dict[Variable, int] = {}
         parts = tuple(t if isinstance(t, str) else slots.setdefault(t, len(slots)) for t in query.atom.args)
-        tuples = self._solve((query.atom.predicate, parts), depth_limit, frozenset())
-        return AnswerSet(query, frozenset([t[0] for t in tuples]))
+        return frozenset([t[0] for t in self._solve((query.atom.predicate, parts), depth_limit)])
 
-    def _solve(self, canon: tuple, depth: int, stack: frozenset) -> frozenset:
-        """Answer tuples for the goal's slots, in slot order.  The result is
-        memoized only if no ancestor cut fired while computing it."""
+    def _solve(self, canon: tuple, depth: int) -> frozenset:
+        """Answer tuples for the goal's slots, in slot order, by proofs of
+        height at most ``depth``; memoized per (goal, depth)."""
         key = (canon, depth)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if canon in stack:
-            self._cuts += 1
-            return frozenset()  # ancestor cut: proof branch repeats a goal schema
-        cuts = self._cuts
         predicate, parts = canon
         shape = tuple([None if isinstance(p, str) else p for p in parts])
         sources, bound_at, checks, same, project, plans = self._shapes.get((predicate, shape)) or self._shape_table(
@@ -372,19 +354,16 @@ class Evaluator:
                 rows = [r for r in rows if all(r[i] == r[j] for i, j in same)]
             results.update(map(project, rows))
         if depth > 0 and plans:
-            substack = stack | {canon}
             for plan in plans:
                 if (plan.checks or plan.eqs) and not plan.admits(parts):
                     continue
                 partials = {plan.start(parts)}
                 for step in plan.steps:
-                    partials = _join(partials, step, _Probes(self._solve, step, depth - 1, substack).__getitem__)
+                    partials = _join(partials, step, _Probes(self._solve, step, depth - 1).__getitem__)
                     if not partials:
                         break
                 results.update(map(plan.emit, partials))
-        res = frozenset(results)
-        if self._cuts == cuts:
-            self._memo[key] = res
+        res = self._memo[key] = frozenset(results)
         return res
 
 

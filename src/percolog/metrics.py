@@ -99,8 +99,7 @@ def answered_fraction(
     answered = 0
     total = 0
     for q in queries:
-        result = ev.ask(q, depth_limit)
-        n = len(result.bindings)
+        n = len(ev.ask(q, depth_limit))
         per_query.append((str(q.atom), q.template_id, n))
         if n > 0:
             answered += 1

@@ -1,10 +1,11 @@
 """Shared fixtures: tiny KB builders, an independent bottom-up fixpoint
 oracle, and a seeded random-domain generator for engine-vs-oracle checks.
 
-The oracle works on plain (predicate, args) tuples with its own matcher so it
-shares no evaluation code with the package; rule chains in generated domains
-are level-stratified (heads strictly below bodies), which keeps the query
-graphs cycle-free the way every input to this system is.
+The oracles work on plain (predicate, args) tuples with their own matcher so
+they share no evaluation code with the package.  Rule chains in generated
+domains are level-stratified (heads strictly below bodies), which keeps the
+query graphs cycle-free the way every input the synthesizer makes is; the
+recursive family lifts that restriction.
 """
 
 from __future__ import annotations
@@ -110,6 +111,50 @@ def naive_fixpoint(kb: KnowledgeBase, axioms: AxiomSet, genl_edges=()) -> set:
     return derived
 
 
+def fixpoint_rounds(kb: KnowledgeBase, axioms: AxiomSet, genl_edges=()) -> list[set]:
+    """Atoms by minimal proof height: entry r holds every atom with a proof
+    of at most r rule applications, and the last entry is the closure.  Round
+    r fires each rule once on round r - 1's atoms only; genlPreds copies
+    ((s args) also derives (g args) for s implying g) are free, so each round
+    is closed under them."""
+    clauses = [plain_clause(c) for c in axioms]
+
+    def close(atoms: set) -> set:
+        atoms = set(atoms)
+        while True:
+            copies = {(g, args) for s, g in genl_edges for pred, args in atoms if pred == s} - atoms
+            if not copies:
+                return atoms
+            atoms |= copies
+
+    rounds = [close({plain_atom(f.atom) for f in kb.sorted_facts()})]
+    while True:
+        prev = rounds[-1]
+        by_pred: dict = {}
+        for pred, args in prev:
+            by_pred.setdefault((pred, len(args)), []).append(args)
+        heads = set()
+        for (h_pred, h_args), body in clauses:
+            solutions, todo = [{}], list(body)
+            while todo and solutions:
+                # the atom with the most arguments already fixed goes next
+                b_pred, b_args = max(todo, key=lambda a: sum(t in solutions[0] or t[0] != "?" for t in a[1]))
+                todo.remove((b_pred, b_args))
+                keep = set(h_args).union(*(args for _, args in todo))  # variables read later
+                solutions = [dict(b) for b in {
+                    frozenset((v, c) for v, c in extended.items() if v in keep)
+                    for binding in solutions
+                    for args in by_pred.get((b_pred, len(b_args)), ())
+                    for extended in [_match_plain(b_args, args, binding)]
+                    if extended is not None
+                }]
+            heads.update((h_pred, tuple(binding.get(a, a) for a in h_args)) for binding in solutions)
+        nxt = close(prev | heads)
+        if nxt == prev:
+            return rounds
+        rounds.append(nxt)
+
+
 def oracle_bindings(fixpoint: set, query_atom: Atom) -> set:
     """Constants filling the query's single open slot in the fixpoint."""
     p_args = [str(t) for t in query_atom.args]
@@ -136,9 +181,14 @@ class RandomDomain:
         self.genl_edges = genl_edges
 
 
-def random_domain(seed: int, with_genlpreds: bool = False) -> RandomDomain:
-    """A small random KB + stratified rule set + templates (<= 10 predicates,
-    <= 50 facts, <= 15 range-restricted rules)."""
+def random_domain(seed: int, with_genlpreds: bool = False, recursive: bool = False) -> RandomDomain:
+    """A small random KB + rule set + templates (<= 10 predicates, <= 50
+    facts, <= 15 range-restricted rules).  The rules are level-stratified
+    unless ``recursive``: then rule bodies may use the head's own level, and
+    up to four rules more close binary predicates transitively: one query
+    predicate over itself, on top of a ring of its facts through every
+    entity, a mutually recursive pair, and a genlPreds specialization over
+    its generalization."""
     rng = random.Random(seed)
     n_preds = rng.randint(3, 10)
     n_levels = rng.randint(2, min(4, n_preds))
@@ -183,10 +233,10 @@ def random_domain(seed: int, with_genlpreds: bool = False) -> RandomDomain:
 
     rule_lines = []
     n_rules = rng.randint(1, 15)
-    heads = [p for p in preds if any(level[q] > level[p] for q in preds)]
+    heads = [p for p in preds if recursive or any(level[q] > level[p] for q in preds)]
     for _ in range(n_rules):
         head_pred = rng.choice(heads)
-        pool = [q for q in preds if level[q] > level[head_pred]]
+        pool = [q for q in preds if level[q] > level[head_pred] or recursive and level[q] == level[head_pred]]
         body_preds = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
         head_vars = [f"?x{i}" for i in range(arity[head_pred])]
         if arity[head_pred] >= 2 and rng.random() < 0.3:
@@ -217,6 +267,22 @@ def random_domain(seed: int, with_genlpreds: bool = False) -> RandomDomain:
                         args.append(rng.choice(entities))
             body_atoms.append(f"({bp} {' '.join(args)})")
         rule_lines.append(f"(<= ({head_pred} {' '.join(head_vars)}) {' '.join(body_atoms)})")
+    if recursive:
+        # closures that meet their own goal again, whichever argument a query
+        # binds: self-recursion, a mutual pair and recursion through genlPreds
+        root = rng.choice([p for p in preds if level[p] == 0])
+        rule_lines.append(f"(<= ({root} ?x ?y) ({root} ?x ?z) ({root} ?z ?y))")
+        # a ring through every entity, so that each query has answers of several heights
+        fact_lines += [f"({root} {a} {b})" for a, b in zip(entities, entities[1:] + entities[:1])]
+        binary = [p for p in preds if arity[p] == 2]
+        if len(binary) >= 2:
+            a, b = rng.sample(binary, 2)
+            rule_lines += [f"(<= ({a} ?x ?y) ({b} ?x ?z) ({b} ?z ?y))", f"(<= ({b} ?x ?y) ({a} ?x ?y))"]
+            # the higher index implies the lower, as with_genlpreds has it: no cycle
+            g, s = sorted(rng.sample(binary, 2), key=preds.index)
+            genl_edges.append((s, g))
+            fact_lines.append(f"(genlPreds {s} {g})")
+            rule_lines.append(f"(<= ({s} ?x ?y) ({g} ?x ?z) ({g} ?z ?y))")
 
     kb, axioms = parse_kb("\n".join(fact_lines + rule_lines))
     templates = []

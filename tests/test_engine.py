@@ -18,7 +18,7 @@ from percolog.engine import Evaluator, _join, _rule_plan
 from percolog.harness import expand_templates, root_schemas
 from percolog.kb import Atom, HornClause, parse_kb
 
-from conftest import A, F, kb_of, naive_fixpoint, oracle_bindings, random_domain
+from conftest import A, F, fixpoint_rounds, kb_of, naive_fixpoint, oracle_bindings, random_domain
 
 
 def Q(pred, *args, template=""):
@@ -27,6 +27,14 @@ def Q(pred, *args, template=""):
 
 def ask(kb, axioms, query, depth_limit, genlpreds_mode=True):
     return Evaluator(kb, axioms, genlpreds_mode).ask(query, depth_limit)
+
+
+def chain_closure(recursive_body):
+    """The 40-node chain N0 -> ... -> N39 of par facts and its closure anc:
+    a par fact is an anc fact, and so is what the recursive body derives."""
+    lines = [f"(par N{i} N{i + 1})" for i in range(39)]
+    lines += ["(<= (anc ?x ?y) (par ?x ?y))", f"(<= (anc ?x ?y) {recursive_body})"]
+    return parse_kb("\n".join(lines))
 
 
 def G(*tokens):
@@ -87,9 +95,9 @@ class TestUnify:
     def test_predicate_or_arity_mismatch(self):
         # goals only meet facts and rule heads of their own predicate and arity
         kb, axioms = parse_kb("(q a b)\n(<= (p ?x ?y) (q ?x ?y))")
-        assert ask(kb, axioms, Q("p", "?x"), 1).bindings == frozenset()
-        assert ask(kb, axioms, Q("r", "a", "?y"), 1).bindings == frozenset()
-        assert ask(kb, axioms, Q("p", "a", "?y"), 1).bindings == {"b"}
+        assert ask(kb, axioms, Q("p", "?x"), 1) == frozenset()
+        assert ask(kb, axioms, Q("r", "a", "?y"), 1) == frozenset()
+        assert ask(kb, axioms, Q("p", "a", "?y"), 1) == {"b"}
 
     def test_symmetric_bindings(self):
         # either way round, goal and head resolve to the same instance
@@ -121,23 +129,23 @@ class TestBackchain:
     def test_depth_zero_retrieval_only(self):
         kb = kb_of(("isa", "Fido", "Dog"))
         ans = ask(kb, AxiomSet([]), Q("isa", "?x", "Dog"), 0)
-        assert ans.bindings == {"Fido"}
+        assert ans == {"Fido"}
 
     def test_rule_at_depth_one(self, touches_near):
         kb, axioms = touches_near
         ans = ask(kb, axioms, Q("near", "A", "?y"), 1, genlpreds_mode=False)
-        assert ans.bindings == {"B"}
+        assert ans == {"B"}
 
     def test_rule_forbidden_at_depth_zero(self, touches_near):
         kb, axioms = touches_near
         ans = ask(kb, axioms, Q("near", "A", "?y"), 0, genlpreds_mode=False)
-        assert ans.bindings == frozenset()
+        assert ans == frozenset()
 
     def test_genlpreds_mode_matches_specializing_facts(self, touches_near):
         kb, axioms = touches_near
         # (touches A B) answers a near-goal by retrieval when the mode is on
         ans = ask(kb, axioms, Q("near", "A", "?y"), 0, genlpreds_mode=True)
-        assert ans.bindings == {"B"}
+        assert ans == {"B"}
 
     def test_genlpreds_mode_matches_rule_heads(self):
         kb, axioms = parse_kb(
@@ -148,9 +156,9 @@ class TestBackchain:
             """
         )
         ans = ask(kb, axioms, Q("aids", "C", "?y"), 1)
-        assert ans.bindings == {"D"}
+        assert ans == {"D"}
         off = ask(kb, axioms, Q("aids", "C", "?y"), 1, genlpreds_mode=False)
-        assert off.bindings == frozenset()
+        assert off == frozenset()
 
     def test_depth_monotonicity(self):
         kb, axioms = parse_kb(
@@ -164,7 +172,7 @@ class TestBackchain:
         q = Q("lvl3", "E1", "?y")
         prev = frozenset()
         for d in range(5):
-            cur = ask(kb, axioms, q, d).bindings
+            cur = ask(kb, axioms, q, d)
             assert prev <= cur
             prev = cur
         assert prev == {"E2"}
@@ -178,17 +186,17 @@ class TestBackchain:
             """
         )
         ev = Evaluator(kb, axioms)
-        counts = {d: len(ev.ask(Q("direct", "E1", "?y"), d).bindings) for d in range(3)}
+        counts = {d: len(ev.ask(Q("direct", "E1", "?y"), d)) for d in range(3)}
         assert counts == {0: 1, 1: 2, 2: 2}
 
     def test_fact_monotonicity(self):
         kb, axioms = parse_kb("(p A B)\n(<= (r ?x ?y) (p ?x ?y))")
-        before = ask(kb, axioms, Q("r", "A", "?y"), 1).bindings
+        before = ask(kb, axioms, Q("r", "A", "?y"), 1)
         kb2 = kb.add_facts([F("p", "A", "C")])
-        after = ask(kb2, axioms, Q("r", "A", "?y"), 1).bindings
+        after = ask(kb2, axioms, Q("r", "A", "?y"), 1)
         assert before <= after
 
-    def test_cycle_cut_terminates(self):
+    def test_mutual_recursion_terminates(self):
         # mutually recursive rules must not loop the prover
         kb, axioms = parse_kb(
             """
@@ -198,7 +206,7 @@ class TestBackchain:
             """
         )
         ans = ask(kb, axioms, Q("p", "A", "?y"), 50)
-        assert ans.bindings == {"B"}
+        assert ans == {"B"}
 
     def test_constants_in_rules(self):
         kb, axioms = parse_kb(
@@ -209,26 +217,43 @@ class TestBackchain:
             """
         )
         ans = ask(kb, axioms, Q("opens", "E1", "?v"), 1)
-        assert ans.bindings == {"Vault"}
+        assert ans == {"Vault"}
 
     def test_shared_memo_across_queries(self):
         kb, axioms = parse_kb("(p A B)\n(p A C)\n(<= (r ?x ?y) (p ?x ?y))")
         ev = Evaluator(kb, axioms)
         first = ev.ask(Q("r", "A", "?y"), 3)
         second = ev.ask(Q("r", "A", "?y"), 3)
-        assert first.bindings == second.bindings
+        assert first == second
 
     def test_negative_depth_rejected(self):
         kb = kb_of(("p", "a", "b"))
         with pytest.raises(ValueError):
             ask(kb, AxiomSet([]), Q("p", "a", "?x"), -1)
 
-    @pytest.mark.xfail(strict=True, reason="the ancestor cut drops answers of rules that recurse on both sides")
     def test_doubly_recursive_rule_is_complete(self):
-        lines = [f"(par N{i} N{i + 1})" for i in range(39)]
-        lines += ["(<= (anc ?x ?y) (par ?x ?y))", "(<= (anc ?x ?y) (anc ?x ?z) (anc ?z ?y))"]
-        kb, axioms = parse_kb("\n".join(lines))
-        assert len(ask(kb, axioms, Q("anc", "N0", "?x"), 40).bindings) == 39
+        kb, axioms = chain_closure("(anc ?x ?z) (anc ?z ?y)")
+        assert len(ask(kb, axioms, Q("anc", "N0", "?x"), 40)) == 39
+
+    @pytest.mark.parametrize("body", ["(anc ?x ?z) (par ?z ?y)", "(par ?x ?z) (anc ?z ?y)"], ids=["left", "right"])
+    def test_linear_recursion_counts_per_depth(self, body):
+        # a proof of height d reaches d steps down the chain, from either side
+        kb, axioms = chain_closure(body)
+        assert [len(ask(kb, axioms, Q("anc", "N0", "?x"), d)) for d in range(41)] == list(range(40)) + [39]
+
+    def test_doubly_recursive_counts_per_depth(self):
+        # a proof of height d joins two of height d - 1, so it spans up to
+        # 2 ** (d - 1) steps of the 39
+        kb, axioms = chain_closure("(anc ?x ?z) (anc ?z ?y)")
+        assert [len(ask(kb, axioms, Q("anc", "N0", "?x"), d)) for d in range(9)] == [0, 1, 2, 4, 8, 16, 32, 39, 39]
+
+    def test_recursive_memo_is_bounded_by_goals_and_depths(self):
+        # the depth-40 query holds at most one answer set per (goal, depth):
+        # 40 goals (anc Ni ?y) and 40 goals (par Ni ?y), at depths 0 to 40
+        kb, axioms = chain_closure("(anc ?x ?z) (anc ?z ?y)")
+        ev = Evaluator(kb, axioms)
+        ev.ask(Q("anc", "N0", "?x"), 40)
+        assert len(ev._memo) <= 2 * 40 * 41
 
     def test_query_requires_exactly_one_variable(self):
         with pytest.raises(ValueError):
@@ -257,12 +282,12 @@ class TestSetAtATimeJoin:
         solved = []
         solve = ev._solve
 
-        def spy(canon, depth, stack):
+        def spy(canon, depth):
             solved.append(canon)
-            return solve(canon, depth, stack)
+            return solve(canon, depth)
 
         ev._solve = spy
-        answers = ev._solve(("r", (0, 1)), 1, frozenset())
+        answers = ev._solve(("r", (0, 1)), 1)
         assert sorted(c for c in solved if c[0] == "b") == [("b", (f"Y{j}", 0)) for j in range(3)]
         assert set(answers) == {args for pred, args in naive_fixpoint(kb, axioms) if pred == "r"}
 
@@ -275,7 +300,7 @@ class TestOracleEquivalence:
         queries = expand_templates(dom.kb, dom.templates)
         ev = Evaluator(dom.kb, dom.axioms, genlpreds_mode=True)
         for q in queries:
-            got = ev.ask(q, len(dom.axioms)).bindings
+            got = ev.ask(q, len(dom.axioms))
             assert got == oracle_bindings(fix, q.atom), f"seed={seed} query={q.atom}"
 
     @pytest.mark.parametrize("seed", range(25))
@@ -285,7 +310,7 @@ class TestOracleEquivalence:
         queries = expand_templates(dom.kb, dom.templates)
         ev = Evaluator(dom.kb, dom.axioms, genlpreds_mode=True)
         for q in queries:
-            got = ev.ask(q, len(dom.axioms)).bindings
+            got = ev.ask(q, len(dom.axioms))
             assert got == oracle_bindings(fix, q.atom), f"seed={seed} query={q.atom}"
 
     def test_determinism(self):
@@ -294,8 +319,35 @@ class TestOracleEquivalence:
         runs = []
         for _ in range(2):
             ev = Evaluator(dom.kb, dom.axioms)
-            runs.append([tuple(sorted(ev.ask(q, 8).bindings)) for q in queries])
+            runs.append([tuple(sorted(ev.ask(q, 8))) for q in queries])
         assert runs[0] == runs[1]
+
+
+class TestDepthExactOracle:
+    """At every depth limit d, a query's answers are exactly the atoms with a
+    proof of height at most d, on stratified and recursive rule sets alike."""
+
+    @staticmethod
+    def check(dom):
+        rounds = fixpoint_rounds(dom.kb, dom.axioms, dom.genl_edges)
+        queries = expand_templates(dom.kb, dom.templates)
+        for d in range(len(rounds) + 1):
+            ev = Evaluator(dom.kb, dom.axioms)
+            for q in queries:
+                want = oracle_bindings(rounds[min(d, len(rounds) - 1)], q.atom)
+                assert ev.ask(q, d) == want, f"depth={d} query={q.atom}"
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_stratified(self, seed):
+        self.check(random_domain(seed))
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_stratified_with_genlpreds(self, seed):
+        self.check(random_domain(seed, with_genlpreds=True))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_recursive(self, seed):
+        self.check(random_domain(seed, recursive=True))
 
 
 class TestSolutions:
@@ -347,7 +399,7 @@ class TestBottomUp:
         root_id = g.roots[0]
         for entity in ("E1", "E2"):
             q = Q("root", entity, "?y")
-            expected = ask(kb, axioms, q, g.depth_bound).bindings
+            expected = ask(kb, axioms, q, g.depth_bound)
             got = {a.args[1] for a in sets[root_id] if a.args[0] == entity}
             assert got == expected
 
@@ -369,7 +421,7 @@ class TestBottomUp:
         sets = bottom_up_eval(space, dom.kb)
         axioms = dom.axioms.restrict(space.retained_axiom_ids())
         for q in queries:
-            oid = g.node_for_schema(q.schema())
+            oid = g.node_for_schema(GoalSchema(q.atom.predicate, 2, tuple(isinstance(t, str) for t in q.atom.args)))
             if oid is None or oid not in space.or_members:
                 continue
             bound_pos = next(i for i, t in enumerate(q.atom.args) if isinstance(t, str))
@@ -378,7 +430,7 @@ class TestBottomUp:
                 for a in sets[oid]
                 if a.args[bound_pos] == q.atom.args[bound_pos]
             }
-            full = ask(dom.kb, axioms, q, g.depth_bound).bindings
+            full = ask(dom.kb, axioms, q, g.depth_bound)
             assert got <= full
 
 

@@ -28,8 +28,7 @@ from conftest import A, F, kb_of
 
 def retrieve(kb, pattern):
     """Bindings of a single-variable pattern by retrieval alone (depth 0)."""
-    ans = Evaluator(kb, AxiomSet([]), genlpreds_mode=False).ask(Query(pattern), 0)
-    return ans.bindings
+    return Evaluator(kb, AxiomSet([]), genlpreds_mode=False).ask(Query(pattern), 0)
 
 
 _NO_BODY = "rule has no body atoms (enter bodiless rules as facts)"
