@@ -265,9 +265,9 @@ class Evaluator:
     (``_rule_plan``): it checks the goal's constants against the head, then
     joins the body set-at-a-time, solving each distinct subgoal once per body
     atom, one depth unit below the goal.  Facts are matched as the KB's
-    symbol-tuple rows.  No goal is cut for repeating an ancestor: the depth
-    limit alone ends the search, so recursive rules get every answer whose
-    proof fits in the limit, at up to one memo entry per (goal, depth).
+    symbol-tuple rows.  The depth limit alone ends the search, so recursive
+    rules get every answer whose proof fits in the limit, at up to one memo
+    entry per (goal, depth).
     Sharing one evaluator across a query set amortizes the goal memo, the
     per-shape tables of retained clause plans and the lazily built
     positional row indices.  Evaluators are not shared between threads;
