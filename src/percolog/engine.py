@@ -323,12 +323,19 @@ class Evaluator:
 
     def ask(self, query: Query, depth_limit: int) -> frozenset[str]:
         """The constants that answer the query's open variable by a proof of
-        height at most ``depth_limit``."""
+        height at most ``depth_limit``.  Raises ValueError when the search
+        nests deeper than Python's recursion limit, as recursive rules do at
+        depth limits in the hundreds."""
         if depth_limit < 0:
             raise ValueError("depth_limit must be >= 0")
         slots: dict[Variable, int] = {}
         parts = tuple(t if isinstance(t, str) else slots.setdefault(t, len(slots)) for t in query.atom.args)
-        return frozenset([t[0] for t in self._solve((query.atom.predicate, parts), depth_limit)])
+        try:
+            return frozenset([t[0] for t in self._solve((query.atom.predicate, parts), depth_limit)])
+        except RecursionError:
+            raise ValueError(
+                f"depth limit {depth_limit} is too deep for {query.atom}: the search exceeds Python's recursion limit"
+            ) from None
 
     def _solve(self, canon: tuple, depth: int) -> frozenset:
         """Answer tuples for the goal's slots, in slot order, by proofs of

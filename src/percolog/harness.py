@@ -16,7 +16,7 @@ import json
 import logging
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -87,29 +87,11 @@ def expand_templates(kb: KnowledgeBase, templates: Sequence[QueryTemplate]) -> t
 
 def load_templates(path: "str | Path") -> list[QueryTemplate]:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [
-        QueryTemplate(
-            id=t["id"],
-            predicate=t["predicate"],
-            bound_position=t["bound_position"],
-            param_collection=t["param_collection"],
-            open_position=t["open_position"],
-        )
-        for t in doc
-    ]
+    return [QueryTemplate(**{f.name: t[f.name] for f in fields(QueryTemplate)}) for t in doc]
 
 
 def save_templates(templates: Sequence[QueryTemplate], path: "str | Path") -> None:
-    doc = [
-        {
-            "id": t.id,
-            "predicate": t.predicate,
-            "bound_position": t.bound_position,
-            "param_collection": t.param_collection,
-            "open_position": t.open_position,
-        }
-        for t in templates
-    ]
+    doc = [asdict(t) for t in templates]
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
@@ -217,25 +199,6 @@ _CONFIG_CHECKS = {
 }
 
 
-SWEEP_COLUMNS = (
-    "model",
-    "k_or_beta",
-    "replicate",
-    "seed",
-    "kb_id",
-    "kb_facts",
-    "axiom_count",
-    "or_nodes",
-    "avg_degree",
-    "alpha",
-    "q_count",
-    "answered",
-    "answered_fraction",
-    "total_answers",
-    "threshold_hit",
-    "wall_time_s",
-)
-
 COMPARISON_COLUMNS = (
     "kb_id",
     "pairs",
@@ -280,8 +243,8 @@ class SweepRow:
     def cell_id(self) -> str:
         return f"{self.kb_id}_{param_tag(self.model, self.k_or_beta)}_rep{self.replicate}"
 
-    def values(self) -> tuple:
-        return tuple(getattr(self, c) for c in SWEEP_COLUMNS)
+
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass
@@ -518,14 +481,14 @@ def build_detectors(
 def compare_models(rows: Sequence[SweepRow], tolerance: float = 0.1) -> list[dict]:
     """Per snapshot: pair Model 1 and Model 2 samples of matching average
     degree, then compare mean total answers (relative change of Model 2)."""
-    kb_order: list[str] = []
+    by_kb: dict[str, dict[str, list[SweepRow]]] = {}
     for r in rows:
-        if r.kb_id not in kb_order:
-            kb_order.append(r.kb_id)
+        models = by_kb.setdefault(r.kb_id, {"model1": [], "model2": []})
+        if not r.is_error:
+            models.setdefault(r.model, []).append(r)
     table = []
-    for kb_id in kb_order:
-        m1 = [r for r in rows if r.kb_id == kb_id and r.model == "model1" and not r.is_error]
-        m2 = [r for r in rows if r.kb_id == kb_id and r.model == "model2" and not r.is_error]
+    for kb_id, models in by_kb.items():
+        m1, m2 = models["model1"], models["model2"]
         pairs = greedy_degree_pairs(
             [r.avg_degree for r in m1], [r.avg_degree for r in m2], tolerance
         )
@@ -552,18 +515,11 @@ def compare_models(rows: Sequence[SweepRow], tolerance: float = 0.1) -> list[dic
 def figure_tables(rows: Sequence[SweepRow]) -> dict[str, list[dict]]:
     """Coverage-versus-parameter aggregates per KB (one table per model)."""
     out: dict[str, list[dict]] = {"model1": [], "model2": []}
-    seen: dict[tuple[str, str, float], list[SweepRow]] = {}
-    order: list[tuple[str, str, float]] = []
+    groups: dict[tuple[str, str, float], list[SweepRow]] = {}
     for r in rows:
-        if r.is_error:
-            continue
-        key = (r.model, r.kb_id, r.k_or_beta)
-        if key not in seen:
-            seen[key] = []
-            order.append(key)
-        seen[key].append(r)
-    for model, kb_id, value in order:
-        group = seen[(model, kb_id, value)]
+        if not r.is_error:
+            groups.setdefault((r.model, r.kb_id, r.k_or_beta), []).append(r)
+    for (model, kb_id, value), group in groups.items():
         out[model].append(
             {
                 "kb_id": kb_id,
@@ -593,16 +549,11 @@ def _format_cell(v) -> str:
 
 
 def format_table(rows: "Sequence[SweepRow] | Sequence[Mapping]", columns: Optional[Sequence[str]] = None) -> str:
-    """CSV text for rows: stable column order, header, LF endings, '.' decimals."""
-    if rows and isinstance(rows[0], SweepRow):
+    """CSV text for rows: stable column order (``SWEEP_COLUMNS`` unless
+    ``columns`` names others), header, LF endings, '.' decimals."""
+    if columns is None:
         columns = SWEEP_COLUMNS
-        dicts = [dict(zip(SWEEP_COLUMNS, r.values())) for r in rows]  # type: ignore[union-attr]
-    else:
-        dicts = [dict(r) for r in rows]  # type: ignore[arg-type]
-        if columns is None:
-            if not dicts:
-                raise ValueError("cannot infer columns for an empty table; pass columns=")
-            columns = list(dicts[0])
+    dicts = [asdict(r) if isinstance(r, SweepRow) else r for r in rows]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)

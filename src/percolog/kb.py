@@ -181,10 +181,11 @@ class KnowledgeBase:
         self._rows: dict[str, tuple[tuple[str, ...], ...]] = {p: tuple(sorted(grouped[p])) for p in sorted(grouped)}
 
         self._arg_isa = self._collect_arg_isa()
-        _check_acyclic("genls", self.rows("genls"))
-        _check_acyclic("genlPreds", self.rows("genlPreds"))
-        self._instances = self._build_instance_closure()
-        self._specs = self._build_spec_pred_closure()
+        direct: dict[str, set[str]] = defaultdict(set)  # collection -> its isa instances
+        for ent, col in self.rows("isa"):
+            direct[col].add(ent)
+        self._instances = _closure("genls", self.rows("genls"), lambda c: direct.get(c, ()), direct)
+        self._specs = _closure("genlPreds", self.rows("genlPreds"), lambda p: (p,), ())
 
     # -- construction helpers -------------------------------------------------
 
@@ -200,46 +201,6 @@ class KnowledgeBase:
                 raise KbValidationError(f"argIsa position {pos} exceeds arity {known} of {pred!r}")
             out[pred].append((pos, col))
         return {k: tuple(sorted(v)) for k, v in out.items()}
-
-    def _build_instance_closure(self) -> dict[str, frozenset[str]]:
-        direct: dict[str, set[str]] = defaultdict(set)
-        for ent, col in self.rows("isa"):
-            direct[col].add(ent)
-        collections = set(direct)
-        subs: dict[str, set[str]] = defaultdict(set)  # super -> direct subs
-        for sub, sup in self.rows("genls"):
-            collections.update((sub, sup))
-            subs[sup].add(sub)
-        for constraints in self._arg_isa.values():
-            collections.update(col for _, col in constraints)
-        # accumulate in topological order, subs before supers
-        order = _topo_order(collections, self.rows("genls"))
-        closed: dict[str, frozenset[str]] = {}
-        for col in order:
-            acc = set(direct.get(col, ()))
-            for sub in subs.get(col, ()):
-                acc |= closed[sub]
-            closed[col] = frozenset(acc)
-        return closed
-
-    def _build_spec_pred_closure(self) -> dict[str, frozenset[str]]:
-        into: dict[str, set[str]] = defaultdict(set)  # g -> direct specializers s
-        preds = set()
-        for s, g in self.rows("genlPreds"):
-            into[g].add(s)
-            preds.update((s, g))
-        closed: dict[str, frozenset[str]] = {}
-        for p in preds:
-            acc = {p}
-            stack = [p]
-            while stack:
-                cur = stack.pop()
-                for s in into.get(cur, ()):
-                    if s not in acc:
-                        acc.add(s)
-                        stack.append(s)
-            closed[p] = frozenset(acc)
-        return closed
 
     # -- read API --------------------------------------------------------------
 
@@ -331,10 +292,22 @@ def _topo_order(nodes: Iterable[str], edges: Sequence[tuple[str, ...]], key: Opt
     return order
 
 
-def _check_acyclic(name: str, edges: Sequence[tuple[str, ...]]) -> None:
-    nodes = {n for e in edges for n in e}
-    if len(_topo_order(nodes, edges)) != len(nodes):
+def _closure(
+    name: str, edges: Sequence[tuple[str, ...]], base: Callable[[str], Iterable[str]], nodes: Iterable[str]
+) -> dict[str, frozenset[str]]:
+    """For each of ``nodes`` and each end of the (sub, super) ``edges``: its
+    ``base`` members plus those of every node below it.  Raises
+    :class:`KbValidationError` naming the hierarchy if the edges hold a cycle."""
+    nodes = set(nodes).union(*edges)
+    subs: dict[str, list[str]] = defaultdict(list)  # super -> direct subs
+    for sub, sup in edges:
+        subs[sup].append(sub)
+    closed: dict[str, frozenset[str]] = {}
+    for n in _topo_order(nodes, edges):  # subs before supers
+        closed[n] = frozenset(base(n)).union(*[closed[sub] for sub in subs[n]])
+    if len(closed) != len(nodes):
         raise KbValidationError(f"{name} hierarchy contains a cycle")
+    return closed
 
 
 # ---------------------------------------------------------------------------

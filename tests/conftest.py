@@ -47,6 +47,13 @@ def kb_of(*fact_specs) -> KnowledgeBase:
     return KnowledgeBase(F(*spec) for spec in fact_specs)
 
 
+def node_chain_text(*rules: str) -> str:
+    """KB text for the 40-node chain N0 -> ... -> N39 of par facts, each node
+    an instance of Node (for templates over Node), followed by ``rules``."""
+    lines = [f"(isa N{i} Node)" for i in range(40)] + [f"(par N{i} N{i + 1})" for i in range(39)]
+    return "\n".join([*lines, *rules]) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Independent oracle: naive bottom-up fixpoint on plain tuples
 # ---------------------------------------------------------------------------
@@ -211,7 +218,8 @@ def random_domain(seed: int, with_genlpreds: bool = False, recursive: bool = Fal
     if n_collections >= 2 and rng.random() < 0.6:
         fact_lines.append(f"(genls {collections[1]} {collections[0]})")
 
-    n_facts = rng.randint(5, 50)
+    # no more facts than the predicates and entities admit
+    n_facts = min(rng.randint(5, 50), sum(n_entities ** arity[p] for p in preds))
     seen = set()
     while len(seen) < n_facts:
         p = rng.choice(preds)

@@ -5,6 +5,8 @@ import pytest
 from percolog.cli import main
 from percolog.harness import parse_rows
 
+from conftest import node_chain_text
+
 SYNTH_CONFIG = {
     "predicates": 10,
     "entities": 24,
@@ -308,6 +310,25 @@ class TestExitCodes:
         (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
         rc = main(["sweep", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
         assert rc == 3
+
+    def test_too_deep_ask_is_two(self, tmp_path, capsys):
+        # depth 1,000 over the 40-node left-recursive chain passes Python's
+        # recursion limit: a one-line error, not a traceback
+        text = node_chain_text("(<= (anc ?x ?y) (par ?x ?y))", "(<= (anc ?x ?y) (anc ?x ?z) (par ?z ?y))")
+        (tmp_path / "chain.kb").write_text(text, encoding="utf-8")
+        (tmp_path / "templates.json").write_text(
+            json.dumps([{"id": "t0", "predicate": "anc", "bound_position": 1,
+                         "param_collection": "Node", "open_position": 2}]),
+            encoding="utf-8",
+        )
+        argv = ["ask", "--kb", str(tmp_path / "chain.kb"), "--templates", str(tmp_path / "templates.json")]
+        assert main(argv + ["--depth", "200"]) == 0
+        assert json.loads(capsys.readouterr().out)["answered"] == 39
+        assert main(argv + ["--depth", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: depth limit 1000 is too deep for (anc N0 ?x)")
+        assert captured.err.count("\n") == 1
 
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0

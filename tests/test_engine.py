@@ -247,6 +247,15 @@ class TestBackchain:
         kb, axioms = chain_closure("(anc ?x ?z) (anc ?z ?y)")
         assert [len(ask(kb, axioms, Q("anc", "N0", "?x"), d)) for d in range(9)] == [0, 1, 2, 4, 8, 16, 32, 39, 39]
 
+    def test_too_deep_a_search_is_refused(self):
+        # each unit of depth nests three Python calls, so depth 1,000 over the
+        # left-recursive chain passes the recursion limit (depth 200 answers)
+        kb, axioms = chain_closure("(anc ?x ?z) (par ?z ?y)")
+        ev = Evaluator(kb, axioms)
+        with pytest.raises(ValueError, match="depth limit 1000 is too deep for"):
+            ev.ask(Q("anc", "N0", "?x"), 1000)
+        assert len(ev.ask(Q("anc", "N0", "?x"), 200)) == 39
+
     def test_recursive_memo_is_bounded_by_goals_and_depths(self):
         # the depth-40 query holds at most one answer set per (goal, depth):
         # 40 goals (anc Ni ?y) and 40 goals (par Ni ?y), at depths 0 to 40
@@ -348,6 +357,14 @@ class TestDepthExactOracle:
     @pytest.mark.parametrize("seed", range(40))
     def test_recursive(self, seed):
         self.check(random_domain(seed, recursive=True))
+
+
+def test_random_domain_returns_on_every_seed():
+    # the suites use seeds below 200; some seeds above draw more facts than
+    # their predicates and entities admit, which the generator caps
+    for seed in range(200, 300):
+        for genlpreds, recursive in ((False, False), (True, False), (False, True)):
+            assert random_domain(seed, genlpreds, recursive).kb.fact_count > 0
 
 
 class TestSolutions:

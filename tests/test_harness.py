@@ -32,7 +32,7 @@ from percolog.harness import (
     write_sweep_outputs,
 )
 
-from conftest import kb_of
+from conftest import kb_of, node_chain_text
 
 
 class TestExpandTemplates:
@@ -387,6 +387,22 @@ class TestRunSweep:
         with pytest.raises(SweepCellError) as err:
             run_sweep(cfg)
         assert "full_model1_k2_rep0" in str(err.value)
+
+    def test_too_deep_a_cell_aborts_naming_the_cell(self, tmp_path):
+        # the retained rule meets the open goal (anc ?w ?v) once per unit of
+        # depth, so depth limit 1,000 passes Python's recursion limit
+        text = node_chain_text("(<= (anc ?x ?y) (par ?x ?y))", "(<= (anc ?x ?y) (par ?x ?y) (anc ?w ?v))")
+        (tmp_path / "chain.kb").write_text(text, encoding="utf-8")
+        save_templates([QueryTemplate("t0", "anc", 1, "Node", 2)], tmp_path / "templates.json")
+        cfg = ExperimentConfig(
+            kb=str(tmp_path / "chain.kb"),
+            templates=str(tmp_path / "templates.json"),
+            model1_k=(2,),
+            replicates=1,
+            depth_limit=1000,
+        )
+        with pytest.raises(SweepCellError, match="cell full_model1_k2_rep0 failed: depth limit 1000"):
+            run_sweep(cfg)
 
     def test_continue_on_error_records_error_rows(self, tmp_path, monkeypatch):
         write_experiment(tmp_path)

@@ -274,6 +274,49 @@ def _reaches_brute(src, dst, edges):
         frontier = nxt
 
 
+_COLLECTIONS = ("c0", "c1", "c2", "c3", "c4", "c5")
+_PREDS = ("p0", "p1", "p2", "p3", "p4", "p5")
+
+
+def _dags(names):
+    """Random acyclic (sub, super) edge lists over ``names``: each edge runs
+    from a later to an earlier name of a shuffled order, so chains, diamonds
+    and multiple parents occur but no cycle."""
+    return st.permutations(names).flatmap(
+        lambda order: st.lists(
+            st.sampled_from([(order[i], order[j]) for i in range(len(order)) for j in range(i)]),
+            unique=True,
+            max_size=10,
+        )
+    )
+
+
+class TestClosureProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        _dags(_COLLECTIONS),
+        _dags(_PREDS),
+        st.lists(st.tuples(st.sampled_from("abcde"), st.sampled_from(_COLLECTIONS + ("loose",))), max_size=12),
+        st.data(),
+    )
+    def test_closures_equal_reachability(self, genls, genl_preds, isa, data):
+        facts = [F("genls", *e) for e in genls] + [F("genlPreds", *e) for e in genl_preds]
+        facts += [F("isa", *e) for e in isa]
+        kb = KnowledgeBase(facts)
+        for c in _COLLECTIONS + ("loose", "absent"):
+            assert kb.instances_of(c) == {e for e, d in isa if _reaches_brute(d, c, genls)}
+        for p in _PREDS + ("absent",):
+            assert kb.spec_preds(p) == {p} | {s for s in _PREDS if _reaches_brute(s, p, genl_preds)}
+        # a back edge from a super to any node below it closes a cycle
+        for name, names, edges in (("genls", _COLLECTIONS, genls), ("genlPreds", _PREDS, genl_preds)):
+            below = [(a, b) for a in names for b in names if a != b and _reaches_brute(a, b, edges)]
+            if not below:
+                continue
+            sub, sup = data.draw(st.sampled_from(below))
+            with pytest.raises(KbValidationError, match=f"^{name} hierarchy contains a cycle$"):
+                KnowledgeBase([*facts, F(name, sup, sub)])
+
+
 class TestWellFormed:
     def test_violating_arg_isa(self):
         kb = kb_of(("argIsa", "mother", "1", "Animal"), ("isa", "Rex", "Animal"))
