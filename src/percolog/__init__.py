@@ -5,6 +5,7 @@ from .engine import (
     Evaluator,
     Query,
     QueryTemplate,
+    SnapshotCache,
     bottom_up_eval,
     depth_profile,
     solutions,

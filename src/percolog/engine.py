@@ -19,6 +19,12 @@ with a proof of height at most d.  Results are memoized per canonical goal
 depth; a deep query over recursive rules holds up to one answer set per
 (goal, depth) pair.
 
+The cells of a sweep sample many spaces from one snapshot, and their
+retained rule sets overlap.  A :class:`SnapshotCache` lets them share work:
+bottom-up, the head rows of each rule application under the hash-consed
+signatures of its children; top-down, the goal memo of each retained-clause
+cone, since a goal's answers depend only on the clauses it can reach.
+
 With ``genlpreds_mode`` on (the default), a goal additionally matches facts
 and rule heads whose predicate implies the goal's predicate via genlPreds.
 """
@@ -31,13 +37,14 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .graph import GoalSchema, SearchSpace, greedy_body_order
+from .graph import AndOrGraph, GoalSchema, SearchSpace, greedy_body_order
 from .kb import Atom, AxiomSet, HornClause, KnowledgeBase, Variable
 
 __all__ = [
     "Query",
     "QueryTemplate",
     "Evaluator",
+    "SnapshotCache",
     "solutions",
     "bottom_up_eval",
     "depth_profile",
@@ -256,6 +263,84 @@ class _Probes(dict):
         return hits
 
 
+_NO_ANSWERS: frozenset = frozenset()  # every empty answer set, shared
+
+
+class SnapshotCache:
+    """Work shared by every space evaluated on one snapshot of the KB, under
+    one genlPreds mode; drop it when the sweep moves to the next snapshot.
+
+    Bottom-up, each member OR node gets a hash-consed signature id: the node
+    plus its retained AND children with their children's signature ids.  Two
+    cells whose nodes carry the same signatures derive the same rows, so the
+    head rows of a rule application are cached per (AND node, child
+    signature ids).  Top-down, a goal's answers at a depth depend only on
+    the cone of retained clauses its predicate reaches through heads and
+    body atoms, recursion included, so the goal memo is kept per cone.  A
+    cone's memo is shared from its second evaluator on: a cone only one cell
+    uses stays in that evaluator's private memo and dies with it.
+    """
+
+    def __init__(self, kb: KnowledgeBase, genlpreds_mode: bool = True):
+        self.kb = kb
+        self.mode = genlpreds_mode
+        self.graph: Optional[AndOrGraph] = None  # bound by the first depth profile
+        self._base: dict[tuple[str, int], frozenset[tuple]] = {}  # (predicate, arity) -> KB rows
+        self._sigs: dict[tuple, int] = {}  # (OR node, its retained applications) -> signature id
+        self._fired: dict[tuple, tuple] = {}  # (AND node, child signature ids) -> head rows
+        self._bits: dict[HornClause, int] = {}  # clause content -> its bit in a cone
+        self._first: dict[int, int] = {}  # cone -> the evaluator that used it first
+        self._memos: dict[int, dict] = {}  # cone -> its shared goal memo
+        self._evaluators = 0
+        self.fired_hits = 0
+        self.memo_hits = 0
+
+    def check(self, kb: KnowledgeBase, genlpreds_mode: bool, graph: Optional[AndOrGraph] = None) -> None:
+        """Raise ValueError unless the cache serves this snapshot and mode,
+        and the graph its rule applications were cached on."""
+        if graph is not None and self.graph is None:
+            self.graph = graph
+        if kb is not self.kb or genlpreds_mode != self.mode or graph not in (None, self.graph):
+            raise ValueError("a SnapshotCache serves one KB snapshot, genlPreds mode and graph")
+
+    def base_rows(self, predicate: str, arity: int) -> frozenset[tuple]:
+        """The KB rows of every predicate specializing the predicate (just its
+        own with the mode off) at the arity."""
+        rows = self._base.get((predicate, arity))
+        if rows is None:
+            kb = self.kb
+            preds = kb.spec_preds(predicate) if self.mode else (predicate,)
+            rows = self._base[(predicate, arity)] = frozenset().union(
+                *(kb.rows(p) for p in preds if kb.arity(p) == arity)
+            )
+        return rows
+
+    def cone_bit(self, clause: HornClause) -> int:
+        """The clause's bit in the cones: one bit per clause content."""
+        bit = self._bits.get(clause)
+        if bit is None:
+            bit = self._bits[clause] = 1 << len(self._bits)
+        return bit
+
+    def memo(self, cone: int, evaluator: int, private: dict) -> dict:
+        """The goal memo of the cone for the evaluator: its private memo when
+        it is the cone's first user, the shared one from the second on."""
+        memo = self._memos.get(cone)
+        if memo is None:
+            if self._first.setdefault(cone, evaluator) == evaluator:
+                return private
+            memo = self._memos[cone] = {}
+        return memo
+
+    def stats(self) -> str:
+        """The cache's size and hits, for the sweep's debug log."""
+        return (
+            f"{len(self._memos)} shared cones, {sum(map(len, self._memos.values()))} memo entries, "
+            f"{len(self._fired)} cached rule applications, {self.fired_hits} rule-application hits, "
+            f"{self.memo_hits} memo hits"
+        )
+
+
 class Evaluator:
     """Reusable backchaining context over a fixed (kb, axioms, mode) triple.
 
@@ -270,17 +355,66 @@ class Evaluator:
     entry per (goal, depth).
     Sharing one evaluator across a query set amortizes the goal memo, the
     per-shape tables of retained clause plans and the lazily built
-    positional row indices.  Evaluators are not shared between threads;
-    create one per worker.
+    positional row indices.  With a :class:`SnapshotCache` the memo of each
+    retained-clause cone is shared with the snapshot's other evaluators.
+    Evaluators are not shared between threads; create one per worker.
     """
 
-    def __init__(self, kb: KnowledgeBase, axioms: AxiomSet, genlpreds_mode: bool = True):
+    def __init__(
+        self,
+        kb: KnowledgeBase,
+        axioms: AxiomSet,
+        genlpreds_mode: bool = True,
+        cache: Optional[SnapshotCache] = None,
+    ):
         self.kb = kb
         self.axioms = axioms
         self.mode = genlpreds_mode
-        self._memo: dict = {}
+        self.cache = cache
+        if cache is not None:
+            cache.check(kb, genlpreds_mode)
+            cache._evaluators += 1
+            self._serial = cache._evaluators
+        self._memo: dict = {}  # (predicate, *parts, depth) -> answers, for the goals of cones not shared
+        self._memos: dict[tuple[str, int], dict] = {}  # (predicate, arity) -> the memo its goals use
+        self._reaches: dict[tuple[str, int], tuple[int, set]] = {}
         self._shapes: dict[tuple, tuple] = {}
         self._pos_index: dict[tuple[str, int], dict[str, list]] = {}
+        self.hits = 0  # memo hits
+
+    def _heads(self, predicate: str, arity: int) -> list[HornClause]:
+        """The retained clauses whose heads can answer goals of the predicate
+        and arity."""
+        preds = set(self.kb.spec_preds(predicate)) if self.mode else {predicate}
+        return [c for c in self.axioms if c.head.predicate in preds and c.head.arity == arity]
+
+    def _reach(self, predicate: str, arity: int) -> tuple[int, set]:
+        """The cone bits of the retained clauses answering goals of the
+        predicate and arity, and the (predicate, arity) of their body atoms."""
+        reach = self._reaches.get((predicate, arity))
+        if reach is None:
+            heads = self._heads(predicate, arity)
+            bits = 0
+            for c in heads:
+                bits |= self.cache.cone_bit(c)
+            reach = self._reaches[(predicate, arity)] = (bits, {(a.predicate, a.arity) for c in heads for a in c.body})
+        return reach
+
+    def _memo_for(self, predicate: str, arity: int) -> dict:
+        """The memo of goals of the predicate and arity: the private one, or
+        the cache's memo of their cone, the retained clauses reachable from
+        them through heads and body atoms."""
+        memo = self._memo
+        if self.cache is not None:
+            cone, seen, todo = 0, {(predicate, arity)}, [(predicate, arity)]
+            while todo:
+                bits, below = self._reach(*todo.pop())
+                cone |= bits
+                todo += below - seen
+                seen |= below
+            memo = self.cache.memo(cone, self._serial, memo)
+        self._memos[(predicate, arity)] = memo
+        return memo
 
     def _shape_table(self, predicate: str, shape: tuple) -> tuple:
         """Build the table for goals of the predicate and shape: the row
@@ -299,7 +433,7 @@ class Evaluator:
                     same.append((i, first[g]))
                 else:
                     first[g] = i
-        plans = (_rule_plan(c, shape) for c in self.axioms if c.head.predicate in preds and c.head.arity == arity)
+        plans = (_rule_plan(c, shape) for c in self._heads(predicate, arity))
         table = self._shapes[(predicate, shape)] = (
             tuple(self._index(p, consts[0]) if consts else self.kb.rows(p)
                   for p in sorted(preds) if self.kb.arity(p) == arity),
@@ -340,11 +474,15 @@ class Evaluator:
     def _solve(self, canon: tuple, depth: int) -> frozenset:
         """Answer tuples for the goal's slots, in slot order, by proofs of
         height at most ``depth``; memoized per (goal, depth)."""
-        key = (canon, depth)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
         predicate, parts = canon
+        memo = self._memos.get((predicate, len(parts)))
+        if memo is None:
+            memo = self._memo_for(predicate, len(parts))
+        key = (predicate, *parts, depth)
+        hit = memo.get(key)
+        if hit is not None:
+            self.hits += 1
+            return hit
         shape = tuple([None if isinstance(p, str) else p for p in parts])
         sources, bound_at, checks, same, project, plans = self._shapes.get((predicate, shape)) or self._shape_table(
             predicate, shape
@@ -370,7 +508,7 @@ class Evaluator:
                     if not partials:
                         break
                 results.update(map(plan.emit, partials))
-        res = self._memo[key] = frozenset(results)
+        res = memo[key] = frozenset(results) if results else _NO_ANSWERS
         return res
 
 
@@ -412,27 +550,37 @@ def _fire_clause(clause: HornClause, child_sets: Sequence[frozenset[tuple]]) -> 
     return set(map(plan.emit, partials))
 
 
-def _node_rows(space: SearchSpace, kb: KnowledgeBase, genlpreds_mode: bool) -> dict[str, frozenset[tuple]]:
+def _node_rows(
+    space: SearchSpace, kb: KnowledgeBase, genlpreds_mode: bool, cache: Optional[SnapshotCache] = None
+) -> dict[str, frozenset[tuple]]:
     """Derived rows per member OR node, children evaluated first.  A node's
     base rows are the KB rows of every predicate specializing its own (just
-    its own with the mode off); retained rule applications add head rows."""
+    its own with the mode off); retained rule applications add head rows,
+    which the cache keeps per (AND node, child signature ids)."""
+    if cache is None:
+        cache = SnapshotCache(kb, genlpreds_mode)
     graph = space.graph
+    cache.check(kb, genlpreds_mode, graph)
     axioms = graph.axioms
-    base_cache: dict[tuple[str, int], frozenset[tuple]] = {}
+    sigs, fired = cache._sigs, cache._fired
+    node_sig: dict[str, int] = {}
     sets: dict[str, frozenset[tuple]] = {}
     for oid in space.reverse_topological_or_order():
         node = graph.or_nodes[oid]
-        ck = (node.predicate, node.arity)
-        base = base_cache.get(ck)
-        if base is None:
-            preds = kb.spec_preds(node.predicate) if genlpreds_mode else (node.predicate,)
-            base = frozenset().union(*(kb.rows(p) for p in preds if kb.arity(p) == node.arity))
-            base_cache[ck] = base
-        derived: set[tuple] = set()
+        applied, derived = [], []
         for aid in space.member_and_children(oid):
             anode = graph.and_nodes[aid]
-            derived |= _fire_clause(axioms.clause(anode.clause_id), [sets[c] for c in anode.children])
-        sets[oid] = base | derived if derived else base
+            key = (aid, tuple([node_sig[c] for c in anode.children]))
+            rows = fired.get(key)
+            if rows is None:
+                rows = fired[key] = tuple(_fire_clause(axioms.clause(anode.clause_id), [sets[c] for c in anode.children]))
+            else:
+                cache.fired_hits += 1
+            applied.append(key)
+            derived.append(rows)
+        node_sig[oid] = sigs.setdefault((oid, tuple(applied)), len(sigs))
+        base = cache.base_rows(node.predicate, node.arity)
+        sets[oid] = base.union(*derived) if derived else base
     return sets
 
 
@@ -453,10 +601,13 @@ def bottom_up_eval(
     }
 
 
-def depth_profile(space: SearchSpace, kb: KnowledgeBase, genlpreds_mode: bool = True) -> dict[int, int]:
+def depth_profile(
+    space: SearchSpace, kb: KnowledgeBase, genlpreds_mode: bool = True, cache: Optional[SnapshotCache] = None
+) -> dict[int, int]:
     """Distinct derived atoms per depth (union across the OR nodes of that
-    depth), the percolation profile from the leaves toward the roots."""
-    sets = _node_rows(space, kb, genlpreds_mode)
+    depth), the percolation profile from the leaves toward the roots.  A
+    cache shares rule applications with the snapshot's other spaces."""
+    sets = _node_rows(space, kb, genlpreds_mode, cache)
     by_depth: dict[int, dict[str, frozenset[tuple]]] = defaultdict(dict)
     for oid in space.or_members:
         node = space.graph.or_nodes[oid]

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from . import metrics
-from .engine import Query, QueryTemplate, depth_profile
+from .engine import Query, QueryTemplate, SnapshotCache, depth_profile
 from .graph import AndOrGraph, GoalSchema, average_degree, build_graph
 from .growth import ablate_grow
 from .kb import Atom, KnowledgeBase, Variable, parse_kb
@@ -118,9 +118,6 @@ class ExperimentConfig:
     threshold: float = 0.2
     compare_tolerance: float = 0.1
     continue_on_error: bool = False
-    # depth profiles are the expensive per-cell artifact; None profiles every
-    # replicate, n > 0 only the first n replicates of each cell group
-    profile_replicates: Optional[int] = None
 
     def __post_init__(self) -> None:
         """Check every key's type and range, whether the config was loaded or
@@ -195,7 +192,6 @@ _CONFIG_CHECKS = {
     "threshold": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
     "compare_tolerance": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
     "continue_on_error": (lambda v: isinstance(v, bool), "true or false"),
-    "profile_replicates": (lambda v: v is None or _is_int(v) and v >= 1, "an integer >= 1"),
 }
 
 
@@ -304,6 +300,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     rows: list[SweepRow] = []
     profiles: dict[str, dict[int, int]] = {}
     for kb_id, kb in exp.snapshots:
+        cache = SnapshotCache(kb, cfg.genlpreds)  # shared by the snapshot's cells
         for model, value in settings:
             for rep in range(cfg.replicates):
                 params = cell_params(model, value, rep, cfg.master_seed, kb_id)
@@ -319,10 +316,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                     t0 = time.perf_counter()
                     space = sample(exp.graph, params)
                     report = metrics.alpha(exp.graph, space, exp.queries, kb)
-                    qa = metrics.answered_fraction(space, kb, exp.queries, cfg.depth_limit, cfg.genlpreds)
-                    profile = None
-                    if cfg.profile_replicates is None or rep < cfg.profile_replicates:
-                        profile = depth_profile(space, kb, cfg.genlpreds)
+                    qa = metrics.answered_fraction(space, kb, exp.queries, cfg.depth_limit, cfg.genlpreds, cache)
+                    profile = depth_profile(space, kb, cfg.genlpreds, cache)
                     row.axiom_count = len(space.retained_axiom_ids())
                     row.or_nodes = space.node_count
                     row.avg_degree = _space_degree(space)
@@ -333,13 +328,13 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                     row.total_answers = qa.total_answers
                     row.threshold_hit = metrics.threshold_hit(qa.fraction, cfg.threshold)
                     row.wall_time_s = time.perf_counter() - t0
-                    if profile is not None:
-                        profiles[row.cell_id()] = profile
+                    profiles[row.cell_id()] = profile
                 except Exception as e:
                     if not cfg.continue_on_error:
                         raise SweepCellError(f"cell {row.cell_id()} failed: {e}") from e
                     log.warning("cell %s failed: %s", row.cell_id(), e)
                 rows.append(row)
+        log.debug("snapshot %s: %s", kb_id, cache.stats())
     result = SweepResult(rows=rows, profiles=profiles)
     result.detectors = build_detectors(rows, profiles)
     result.comparison = compare_models(rows, cfg.compare_tolerance)

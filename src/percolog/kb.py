@@ -11,6 +11,7 @@ are cheap.  KnowledgeBase instances are immutable after construction:
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
@@ -326,7 +327,8 @@ _VAR_RE = re.compile(r"\?[A-Za-z0-9_][A-Za-z0-9_-]*")
 
 
 def _tokenize_line(line: str, lineno: int) -> list[tuple[str, str, int]]:
-    """Tokens as (kind, text, column); kind in {'(', ')', 'const', 'var'}."""
+    """Tokens as (kind, text, column); kind in {'(', ')', 'const', 'var'}.
+    Constants are interned, so the rows of a KB share one string per symbol."""
     toks: list[tuple[str, str, int]] = []
     i, n = 0, len(line)
     while i < n:
@@ -355,7 +357,7 @@ def _tokenize_line(line: str, lineno: int) -> list[tuple[str, str, int]]:
         m = _CONST_RE.match(line, i)
         if not m:
             raise KbSyntaxError(f"unexpected character {c!r}", lineno, col)
-        toks.append(("const", m.group(), col))
+        toks.append(("const", sys.intern(m.group()), col))
         i = m.end()
     return toks
 

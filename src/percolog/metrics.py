@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .engine import Evaluator, Query, solutions
+from .engine import Evaluator, Query, SnapshotCache, solutions
 from .graph import AndOrGraph, SearchSpace
 from .kb import KnowledgeBase
 
@@ -88,13 +88,15 @@ def answered_fraction(
     queries: Sequence[Query],
     depth_limit: int,
     genlpreds_mode: bool = True,
+    cache: Optional[SnapshotCache] = None,
 ) -> QaResult:
     """Backchain every query against the space's retained axioms and report
-    coverage plus the total distinct answers (the model-comparison metric)."""
+    coverage plus the total distinct answers (the model-comparison metric).
+    A cache shares goal memos with the snapshot's other spaces."""
     if len(queries) == 0:
         raise ValueError("answered_fraction needs a nonempty query set")
     axioms = space.graph.axioms.restrict(space.retained_axiom_ids())
-    ev = Evaluator(kb, axioms, genlpreds_mode)
+    ev = Evaluator(kb, axioms, genlpreds_mode, cache)
     per_query = []
     answered = 0
     total = 0
@@ -104,6 +106,8 @@ def answered_fraction(
         if n > 0:
             answered += 1
         total += n
+    if cache is not None:
+        cache.memo_hits += ev.hits
     return QaResult(
         attempted=len(queries),
         answered=answered,

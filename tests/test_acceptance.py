@@ -223,7 +223,6 @@ SWEEP_CONFIG = {
     "depth_bound": 10,
     "depth_limit": 10,
     "threshold": 0.2,
-    "profile_replicates": 1,
 }
 
 
@@ -253,6 +252,8 @@ def test_criterion_7_end_to_end_shape_reproduction(tmp_path):
         rows = parse_rows(tmp_path / "out1" / "sweep.csv")
         assert len(rows) == 3 * (6 + 6) * 7
         assert all(not r.is_error for r in rows)
+        profiles = list((tmp_path / "out1" / "profiles").glob("*.csv"))
+        assert len(profiles) == 252  # every cell is profiled
 
         # threshold flags match direct recomputation on every row
         for r in rows:

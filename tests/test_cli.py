@@ -155,7 +155,6 @@ def test_sweep_detect_compare(workspace, capsys):
         "model2_beta": [30, 60],
         "replicates": 2,
         "master_seed": 7,
-        "profile_replicates": 1,
     }
     (ws / "sweep.json").write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["sweep", "--config", str(ws / "sweep.json"), "--out", str(ws / "out")]) == 0
@@ -211,7 +210,7 @@ BASE_SWEEP = {"kb": "kb.kb", "templates": "templates.json", "model1_k": [2], "re
     [
         ("replicates", "2"),
         ("replicates", 0),
-        ("profile_replicates", 0),
+        ("snapshot_sizes", [5000.5]),
         ("threshold", 5),
         ("threshold", -0.1),
         ("depth_limit", -1),

@@ -14,9 +14,11 @@ from percolog import (
     induced_space,
     solutions,
 )
-from percolog.engine import Evaluator, _join, _rule_plan
+from percolog.engine import Evaluator, SnapshotCache, _join, _rule_plan
 from percolog.harness import expand_templates, root_schemas
 from percolog.kb import Atom, HornClause, parse_kb
+from percolog.metrics import answered_fraction
+from percolog.sampling import cell_params, sample
 
 from conftest import A, F, fixpoint_rounds, kb_of, naive_fixpoint, oracle_bindings, random_domain
 
@@ -264,6 +266,15 @@ class TestBackchain:
         ev.ask(Q("anc", "N0", "?x"), 40)
         assert len(ev._memo) <= 2 * 40 * 41
 
+    def test_shared_recursive_memo_is_bounded_by_goals_and_depths(self):
+        # the second evaluator of the query's cone fills the cache's memo,
+        # with the same bound
+        kb, axioms = chain_closure("(anc ?x ?z) (anc ?z ?y)")
+        cache = SnapshotCache(kb)
+        for _ in range(2):
+            Evaluator(kb, axioms, cache=cache).ask(Q("anc", "N0", "?x"), 40)
+        assert cache._memos and sum(map(len, cache._memos.values())) <= 2 * 40 * 41
+
     def test_query_requires_exactly_one_variable(self):
         with pytest.raises(ValueError):
             Q("p", "?x", "?y")
@@ -299,6 +310,74 @@ class TestSetAtATimeJoin:
         answers = ev._solve(("r", (0, 1)), 1)
         assert sorted(c for c in solved if c[0] == "b") == [("b", (f"Y{j}", 0)) for j in range(3)]
         assert set(answers) == {args for pred, args in naive_fixpoint(kb, axioms) if pred == "r"}
+        # solved again, the goal is a memo hit, or is solved anew without one
+        ev._solve(("r", (0, 1)), 1)
+        assert len([c for c in solved if c[0] == "b"]) == (3 if memo else 6)
+
+
+def _sampled_spaces(graph, n):
+    """n spaces of the graph, Model 1 and Model 2 alike."""
+    settings = [("model1", 2), ("model1", 3), ("model2", 30), ("model2", 60)]
+    return [sample(graph, cell_params(*settings[i % 4], i // 4, 7)) for i in range(n)]
+
+
+class TestSnapshotCache:
+    """Spaces evaluated through one snapshot's cache, in any order, get what
+    each gets evaluated alone."""
+
+    @staticmethod
+    def check(dom, seed):
+        graph = build_graph(dom.axioms, root_schemas(dom.templates), 6, kb=dom.kb)
+        queries = expand_templates(dom.kb, dom.templates)
+        rng = random.Random(seed)
+        cells = [(space, rng.randint(0, 6)) for space in _sampled_spaces(graph, 10) for _ in range(2)]
+        rng.shuffle(cells)
+        cache = SnapshotCache(dom.kb)
+        for space, depth in cells:
+            alone = answered_fraction(space, dom.kb, queries, depth)
+            shared = answered_fraction(space, dom.kb, queries, depth, True, cache)
+            assert shared.per_query == alone.per_query, f"depth={depth} axioms={sorted(space.retained_axiom_ids())}"
+            assert depth_profile(space, dom.kb, True, cache) == depth_profile(space, dom.kb)
+        assert cache._memos and cache.memo_hits > 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stratified(self, seed):
+        self.check(random_domain(seed), seed)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stratified_with_genlpreds(self, seed):
+        self.check(random_domain(seed, with_genlpreds=True), seed)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_recursive(self, seed):
+        self.check(random_domain(seed, recursive=True), seed)
+
+    def test_rule_applications_are_shared(self):
+        dom = random_domain(3)
+        graph = build_graph(dom.axioms, root_schemas(dom.templates), 6, kb=dom.kb)
+        space = induced_space(graph, graph.or_nodes)
+        cache = SnapshotCache(dom.kb)
+        first = depth_profile(space, dom.kb, True, cache)
+        cached = len(cache._fired)
+        assert cached > 0 and cache.fired_hits == 0
+        assert depth_profile(space, dom.kb, True, cache) == first
+        assert (len(cache._fired), cache.fired_hits) == (cached, cached)
+
+    def test_another_snapshot_or_mode_is_refused(self):
+        dom = random_domain(3)
+        graph = build_graph(dom.axioms, root_schemas(dom.templates), 6, kb=dom.kb)
+        space = induced_space(graph, graph.or_nodes)
+        queries = expand_templates(dom.kb, dom.templates)
+        cache = SnapshotCache(dom.kb)
+        other = dom.kb.add_facts([])
+        with pytest.raises(ValueError, match="SnapshotCache"):
+            answered_fraction(space, other, queries, 3, True, cache)
+        with pytest.raises(ValueError, match="SnapshotCache"):
+            depth_profile(space, dom.kb, False, cache)
+        depth_profile(space, dom.kb, True, cache)
+        regraphed = build_graph(dom.axioms, root_schemas(dom.templates), 6, kb=dom.kb)
+        with pytest.raises(ValueError, match="SnapshotCache"):
+            depth_profile(induced_space(regraphed, regraphed.or_nodes), dom.kb, True, cache)
 
 
 class TestOracleEquivalence:

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import percolog
-from percolog import QueryTemplate, expand_templates, serialize_kb
+from percolog import QueryTemplate, depth_profile, expand_templates, serialize_kb
 from percolog.growth import SynthConfig, synth_kb
+from percolog.metrics import answered_fraction
+from percolog.sampling import cell_params, sample
 from percolog.harness import (
     SWEEP_COLUMNS,
     ExperimentConfig,
@@ -23,6 +25,7 @@ from percolog.harness import (
     detect_transition,
     emit,
     figure_tables,
+    load_experiment,
     load_templates,
     parse_rows,
     profile_to_csv,
@@ -337,18 +340,34 @@ class TestRunSweep:
         with pytest.raises(InfeasibleExperimentError):
             run_sweep(cfg)
 
-    def test_profile_replicates_limits_profiles(self, tmp_path):
-        write_experiment(tmp_path)
+    def test_cells_equal_their_evaluation_alone(self, tmp_path, caplog):
+        # the snapshot cache shares work between a snapshot's cells only:
+        # every row and profile equals its cell's fresh, unshared evaluation,
+        # and the sweep logs each snapshot's cache size
+        kb, _, _ = write_experiment(tmp_path)
         cfg = ExperimentConfig(
             kb=str(tmp_path / "kb.kb"),
             templates=str(tmp_path / "templates.json"),
+            snapshot_sizes=(kb.fact_count - 60, kb.fact_count),
             model1_k=(2, 3),
-            replicates=4,
-            profile_replicates=1,
+            model2_beta=(40,),
+            replicates=3,
+            master_seed=5,
         )
-        result = run_sweep(cfg)
-        assert len(result.profiles) == 2
-        assert all(cell.endswith("rep0") for cell in result.profiles)
+        with caplog.at_level(logging.DEBUG, logger="percolog.harness"):
+            result = run_sweep(cfg)
+        logs = [r for r in caplog.records if "cached rule applications" in r.getMessage()]
+        assert [r.levelno for r in logs] == [logging.DEBUG] * 2
+        exp = load_experiment(cfg)
+        snapshots = dict(exp.snapshots)
+        assert len(snapshots) == 2
+        assert len({r.total_answers for r in result.rows}) > 1
+        for row in result.rows:
+            kb_snap = snapshots[row.kb_id]
+            space = sample(exp.graph, cell_params(row.model, row.k_or_beta, row.replicate, cfg.master_seed, row.kb_id))
+            qa = answered_fraction(space, kb_snap, exp.queries, cfg.depth_limit)
+            assert (row.answered, row.total_answers) == (qa.answered, qa.total_answers), row.cell_id()
+            assert result.profiles[row.cell_id()] == depth_profile(space, kb_snap), row.cell_id()
 
     def test_outputs_written(self, tmp_path):
         write_experiment(tmp_path)
