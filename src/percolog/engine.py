@@ -298,10 +298,10 @@ class SnapshotCache:
     def check(self, kb: KnowledgeBase, genlpreds_mode: bool, graph: Optional[AndOrGraph] = None) -> None:
         """Raise ValueError unless the cache serves this snapshot and mode,
         and the graph its rule applications were cached on."""
-        if graph is not None and self.graph is None:
-            self.graph = graph
-        if kb is not self.kb or genlpreds_mode != self.mode or graph not in (None, self.graph):
+        bound = graph if self.graph is None else self.graph
+        if kb is not self.kb or genlpreds_mode != self.mode or graph not in (None, bound):
             raise ValueError("a SnapshotCache serves one KB snapshot, genlPreds mode and graph")
+        self.graph = bound
 
     def base_rows(self, predicate: str, arity: int) -> frozenset[tuple]:
         """The KB rows of every predicate specializing the predicate (just its
