@@ -274,11 +274,12 @@ class SnapshotCache:
     plus its retained AND children with their children's signature ids.  Two
     cells whose nodes carry the same signatures derive the same rows, so the
     head rows of a rule application are cached per (AND node, child
-    signature ids).  Top-down, a goal's answers at a depth depend only on
-    the cone of retained clauses its predicate reaches through heads and
-    body atoms, recursion included, so the goal memo is kept per cone.  A
-    cone's memo is shared from its second evaluator on: a cone only one cell
-    uses stays in that evaluator's private memo and dies with it.
+    signature ids), each distinct row as one tuple.  Top-down, a goal's
+    answers at a depth depend only on the cone of retained clauses its
+    predicate reaches through heads and body atoms, recursion included, so
+    the goal memo is kept per cone.  A cone's memo is shared from its second
+    evaluator on: a cone only one cell uses stays in that evaluator's private
+    memo and dies with it.
     """
 
     def __init__(self, kb: KnowledgeBase, genlpreds_mode: bool = True):
@@ -288,6 +289,7 @@ class SnapshotCache:
         self._base: dict[tuple[str, int], frozenset[tuple]] = {}  # (predicate, arity) -> KB rows
         self._sigs: dict[tuple, int] = {}  # (OR node, its retained applications) -> signature id
         self._fired: dict[tuple, tuple] = {}  # (AND node, child signature ids) -> head rows
+        self._rows: dict[tuple, tuple] = {}  # head row -> its one cached tuple
         self._bits: dict[HornClause, int] = {}  # clause content -> its bit in a cone
         self._first: dict[int, int] = {}  # cone -> the evaluator that used it first
         self._memos: dict[int, dict] = {}  # cone -> its shared goal memo
@@ -556,13 +558,14 @@ def _node_rows(
     """Derived rows per member OR node, children evaluated first.  A node's
     base rows are the KB rows of every predicate specializing its own (just
     its own with the mode off); retained rule applications add head rows,
-    which the cache keeps per (AND node, child signature ids)."""
+    which the cache keeps per (AND node, child signature ids), one tuple per
+    distinct row."""
     if cache is None:
         cache = SnapshotCache(kb, genlpreds_mode)
     graph = space.graph
     cache.check(kb, genlpreds_mode, graph)
     axioms = graph.axioms
-    sigs, fired = cache._sigs, cache._fired
+    sigs, fired, intern = cache._sigs, cache._fired, cache._rows.setdefault
     node_sig: dict[str, int] = {}
     sets: dict[str, frozenset[tuple]] = {}
     for oid in space.reverse_topological_or_order():
@@ -573,7 +576,8 @@ def _node_rows(
             key = (aid, tuple([node_sig[c] for c in anode.children]))
             rows = fired.get(key)
             if rows is None:
-                rows = fired[key] = tuple(_fire_clause(axioms.clause(anode.clause_id), [sets[c] for c in anode.children]))
+                heads = _fire_clause(axioms.clause(anode.clause_id), [sets[c] for c in anode.children])
+                rows = fired[key] = tuple([intern(row, row) for row in heads])
             else:
                 cache.fired_hits += 1
             applied.append(key)

@@ -12,7 +12,6 @@ results depend neither on scheduling nor on how a parameter is spelled.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from collections import deque
@@ -21,6 +20,16 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .graph import AndOrGraph, SearchSpace
+
+# hashlib loads OpenSSL, about 3.6 MiB of a sweep's peak RSS; the
+# interpreter's built-in SHA-256 gives the same digest.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 @dataclass(frozen=True)
@@ -60,7 +69,7 @@ class SampleParams:
 def derive_seed(master_seed: int, *parts: object) -> int:
     """Stable 64-bit stream seed for a sweep cell."""
     text = f"{master_seed}|" + "|".join(str(p) for p in parts)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    digest = _sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -10,11 +10,16 @@ recursive family lifts that restriction.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import count
+from pathlib import Path
 
 import pytest
 
+import percolog
 from percolog import (
     Atom,
     AxiomSet,
@@ -29,6 +34,15 @@ from percolog import (
 # ---------------------------------------------------------------------------
 # Construction helpers
 # ---------------------------------------------------------------------------
+
+
+def run_python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with the tested sources on PYTHONPATH, as
+    from a checkout without an install; env adds environment variables."""
+    src = str(Path(percolog.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=pythonpath, **env)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
 
 
 def T(token: str):

@@ -5,7 +5,7 @@ import pytest
 from percolog.cli import main
 from percolog.harness import parse_rows
 
-from conftest import node_chain_text
+from conftest import node_chain_text, run_python
 
 SYNTH_CONFIG = {
     "predicates": 10,
@@ -332,3 +332,9 @@ class TestExitCodes:
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_module_entry_point(self):
+        """`python -m percolog` runs the CLI from a checkout, without an install."""
+        done = run_python("-m", "percolog", "--help")
+        assert done.returncode == 0, done.stderr
+        assert "sweep" in done.stdout

@@ -339,6 +339,7 @@ class TestSnapshotCache:
             assert shared.per_query == alone.per_query, f"depth={depth} axioms={sorted(space.retained_axiom_ids())}"
             assert depth_profile(space, dom.kb, True, cache) == depth_profile(space, dom.kb)
         assert cache._memos and cache.memo_hits > 0
+        return cache
 
     @pytest.mark.parametrize("seed", range(12))
     def test_stratified(self, seed):
@@ -351,6 +352,13 @@ class TestSnapshotCache:
     @pytest.mark.parametrize("seed", range(12))
     def test_recursive(self, seed):
         self.check(random_domain(seed, recursive=True), seed)
+
+    @pytest.mark.parametrize("seed", (1, 2, 4, 5, 6, 7, 8))  # seeds whose rule applications repeat rows
+    def test_each_distinct_cached_row_is_one_tuple(self, seed):
+        cache = self.check(random_domain(seed, recursive=True), seed)
+        rows = [row for heads in cache._fired.values() for row in heads]
+        assert len(rows) > len(set(rows))
+        assert len({id(row) for row in rows}) == len(set(rows))
 
     def test_rule_applications_are_shared(self):
         dom = random_domain(3)

@@ -1,14 +1,9 @@
 import json
 import logging
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import percolog
 from percolog import QueryTemplate, depth_profile, expand_templates, serialize_kb
 from percolog.growth import SynthConfig, synth_kb
 from percolog.metrics import answered_fraction
@@ -35,7 +30,7 @@ from percolog.harness import (
     write_sweep_outputs,
 )
 
-from conftest import kb_of, node_chain_text
+from conftest import kb_of, node_chain_text, run_python
 
 
 class TestExpandTemplates:
@@ -479,14 +474,11 @@ def test_sweep_outputs_ignore_hash_seed(tmp_path):
     write_experiment(tmp_path)
     doc = {"kb": "kb.kb", "templates": "templates.json", "model1_k": [2, 3], "model2_beta": [30], "replicates": 2}
     (tmp_path / "sweep.json").write_text(json.dumps(doc), encoding="utf-8")
-    src = str(Path(percolog.__file__).resolve().parents[1])
     outputs = []
     for hash_seed in ("1", "2"):
         out = tmp_path / f"out{hash_seed}"
-        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
-        cmd = [sys.executable, "-m", "percolog.cli", "sweep", "--config", str(tmp_path / "sweep.json"), "--out", str(out)]
-        subprocess.run(cmd, env=env, check=True, capture_output=True, timeout=300)
+        done = run_python("-m", "percolog.cli", "sweep", "--config", str(tmp_path / "sweep.json"), "--out", str(out), PYTHONHASHSEED=hash_seed)
+        assert done.returncode == 0, done.stderr
         files = {p.relative_to(out).as_posix(): p.read_text() for p in sorted(out.rglob("*.csv"))}
         files["sweep.csv"] = [ln.rsplit(",", 1)[0] for ln in files["sweep.csv"].splitlines()]  # minus wall_time_s
         files["detectors.json"] = (out / "detectors.json").read_text()

@@ -25,7 +25,7 @@ from percolog.sampling import (
     greedy_degree_pairs,
 )
 
-from conftest import random_domain
+from conftest import random_domain, run_python
 
 
 def skewed_graph(seed=0):
@@ -145,6 +145,23 @@ class TestReplicates:
         assert s1 == derive_seed(42, "model1", 2, 0)
         assert s1 != derive_seed(42, "model1", 2, 1)
         assert s1 != derive_seed(43, "model1", 2, 0)
+
+    def test_seeds_are_pinned(self):
+        # the values hashlib.sha256 gives; the built-in SHA-256 must agree
+        assert derive_seed(42, "model1", 2, 0) == 1480610951792630193
+        assert cell_params("model1", 3, 0, 42, "s0_5000").seed == 15281834699595277000
+        assert cell_params("model2", 30.0, 1, 42, "s1_10515").seed == 9787098691512645824
+
+    def test_seeds_do_not_load_openssl(self):
+        """hashlib loads OpenSSL's _hashlib, megabytes of a sweep's peak RSS."""
+        code = (
+            "import sys, percolog.cli\n"
+            "from percolog.sampling import derive_seed\n"
+            "derive_seed(42, 'model1', 2, 0)\n"
+            "sys.exit('_hashlib' in sys.modules)\n"
+        )
+        done = run_python("-c", code)
+        assert done.returncode == 0, done.stderr or "_hashlib was loaded"
 
     def test_cell_seed_ignores_value_spelling(self):
         assert cell_params("model2", 10, 3, 42, "s0") == cell_params("model2", 10.0, 3, 42, "s0")
