@@ -1,12 +1,14 @@
 """Depth-limited backward chaining and bottom-up evaluation of search spaces.
 
-Both engines work on the KB's per-predicate relations of symbol tuples
-(``KnowledgeBase.rows``); a constant is its symbol string in rows, goals,
-atoms and answers alike.  Both run a rule through the same compiled plan
-(``_rule_plan``), built once per clause and goal shape: the head match as
-checks on the goal's constants, then the body in ``greedy_body_order``, each
-atom's arguments read from a symbol, a column of the partial solutions or a
-fresh variable, with the columns still needed kept after each atom.  The body is joined set-at-a-time (``_join``):
+Both engines read a snapshot's facts through one store, the
+:class:`SnapshotCache`: the KB rows (symbol tuples) answering each goal
+predicate and arity, and their index on an argument position; a constant is
+its symbol string in rows, goals, atoms and answers alike.  Both engines run
+a rule through the same compiled plan (``_rule_plan``), built once per clause
+and goal shape: the head match as checks on the goal's constants, then the
+body in ``greedy_body_order``, each atom's arguments read from a symbol, a
+column of the partial solutions or a fresh variable, with the columns still
+needed kept after each atom.  The body is joined set-at-a-time (``_join``):
 top-down solves each distinct subgoal once per rule application, bottom-up
 hash-joins the child nodes' row sets.
 
@@ -20,10 +22,11 @@ depth; a deep query over recursive rules holds up to one answer set per
 (goal, depth) pair.
 
 The cells of a sweep sample many spaces from one snapshot, and their
-retained rule sets overlap.  A :class:`SnapshotCache` lets them share work:
-bottom-up, the head rows of each rule application under the hash-consed
-signatures of its children; top-down, the goal memo of each retained-clause
-cone, since a goal's answers depend only on the clauses it can reach.
+retained rule sets overlap.  Passing them one :class:`SnapshotCache` lets them
+share work besides the rows: bottom-up, the head rows of each rule
+application under the hash-consed signatures of its children; top-down, the
+goal memo of each retained-clause cone, since a goal's answers depend only on
+the clauses it can reach.  An evaluation given no cache makes its own.
 
 With ``genlpreds_mode`` on (the default), a goal additionally matches facts
 and rule heads whose predicate implies the goal's predicate via genlPreds.
@@ -267,11 +270,15 @@ _NO_ANSWERS: frozenset = frozenset()  # every empty answer set, shared
 
 
 class SnapshotCache:
-    """Work shared by every space evaluated on one snapshot of the KB, under
-    one genlPreds mode; drop it when the sweep moves to the next snapshot.
+    """The evaluation context of one snapshot of the KB under one genlPreds
+    mode, and the work shared by every space evaluated on it; drop it when
+    the sweep moves to the next snapshot.
 
-    Bottom-up, each member OR node gets a hash-consed signature id: the node
-    plus its retained AND children with their children's signature ids.  Two
+    Both engines retrieve facts from its base rows: per (predicate, arity),
+    the rows of every predicate in ``preds``, indexed per argument position
+    on first use.  Bottom-up, each member OR node gets a hash-consed
+    signature id: the node plus its retained AND children with their
+    children's signature ids.  Two
     cells whose nodes carry the same signatures derive the same rows, so the
     head rows of a rule application are cached per (AND node, child
     signature ids), each distinct row as one tuple.  Top-down, a goal's
@@ -287,6 +294,7 @@ class SnapshotCache:
         self.mode = genlpreds_mode
         self.graph: Optional[AndOrGraph] = None  # bound by the first depth profile
         self._base: dict[tuple[str, int], frozenset[tuple]] = {}  # (predicate, arity) -> KB rows
+        self._indexes: dict[tuple[str, int, int], dict[str, list]] = {}  # (predicate, arity, position) -> rows by symbol
         self._sigs: dict[tuple, int] = {}  # (OR node, its retained applications) -> signature id
         self._fired: dict[tuple, tuple] = {}  # (AND node, child signature ids) -> head rows
         self._rows: dict[tuple, tuple] = {}  # head row -> its one cached tuple
@@ -305,17 +313,31 @@ class SnapshotCache:
             raise ValueError("a SnapshotCache serves one KB snapshot, genlPreds mode and graph")
         self.graph = bound
 
+    def preds(self, predicate: str) -> frozenset[str]:
+        """The predicates whose facts and rule heads answer goals of the
+        predicate: every predicate specializing it via genlPreds, itself
+        included, with the mode on; just itself with the mode off."""
+        return self.kb.spec_preds(predicate) if self.mode else frozenset((predicate,))
+
     def base_rows(self, predicate: str, arity: int) -> frozenset[tuple]:
-        """The KB rows of every predicate specializing the predicate (just its
-        own with the mode off) at the arity."""
+        """The KB rows of the predicates in ``preds`` at the arity."""
         rows = self._base.get((predicate, arity))
         if rows is None:
             kb = self.kb
-            preds = kb.spec_preds(predicate) if self.mode else (predicate,)
             rows = self._base[(predicate, arity)] = frozenset().union(
-                *(kb.rows(p) for p in preds if kb.arity(p) == arity)
+                *(kb.rows(p) for p in self.preds(predicate) if kb.arity(p) == arity)
             )
         return rows
+
+    def base_index(self, predicate: str, arity: int, position: int) -> dict[str, list]:
+        """The base rows by their symbol at the 0-based position, built on
+        first use."""
+        index = self._indexes.get((predicate, arity, position))
+        if index is None:
+            index = self._indexes[(predicate, arity, position)] = defaultdict(list)
+            for row in self.base_rows(predicate, arity):
+                index[row[position]].append(row)
+        return index
 
     def cone_bit(self, clause: HornClause) -> int:
         """The clause's bit in the cones: one bit per clause content."""
@@ -355,10 +377,11 @@ class Evaluator:
     symbol-tuple rows.  The depth limit alone ends the search, so recursive
     rules get every answer whose proof fits in the limit, at up to one memo
     entry per (goal, depth).
-    Sharing one evaluator across a query set amortizes the goal memo, the
-    per-shape tables of retained clause plans and the lazily built
-    positional row indices.  With a :class:`SnapshotCache` the memo of each
-    retained-clause cone is shared with the snapshot's other evaluators.
+    Facts are retrieved from a :class:`SnapshotCache`, a private one unless
+    one is passed.  Sharing one evaluator across a query set amortizes the
+    goal memo and the per-shape tables of retained clause plans; sharing a
+    cache shares the row indices and each retained-clause cone's memo with
+    the snapshot's other evaluators.
     Evaluators are not shared between threads; create one per worker.
     """
 
@@ -369,25 +392,21 @@ class Evaluator:
         genlpreds_mode: bool = True,
         cache: Optional[SnapshotCache] = None,
     ):
-        self.kb = kb
         self.axioms = axioms
-        self.mode = genlpreds_mode
-        self.cache = cache
-        if cache is not None:
-            cache.check(kb, genlpreds_mode)
-            cache._evaluators += 1
-            self._serial = cache._evaluators
+        self.cache = cache = cache or SnapshotCache(kb, genlpreds_mode)
+        cache.check(kb, genlpreds_mode)
+        cache._evaluators += 1
+        self._serial = cache._evaluators
         self._memo: dict = {}  # (predicate, *parts, depth) -> answers, for the goals of cones not shared
         self._memos: dict[tuple[str, int], dict] = {}  # (predicate, arity) -> the memo its goals use
         self._reaches: dict[tuple[str, int], tuple[int, set]] = {}
         self._shapes: dict[tuple, tuple] = {}
-        self._pos_index: dict[tuple[str, int], dict[str, list]] = {}
         self.hits = 0  # memo hits
 
     def _heads(self, predicate: str, arity: int) -> list[HornClause]:
         """The retained clauses whose heads can answer goals of the predicate
         and arity."""
-        preds = set(self.kb.spec_preds(predicate)) if self.mode else {predicate}
+        preds = self.cache.preds(predicate)
         return [c for c in self.axioms if c.head.predicate in preds and c.head.arity == arity]
 
     def _reach(self, predicate: str, arity: int) -> tuple[int, set]:
@@ -406,26 +425,21 @@ class Evaluator:
         """The memo of goals of the predicate and arity: the private one, or
         the cache's memo of their cone, the retained clauses reachable from
         them through heads and body atoms."""
-        memo = self._memo
-        if self.cache is not None:
-            cone, seen, todo = 0, {(predicate, arity)}, [(predicate, arity)]
-            while todo:
-                bits, below = self._reach(*todo.pop())
-                cone |= bits
-                todo += below - seen
-                seen |= below
-            memo = self.cache.memo(cone, self._serial, memo)
-        self._memos[(predicate, arity)] = memo
+        cone, seen, todo = 0, {(predicate, arity)}, [(predicate, arity)]
+        while todo:
+            bits, below = self._reach(*todo.pop())
+            cone |= bits
+            todo += below - seen
+            seen |= below
+        memo = self._memos[(predicate, arity)] = self.cache.memo(cone, self._serial, self._memo)
         return memo
 
     def _shape_table(self, predicate: str, shape: tuple) -> tuple:
-        """Build the table for goals of the predicate and shape: the row
-        sources of the predicates whose facts answer them (the rows, or their
-        index on the first bound position), the retrieval checks and
-        projection, and the plans of the retained clauses whose heads can
-        answer them."""
+        """Build the table for goals of the predicate and shape: the cache's
+        base rows answering them (or their index on the first bound
+        position), the retrieval checks and projection, and the plans of the
+        retained clauses whose heads can answer them."""
         arity = len(shape)
-        preds = set(self.kb.spec_preds(predicate)) if self.mode else {predicate}
         consts = [i for i, g in enumerate(shape) if g is None]
         first: dict[int, int] = {}  # slot -> position of its first occurrence
         same = []  # later occurrences of a repeated slot
@@ -437,8 +451,7 @@ class Evaluator:
                     first[g] = i
         plans = (_rule_plan(c, shape) for c in self._heads(predicate, arity))
         table = self._shapes[(predicate, shape)] = (
-            tuple(self._index(p, consts[0]) if consts else self.kb.rows(p)
-                  for p in sorted(preds) if self.kb.arity(p) == arity),
+            self.cache.base_index(predicate, arity, consts[0]) if consts else self.cache.base_rows(predicate, arity),
             consts[0] if consts else None,
             _getter(*consts[1:]) if len(consts) > 1 else None,  # the first is looked up in an index
             tuple(same),
@@ -446,16 +459,6 @@ class Evaluator:
             tuple(p for p in plans if p is not None),
         )
         return table
-
-    def _index(self, predicate: str, pos: int) -> dict[str, list]:
-        """The predicate's rows by their symbol at the position, built on
-        first use."""
-        index = self._pos_index.get((predicate, pos))
-        if index is None:
-            index = self._pos_index[(predicate, pos)] = defaultdict(list)
-            for row in self.kb.rows(predicate):
-                index[row[pos]].append(row)
-        return index
 
     def ask(self, query: Query, depth_limit: int) -> frozenset[str]:
         """The constants that answer the query's open variable by a proof of
@@ -486,20 +489,17 @@ class Evaluator:
             self.hits += 1
             return hit
         shape = tuple([None if isinstance(p, str) else p for p in parts])
-        sources, bound_at, checks, same, project, plans = self._shapes.get((predicate, shape)) or self._shape_table(
+        rows, bound_at, checks, same, project, plans = self._shapes.get((predicate, shape)) or self._shape_table(
             predicate, shape
         )
-        symbol = None if bound_at is None else parts[bound_at]
-        results: set[tuple] = set()
-        for rows in sources:
-            if symbol is not None:
-                rows = rows.get(symbol, ())
-            if checks:
-                want = checks(parts)
-                rows = [r for r in rows if checks(r) == want]
-            if same:
-                rows = [r for r in rows if all(r[i] == r[j] for i, j in same)]
-            results.update(map(project, rows))
+        if bound_at is not None:
+            rows = rows.get(parts[bound_at], ())
+        if checks:
+            want = checks(parts)
+            rows = [r for r in rows if checks(r) == want]
+        if same:
+            rows = [r for r in rows if all(r[i] == r[j] for i, j in same)]
+        results = set(map(project, rows))
         if depth > 0 and plans:
             for plan in plans:
                 if (plan.checks or plan.eqs) and not plan.admits(parts):
@@ -556,12 +556,10 @@ def _node_rows(
     space: SearchSpace, kb: KnowledgeBase, genlpreds_mode: bool, cache: Optional[SnapshotCache] = None
 ) -> dict[str, frozenset[tuple]]:
     """Derived rows per member OR node, children evaluated first.  A node's
-    base rows are the KB rows of every predicate specializing its own (just
-    its own with the mode off); retained rule applications add head rows,
-    which the cache keeps per (AND node, child signature ids), one tuple per
-    distinct row."""
-    if cache is None:
-        cache = SnapshotCache(kb, genlpreds_mode)
+    rows are the cache's base rows of its predicate and arity; retained rule
+    applications add head rows, which the cache keeps per (AND node, child
+    signature ids), one tuple per distinct row."""
+    cache = cache or SnapshotCache(kb, genlpreds_mode)
     graph = space.graph
     cache.check(kb, genlpreds_mode, graph)
     axioms = graph.axioms

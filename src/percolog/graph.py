@@ -58,6 +58,17 @@ class AndNode:
     children: tuple[str, ...]  # OR node ids, one per body atom
 
 
+def _read_doc(text: str, kind: str) -> dict:
+    """The JSON object of a percolog graph or space file; KbError for any
+    other document."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise KbError(f"not a percolog {kind} file (not a JSON object)")
+    if doc.get("format") != f"percolog-{kind}@1":
+        raise KbError(f"not a percolog {kind} file (format={doc.get('format')!r})")
+    return doc
+
+
 def _id_key(node_id: str) -> int:
     return int(node_id[1:])
 
@@ -80,9 +91,6 @@ class AndOrGraph:
     @property
     def or_count(self) -> int:
         return len(self.or_nodes)
-
-    def node_for_schema(self, schema: GoalSchema) -> Optional[str]:
-        return self._schema_index.get(schema)
 
     def or_children(self, or_id: str) -> tuple[str, ...]:
         """OR successors reached through this node's AND children."""
@@ -143,9 +151,7 @@ class AndOrGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "AndOrGraph":
-        doc = json.loads(text)
-        if doc.get("format") != "percolog-graph@1":
-            raise KbError(f"not a percolog graph file (format={doc.get('format')!r})")
+        doc = _read_doc(text, "graph")
         clause_lines = "\n".join(doc["clauses"][cid] for cid in sorted(doc["clauses"]))
         _, parsed = parse_kb(clause_lines)
         relabeled = [
@@ -368,9 +374,7 @@ class SearchSpace:
 
     @classmethod
     def from_json(cls, text: str, graph: AndOrGraph) -> "SearchSpace":
-        doc = json.loads(text)
-        if doc.get("format") != "percolog-space@1":
-            raise KbError(f"not a percolog space file (format={doc.get('format')!r})")
+        doc = _read_doc(text, "space")
         prov = {k: doc.get(k) for k in ("model", "k", "beta", "seed", "replicate") if doc.get(k) is not None}
         return cls(graph, doc["or_nodes"], doc["and_nodes"], prov or None)
 

@@ -86,8 +86,24 @@ def expand_templates(kb: KnowledgeBase, templates: Sequence[QueryTemplate]) -> t
 
 
 def load_templates(path: "str | Path") -> list[QueryTemplate]:
+    """Read a templates file: a JSON list of objects with exactly the
+    QueryTemplate fields, the positions integers and the rest strings.  A
+    bad document or entry raises ValueError naming the entry and the field."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [QueryTemplate(**{f.name: t[f.name] for f in fields(QueryTemplate)}) for t in doc]
+    if not isinstance(doc, list):
+        raise ValueError("a templates file is a JSON list of template objects")
+    types = {f.name: int if f.type == "int" else str for f in fields(QueryTemplate)}
+    for i, t in enumerate(doc):
+        if not isinstance(t, dict):
+            raise ValueError(f"template entry {i} must be a JSON object, got {t!r}")
+        odd = sorted(t.keys() ^ types.keys())
+        if odd:
+            raise ValueError(f"template entry {i}: {'missing' if odd[0] in types else 'unknown'} field {odd[0]!r}")
+        for name, kind in types.items():
+            if not isinstance(t[name], kind) or isinstance(t[name], bool):
+                expected = "an integer" if kind is int else "a string"
+                raise ValueError(f"template entry {i}: field {name!r} must be {expected}, got {t[name]!r}")
+    return [QueryTemplate(**t) for t in doc]
 
 
 def save_templates(templates: Sequence[QueryTemplate], path: "str | Path") -> None:
@@ -176,7 +192,10 @@ _CONFIG_CHECKS = {
     "kb": (_is_path, "a path"),
     "templates": (_is_path, "a path"),
     "axioms": (lambda v: v is None or _is_path(v), "a path"),
-    "snapshot_sizes": (lambda v: v is None or _is_list(v) and all(map(_is_int, v)), "a list of integers"),
+    "snapshot_sizes": (
+        lambda v: v is None or _is_list(v) and len(v) > 0 and all(map(_is_int, v)),
+        "a nonempty list of integers",
+    ),
     "snapshot_seed": (_is_int, "an integer"),
     "snapshot_order": (lambda v: v in ("uniform", "stratified"), '"uniform" or "stratified"'),
     "model1_k": (lambda v: _is_list(v) and all(_is_int(k) and k >= 1 for k in v), "a list of integers >= 1"),

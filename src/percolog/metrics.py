@@ -28,10 +28,6 @@ class AlphaReport:
     q_count: int  # |Q|
     terms: tuple[tuple[str, int, int, float], ...]  # (node id, solutions, depth, term)
 
-    def recompute(self) -> float:
-        """Re-derive alpha from the stored per-node terms (consistency check)."""
-        return sum(t[3] for t in self.terms) / self.n_total
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -92,7 +88,8 @@ def answered_fraction(
 ) -> QaResult:
     """Backchain every query against the space's retained axioms and report
     coverage plus the total distinct answers (the model-comparison metric).
-    A cache shares goal memos with the snapshot's other spaces."""
+    A cache shares its row store and goal memos with the snapshot's other
+    spaces."""
     if len(queries) == 0:
         raise ValueError("answered_fraction needs a nonempty query set")
     axioms = space.graph.axioms.restrict(space.retained_axiom_ids())
@@ -106,8 +103,7 @@ def answered_fraction(
         if n > 0:
             answered += 1
         total += n
-    if cache is not None:
-        cache.memo_hits += ev.hits
+    ev.cache.memo_hits += ev.hits
     return QaResult(
         attempted=len(queries),
         answered=answered,

@@ -224,6 +224,7 @@ BASE_SWEEP = {"kb": "kb.kb", "templates": "templates.json", "model1_k": [2], "re
         ("snapshot_order", "random"),
         ("genlpreds", "yes"),
         ("continue_on_error", 1),
+        ("snapshot_sizes", []),  # omit the key to sweep the whole KB
     ],
 )
 def test_bad_sweep_config_is_input_error(workspace, capsys, key, value):
@@ -233,6 +234,52 @@ def test_bad_sweep_config_is_input_error(workspace, capsys, key, value):
     assert main(["sweep", "--config", str(ws / "sweep.json"), "--out", str(ws / "out")]) == 2
     assert repr(key) in capsys.readouterr().err
     assert not (ws / "out").exists()
+
+
+TEMPLATE = {"id": "t0", "predicate": "p", "bound_position": 1, "param_collection": "Thing", "open_position": 2}
+MALFORMED_ARGV = {
+    "build-graph": ["build-graph", "--axioms", "kb.kb", "--templates", "bad.json", "--out", "out.json"],
+    "sweep": ["sweep", "--config", "sweep.json", "--out", "out"],
+    "sample": ["sample", "--graph", "bad.json", "--model", "1", "--k", "2", "--out", "out"],
+    "alpha": ["alpha", "--graph", "graph.json", "--space", "bad.json", "--kb", "kb.kb", "--templates", "t.json"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, named",
+    [
+        ("build-graph", [1], "template entry 0 must be a JSON object"),
+        ("build-graph", {"a": 1}, "a templates file is a JSON list"),
+        ("build-graph", [TEMPLATE, dict(TEMPLATE, bound_position="1")], "template entry 1: field 'bound_position'"),
+        ("sweep", [dict(TEMPLATE, bound_position="1")], "template entry 0: field 'bound_position'"),
+        ("build-graph", [dict(TEMPLATE, open_position=True)], "field 'open_position' must be an integer"),
+        ("build-graph", [dict(TEMPLATE, predicate=7)], "field 'predicate' must be a string"),
+        ("build-graph", [dict(TEMPLATE, extra="x")], "unknown field 'extra'"),
+        ("build-graph", [{k: v for k, v in TEMPLATE.items() if k != "id"}], "missing field 'id'"),
+        ("sample", [], "not a percolog graph file"),
+        ("alpha", [], "not a percolog space file"),
+    ],
+    ids=[
+        "templates-entry-not-object", "templates-not-list", "string-position", "string-position-in-sweep",
+        "bool-position", "int-predicate", "unknown-field", "missing-field", "graph-not-object", "space-not-object",
+    ],
+)
+def test_malformed_input_file_is_input_error(tmp_path, monkeypatch, capsys, command, doc, named):
+    """A templates, graph or space file of the wrong shape exits 2 with a
+    one-line error naming what is wrong, not with a traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kb.kb").write_text("(isa a Thing)\n(p a b)\n", encoding="utf-8")
+    (tmp_path / "t.json").write_text(json.dumps([TEMPLATE]), encoding="utf-8")
+    (tmp_path / "sweep.json").write_text(
+        json.dumps({"kb": "kb.kb", "templates": "bad.json", "model1_k": [2], "replicates": 1}), encoding="utf-8"
+    )
+    assert main(["build-graph", "--axioms", "kb.kb", "--templates", "t.json", "--out", "graph.json"]) == 0
+    (tmp_path / "bad.json").write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(MALFORMED_ARGV[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err
 
 
 class TestExitCodes:

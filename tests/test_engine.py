@@ -472,6 +472,55 @@ class TestSolutions:
         assert solutions(GoalSchema("p", 2, (True, False)), kb, genlpreds_mode=False) == 3
 
 
+# r and s specialize p and share the rows (a d) and (g g); the ternary q3
+# specializes the binary p too, so its rows never answer a goal of p
+MERGED_KB = "\n".join([
+    "(genlPreds r p)", "(genlPreds s p)", "(genlPreds q3 p)",
+    "(p a b)", "(p h h)",
+    "(r a c)", "(r a d)", "(r g g)",
+    "(s a d)", "(s e f)", "(s g g)",
+    "(q3 a b c)", "(q3 a z z)",
+    "(<= (t ?x ?y) (p ?x ?y))",
+])
+MERGED_ROWS = {True: {("a", "b"), ("h", "h"), ("a", "c"), ("a", "d"), ("g", "g"), ("e", "f")},
+               False: {("a", "b"), ("h", "h")}}
+
+
+class TestMergedRetrieval:
+    """Both engines retrieve a goal's facts from one store that merges the
+    rows of the predicates specializing the goal's own."""
+
+    @pytest.mark.parametrize("mode, query, want", [
+        (True, ("p", "a", "?x"), {"b", "c", "d"}),
+        (False, ("p", "a", "?x"), {"b"}),
+        (True, ("p", "?x", "d"), {"a"}),
+        (False, ("p", "?x", "d"), set()),
+        (True, ("p", "?x", "?x"), {"g", "h"}),
+        (False, ("p", "?x", "?x"), {"h"}),
+        (True, ("t", "a", "?x"), {"b", "c", "d"}),
+        (False, ("t", "a", "?x"), {"b"}),
+        (True, ("t", "?x", "?x"), {"g", "h"}),
+        (False, ("t", "?x", "?x"), {"h"}),
+    ])
+    def test_ask(self, mode, query, want):
+        kb, axioms = parse_kb(MERGED_KB)
+        assert ask(kb, axioms, Q(*query), 1, mode) == want
+        shared = SnapshotCache(kb, mode)
+        for _ in range(2):
+            assert Evaluator(kb, axioms, mode, shared).ask(Q(*query), 1) == want
+
+    @pytest.mark.parametrize("mode", [True, False])
+    @pytest.mark.parametrize("mask", [(True, False), (False, False)])
+    def test_bottom_up_and_solutions(self, mode, mask):
+        kb, axioms = parse_kb(MERGED_KB)
+        g = build_graph(axioms, [GoalSchema("t", 2, mask)], 10, kb=kb, genlpreds_mode=mode)
+        sets = bottom_up_eval(induced_space(g, g.or_nodes), kb, mode)
+        rows = {g.or_nodes[oid].predicate: {a.args for a in atoms} for oid, atoms in sets.items()}
+        assert rows == {"t": MERGED_ROWS[mode], "p": MERGED_ROWS[mode]}
+        # solutions counts facts, so the rows r and s share count twice
+        assert solutions(GoalSchema("p", 2, mask), kb, mode) == (8 if mode else 2)
+
+
 def two_level_space():
     kb, axioms = parse_kb(
         """
@@ -525,7 +574,8 @@ class TestBottomUp:
         sets = bottom_up_eval(space, dom.kb)
         axioms = dom.axioms.restrict(space.retained_axiom_ids())
         for q in queries:
-            oid = g.node_for_schema(GoalSchema(q.atom.predicate, 2, tuple(isinstance(t, str) for t in q.atom.args)))
+            schema = GoalSchema(q.atom.predicate, 2, tuple(isinstance(t, str) for t in q.atom.args))
+            oid = next((oid for oid, n in g.or_nodes.items() if n.schema == schema), None)
             if oid is None or oid not in space.or_members:
                 continue
             bound_pos = next(i for i, t in enumerate(q.atom.args) if isinstance(t, str))
