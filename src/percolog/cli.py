@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import harness, metrics, sampling
 from .engine import Evaluator
-from .graph import AndOrGraph, SearchSpace, build_graph
+from .graph import AndOrGraph, SearchSpace, _read_doc, build_graph
 from .growth import InfeasibleConfigError, SynthConfig, ablate_grow, synth_kb
 from .harness import (
     ExperimentConfig,
@@ -172,7 +172,7 @@ def _cmd_alpha(args) -> int:
 def _cmd_ask(args) -> int:
     kb, axioms = parse_kb(Path(args.kb).read_text(encoding="utf-8"))
     if args.space:
-        doc = json.loads(Path(args.space).read_text(encoding="utf-8"))
+        doc = _read_doc(Path(args.space).read_text(encoding="utf-8"), "space")
         axioms = axioms.restrict(doc["axiom_ids"])
     queries = expand_templates(kb, load_templates(args.templates))
     ev = Evaluator(kb, axioms, genlpreds_mode=not args.no_genlpreds)

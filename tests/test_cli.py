@@ -242,6 +242,7 @@ MALFORMED_ARGV = {
     "sweep": ["sweep", "--config", "sweep.json", "--out", "out"],
     "sample": ["sample", "--graph", "bad.json", "--model", "1", "--k", "2", "--out", "out"],
     "alpha": ["alpha", "--graph", "graph.json", "--space", "bad.json", "--kb", "kb.kb", "--templates", "t.json"],
+    "ask": ["ask", "--kb", "kb.kb", "--space", "bad.json", "--templates", "t.json"],
 }
 
 
@@ -258,10 +259,12 @@ MALFORMED_ARGV = {
         ("build-graph", [{k: v for k, v in TEMPLATE.items() if k != "id"}], "missing field 'id'"),
         ("sample", [], "not a percolog graph file"),
         ("alpha", [], "not a percolog space file"),
+        ("ask", [], "not a percolog space file"),
     ],
     ids=[
         "templates-entry-not-object", "templates-not-list", "string-position", "string-position-in-sweep",
         "bool-position", "int-predicate", "unknown-field", "missing-field", "graph-not-object", "space-not-object",
+        "ask-space-not-object",
     ],
 )
 def test_malformed_input_file_is_input_error(tmp_path, monkeypatch, capsys, command, doc, named):
