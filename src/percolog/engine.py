@@ -71,10 +71,12 @@ class QueryTemplate:
     open_position: int  # 1-based
 
     def __post_init__(self) -> None:
-        if self.bound_position == self.open_position:
-            raise ValueError(f"template {self.id}: bound and open positions coincide")
-        if self.bound_position < 1 or self.open_position < 1:
-            raise ValueError(f"template {self.id}: positions are 1-based")
+        # templates are binary: one position bound, the other open
+        if {self.bound_position, self.open_position} != {1, 2}:
+            raise ValueError(
+                f"template {self.id}: bound_position and open_position must be 1 and 2 in either order, "
+                f"got {self.bound_position} and {self.open_position}"
+            )
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,10 @@ def _id_key(node_id: str) -> int:
     return int(node_id[1:])
 
 
+# the sampling cell a space file records, in both JSON directions
+PROVENANCE_KEYS = ("model", "k", "beta", "seed", "replicate")
+
+
 class AndOrGraph:
     """The full query graph G.  ``|N|`` (the alpha denominator) counts OR
     nodes only; AND nodes are rule applications between them."""
@@ -113,14 +117,6 @@ class AndOrGraph:
                     seen.add(nxt)
                     stack.append(nxt)
         return False
-
-    def topological_or_order(self) -> list[str]:
-        """OR ids, parents before children; raises GraphCycleError on a cycle."""
-        edges = [(oid, child) for oid in self.or_nodes for child in self.or_children(oid)]
-        order = _topo_order(self.or_nodes, edges, _id_key)
-        if len(order) != len(self.or_nodes):
-            raise GraphCycleError("AND/OR graph contains a cycle")
-        return order
 
     # -- serialization -----------------------------------------------------------
 
@@ -297,7 +293,7 @@ def build_graph(
             and_children.append(aid)
         u.children = tuple(and_children)
 
-    g.topological_or_order()  # acyclicity check on every build
+    induced_space(g, g.or_nodes).reverse_topological_or_order()  # acyclicity check on every build
     return g
 
 
@@ -359,11 +355,7 @@ class SearchSpace:
         prov = self.provenance or {}
         doc = {
             "format": "percolog-space@1",
-            "model": prov.get("model"),
-            "k": prov.get("k"),
-            "beta": prov.get("beta"),
-            "seed": prov.get("seed"),
-            "replicate": prov.get("replicate"),
+            **{key: prov.get(key) for key in PROVENANCE_KEYS},
             "axiom_ids": sorted(self.retained_axiom_ids()),
             "avg_degree": average_degree(self) if self.or_members else None,
             "node_count": self.node_count,
@@ -375,7 +367,7 @@ class SearchSpace:
     @classmethod
     def from_json(cls, text: str, graph: AndOrGraph) -> "SearchSpace":
         doc = _read_doc(text, "space")
-        prov = {k: doc.get(k) for k in ("model", "k", "beta", "seed", "replicate") if doc.get(k) is not None}
+        prov = {key: doc[key] for key in PROVENANCE_KEYS if doc.get(key) is not None}
         return cls(graph, doc["or_nodes"], doc["and_nodes"], prov or None)
 
 
@@ -383,9 +375,6 @@ def induced_space(graph: AndOrGraph, member_or_nodes: Iterable[str]) -> SearchSp
     """The sub-space induced by a member OR set: a rule application survives
     iff its parent and all of its body children are members."""
     members = frozenset(member_or_nodes)
-    unknown = members - graph.or_nodes.keys()
-    if unknown:
-        raise ValueError(f"members not in graph: {sorted(unknown)[:3]}")
     and_members = [
         a.id
         for a in graph.and_nodes.values()
@@ -394,15 +383,14 @@ def induced_space(graph: AndOrGraph, member_or_nodes: Iterable[str]) -> SearchSp
     return SearchSpace(graph, members, and_members)
 
 
-def or_out_degrees(g: "AndOrGraph | SearchSpace") -> list[int]:
-    """Multiset (sorted list) of OR out-degrees: child AND count per OR node."""
-    if isinstance(g, SearchSpace):
-        return sorted(len(g.member_and_children(oid)) for oid in g.or_members)
-    return sorted(len(n.children) for n in g.or_nodes.values())
+def or_out_degrees(space: SearchSpace) -> list[int]:
+    """Multiset (sorted list) of OR out-degrees: member AND children per
+    member OR node; the full graph is ``induced_space(g, g.or_nodes)``."""
+    return sorted(len(space.member_and_children(oid)) for oid in space.or_members)
 
 
-def average_degree(g: "AndOrGraph | SearchSpace") -> float:
-    degrees = or_out_degrees(g)
+def average_degree(space: SearchSpace) -> float:
+    degrees = or_out_degrees(space)
     if not degrees:
-        raise ValueError("average degree of an empty graph is undefined")
+        raise ValueError("average degree of an empty space is undefined")
     return sum(degrees) / len(degrees)

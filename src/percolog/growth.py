@@ -9,9 +9,9 @@ from __future__ import annotations
 import json
 import random
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .engine import QueryTemplate
 from .kb import (
@@ -119,6 +119,17 @@ class SynthConfig:
     # targets of direct facts so coverage has to come through inference
     root_fact_weight: float = 1.0
 
+    def __post_init__(self) -> None:
+        """Check each key's type, whether the config was loaded or built in
+        Python: an int key takes an integer, a float key any number.  A
+        mistyped key raises ValueError naming it; ranges are validate's."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = int if f.type == "int" else (int, float)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                expected = "an integer" if kind is int else "a number"
+                raise ValueError(f"synth config key {f.name!r} must be {expected}, got {value!r}")
+
     def validate(self) -> None:
         counts = {
             "predicates": self.predicates,
@@ -155,20 +166,22 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, path: "str | Path") -> "SynthConfig":
+        """Load a synth config; a document that is not an object, or an
+        unknown, missing or mistyped key, raises ValueError naming the key."""
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError("a synth config is a JSON object")
         try:
             return cls(**doc)
-        except TypeError as e:
-            raise InfeasibleConfigError(f"bad synth config: {e}") from None
+        except TypeError as e:  # an unknown or a missing key, named in e
+            raise ValueError(f"bad synth config: {e}") from None
 
 
 def _zipf_weights(n: int, exponent: float) -> list[float]:
     return [1.0 / (i + 1) ** exponent for i in range(n)]
 
 
-def synth_kb(
-    config: SynthConfig, rng: Optional[random.Random] = None
-) -> tuple[KnowledgeBase, AxiomSet, list[QueryTemplate]]:
+def synth_kb(config: SynthConfig) -> tuple[KnowledgeBase, AxiomSet, list[QueryTemplate]]:
     """Generate a KB, an axiom set, and the question templates for it.
 
     Every rule's head predicate sits strictly below its body predicates in the
@@ -177,7 +190,7 @@ def synth_kb(
     configured exponents.  Fully deterministic given the config seed.
     """
     config.validate()
-    rng = rng if rng is not None else random.Random(config.seed)
+    rng = random.Random(config.seed)
 
     collections = [f"C{i}" for i in range(config.collections)]
     entities = [f"E{i}" for i in range(config.entities)]

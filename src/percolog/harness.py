@@ -18,7 +18,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, get_args, get_type_hints
 
 from . import metrics
 from .engine import Query, QueryTemplate, SnapshotCache, depth_profile
@@ -69,8 +69,6 @@ def expand_templates(kb: KnowledgeBase, templates: Sequence[QueryTemplate]) -> t
         known = kb.arity(t.predicate)
         if known is not None and known != 2:
             raise ValueError(f"template {t.id}: predicate {t.predicate!r} has arity {known}, need 2")
-        if {t.bound_position, t.open_position} != {1, 2}:
-            raise ValueError(f"template {t.id}: positions must cover both arguments of a binary predicate")
         for entity in sorted(kb.instances_of(t.param_collection)):
             args: list = [None, None]
             args[t.bound_position - 1] = entity
@@ -495,6 +493,8 @@ def build_detectors(
 def compare_models(rows: Sequence[SweepRow], tolerance: float = 0.1) -> list[dict]:
     """Per snapshot: pair Model 1 and Model 2 samples of matching average
     degree, then compare mean total answers (relative change of Model 2)."""
+    if not tolerance >= 0:
+        raise ValueError(f"the compare tolerance must be a number >= 0, got {tolerance!r}")
     by_kb: dict[str, dict[str, list[SweepRow]]] = {}
     for r in rows:
         models = by_kb.setdefault(r.kb_id, {"model1": [], "model2": []})
@@ -585,30 +585,23 @@ def emit(
     Path(path).write_text(format_table(rows, columns), encoding="utf-8")
 
 
-_ROW_PARSERS = {
-    "model": str,
-    "kb_id": str,
-    "replicate": int,
-    "seed": int,
-    "kb_facts": int,
-    "axiom_count": int,
-    "or_nodes": int,
-    "q_count": int,
-    "answered": int,
-    "total_answers": int,
-    "avg_degree": float,
-    "alpha": float,
-    "answered_fraction": float,
-    "wall_time_s": float,
-    "threshold_hit": lambda s: s == "true",
-}
-
-
 def _parse_param(s: str):
     try:
         return int(s)
     except ValueError:
         return float(s)
+
+
+def _cell_parser(kind):
+    """The parser of a nonempty CSV cell for a SweepRow field of this type:
+    the type itself, or an Optional's non-None member; a bool cell is true
+    only as "true", the spelling _format_cell writes."""
+    kind = next((a for a in get_args(kind) if a is not type(None)), kind)
+    return (lambda s: s == "true") if kind is bool else kind
+
+
+_ROW_PARSERS = {name: _cell_parser(kind) for name, kind in get_type_hints(SweepRow).items()}
+_ROW_PARSERS["k_or_beta"] = _parse_param  # an int k or a float beta
 
 
 def parse_rows(path: "str | Path") -> list[SweepRow]:
@@ -622,12 +615,7 @@ def parse_rows(path: "str | Path") -> list[SweepRow]:
             kwargs = {}
             for col in SWEEP_COLUMNS:
                 raw = rec[col]
-                if raw == "":
-                    kwargs[col] = None
-                elif col == "k_or_beta":
-                    kwargs[col] = _parse_param(raw)
-                else:
-                    kwargs[col] = _ROW_PARSERS[col](raw)
+                kwargs[col] = None if raw == "" else _ROW_PARSERS[col](raw)
             rows.append(SweepRow(**kwargs))
     return rows
 

@@ -148,7 +148,11 @@ class AxiomSet:
         return self._by_id[clause_id]
 
     def restrict(self, ids: Iterable[str]) -> "AxiomSet":
+        """The clauses with these ids; an id naming none raises ValueError."""
         keep = set(ids)
+        unknown = keep - self._by_id.keys()
+        if unknown:
+            raise ValueError(f"unknown rule ids: {sorted(unknown)[:3]}")
         return AxiomSet(c for c in self.clauses if c.id in keep)
 
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .graph import AndOrGraph, SearchSpace
 
@@ -56,14 +56,15 @@ class SampleParams:
     def value(self) -> float:
         return self.k if self.model == "model1" else self.beta  # type: ignore[return-value]
 
+    def keep_count(self, child_count: int) -> int:
+        """How many of an OR node's ``child_count`` rule applications to keep."""
+        if self.model == "model1":
+            return min(self.k, child_count)  # type: ignore[type-var]
+        # exact rational arithmetic so 20% of 5 is exactly 1, never 2
+        return math.ceil(Fraction(str(self.beta)) * child_count / 100)
+
     def provenance(self) -> dict:
-        return {
-            "model": self.model,
-            "k": self.k,
-            "beta": self.beta,
-            "seed": self.seed,
-            "replicate": self.replicate,
-        }
+        return asdict(self)
 
 
 def derive_seed(master_seed: int, *parts: object) -> int:
@@ -94,15 +95,9 @@ def cell_params(model: str, value: float, replicate: int, master_seed: int, *sco
     return SampleParams("model2", beta=float(value), seed=seed, replicate=replicate)
 
 
-def _keep_count_model2(beta: "float | int | str | Fraction", child_count: int) -> int:
-    # exact rational arithmetic so 20% of 5 is exactly 1, never 2
-    frac = beta if isinstance(beta, Fraction) else Fraction(str(beta))
-    return math.ceil(frac * child_count / 100)
-
-
 def _sample(
     graph: AndOrGraph,
-    keep_count: Callable[[int], int],
+    params: SampleParams,
     rng: random.Random,
     provenance: Optional[dict],
 ) -> SearchSpace:
@@ -118,7 +113,7 @@ def _sample(
         children = graph.or_nodes[oid].children
         if not children:
             continue
-        n_keep = min(keep_count(len(children)), len(children))
+        n_keep = params.keep_count(len(children))
         if n_keep == len(children):
             chosen: Sequence[str] = children
         else:
@@ -136,28 +131,18 @@ def _sample(
 def model1_sample(graph: AndOrGraph, k: int, rng: random.Random) -> SearchSpace:
     """Keep min(k, c) rule applications per visited OR node, uniformly without
     replacement; every out-degree in the result is <= k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _sample(graph, lambda c: min(k, c), rng, {"model": "model1", "k": k})
+    return _sample(graph, SampleParams("model1", k=k), rng, {"model": "model1", "k": k})
 
 
 def model2_sample(graph: AndOrGraph, beta: float, rng: random.Random) -> SearchSpace:
     """Keep ceil(beta% * c) rule applications per visited OR node; beta=100
     reproduces the parent graph exactly."""
-    if not 0 < float(beta) <= 100:
-        raise ValueError("beta must be in (0, 100]")
-    return _sample(graph, lambda c: _keep_count_model2(beta, c), rng, {"model": "model2", "beta": beta})
+    return _sample(graph, SampleParams("model2", beta=beta), rng, {"model": "model2", "beta": beta})
 
 
 def sample(graph: AndOrGraph, params: SampleParams) -> SearchSpace:
     """Sample one space from its cell parameters (seed included)."""
-    rng = random.Random(params.seed)
-    if params.model == "model1":
-        space = model1_sample(graph, params.k, rng)  # type: ignore[arg-type]
-    else:
-        space = model2_sample(graph, params.beta, rng)  # type: ignore[arg-type]
-    space.provenance = params.provenance()
-    return space
+    return _sample(graph, params, random.Random(params.seed), params.provenance())
 
 
 def generate_replicates(

@@ -236,6 +236,45 @@ def test_bad_sweep_config_is_input_error(workspace, capsys, key, value):
     assert not (ws / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, doc",
+    [
+        ("predicates", dict(SYNTH_CONFIG, predicates="48")),
+        ("entities", dict(SYNTH_CONFIG, entities=40.5)),
+        ("levels", dict(SYNTH_CONFIG, levels=True)),
+        ("rule_skew", dict(SYNTH_CONFIG, rule_skew="1.1")),
+        ("root_fact_weight", dict(SYNTH_CONFIG, root_fact_weight=True)),
+        ("extra", dict(SYNTH_CONFIG, extra=1)),
+        ("seed", {k: v for k, v in SYNTH_CONFIG.items() if k != "seed"}),
+        (None, [SYNTH_CONFIG]),
+    ],
+    ids=["str-int", "float-int", "bool-int", "str-float", "bool-float", "unknown", "missing", "not-object"],
+)
+def test_bad_synth_config_is_input_error(tmp_path, capsys, key, doc):
+    """A mistyped, unknown or missing key exits 2 naming the key; only an
+    infeasible combination of well-typed keys exits 3."""
+    (tmp_path / "synth.json").write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    argv = ["synth", "--config", str(tmp_path / "synth.json")]
+    out = ["--out-kb", str(tmp_path / "kb.kb"), "--out-templates", str(tmp_path / "t.json")]
+    assert main(argv + out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert repr(key) in err if key else "JSON object" in err
+    assert not (tmp_path / "kb.kb").exists() and not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("tolerance", ["-0.5", "nan"])
+def test_negative_compare_tolerance_is_input_error(workspace, capsys, tolerance):
+    ws = workspace
+    (ws / "sweep.json").write_text(json.dumps(BASE_SWEEP), encoding="utf-8")
+    assert main(["sweep", "--config", str(ws / "sweep.json"), "--out", str(ws / "out")]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--rows", str(ws / "out" / "sweep.csv"), "--tolerance", tolerance]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tolerance" in captured.err
+
+
 TEMPLATE = {"id": "t0", "predicate": "p", "bound_position": 1, "param_collection": "Thing", "open_position": 2}
 MALFORMED_ARGV = {
     "build-graph": ["build-graph", "--axioms", "kb.kb", "--templates", "bad.json", "--out", "out.json"],
@@ -260,11 +299,14 @@ MALFORMED_ARGV = {
         ("sample", [], "not a percolog graph file"),
         ("alpha", [], "not a percolog space file"),
         ("ask", [], "not a percolog space file"),
+        ("build-graph", [dict(TEMPLATE, bound_position=3)], "must be 1 and 2 in either order, got 3 and 2"),
+        ("sweep", [dict(TEMPLATE, open_position=1)], "must be 1 and 2 in either order, got 1 and 1"),
+        ("ask", {"format": "percolog-space@1", "axiom_ids": ["zz"]}, "unknown rule ids: ['zz']"),
     ],
     ids=[
         "templates-entry-not-object", "templates-not-list", "string-position", "string-position-in-sweep",
         "bool-position", "int-predicate", "unknown-field", "missing-field", "graph-not-object", "space-not-object",
-        "ask-space-not-object",
+        "ask-space-not-object", "position-out-of-range", "positions-coincide", "ask-space-unknown-rule",
     ],
 )
 def test_malformed_input_file_is_input_error(tmp_path, monkeypatch, capsys, command, doc, named):

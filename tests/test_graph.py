@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from percolog import (
@@ -8,7 +10,7 @@ from percolog import (
     induced_space,
     or_out_degrees,
 )
-from percolog.graph import AndOrGraph, GraphCycleError, SearchSpace
+from percolog.graph import PROVENANCE_KEYS, AndOrGraph, GraphCycleError, SearchSpace
 from percolog.growth import SynthConfig, synth_kb
 from percolog.harness import root_schemas
 from percolog.kb import parse_kb
@@ -57,7 +59,7 @@ class TestBuildGraph:
         _, _, g = graph_of("(<= (root ?x ?y) (root ?x ?y))")
         assert g.or_count == 1
         assert len(g.and_nodes) == 0
-        g.topological_or_order()
+        induced_space(g, g.or_nodes).reverse_topological_or_order()
 
     def test_mutual_recursion_dropped(self):
         _, _, g = graph_of(
@@ -66,7 +68,7 @@ class TestBuildGraph:
         # other's application back to root is a back edge
         assert g.or_count == 2
         assert len(g.and_nodes) == 1
-        g.topological_or_order()
+        induced_space(g, g.or_nodes).reverse_topological_or_order()
 
     def test_depth_bound_limits_expansion(self):
         chain = "\n".join(f"(<= (p{i} ?x ?y) (p{i+1} ?x ?y))" for i in range(12))
@@ -124,7 +126,7 @@ class TestBuildGraph:
             )
             kb, axioms, templates = synth_kb(cfg)
             g = build_graph(axioms, root_schemas(templates), 10, kb=kb)
-            g.topological_or_order()
+            induced_space(g, g.or_nodes).reverse_topological_or_order()
             for oid, node in g.or_nodes.items():
                 for aid in node.children:
                     for cid in g.and_nodes[aid].children:
@@ -136,24 +138,24 @@ class TestBuildGraph:
 class TestDegrees:
     def test_roots_only_all_zero(self):
         _, _, g = graph_of("(root A B)")
-        assert or_out_degrees(g) == [0]
+        assert or_out_degrees(induced_space(g, g.or_nodes)) == [0]
 
     def test_skewed_fixture_hand_counted(self):
         _, _, g = skewed_fixture()
-        assert or_out_degrees(g) == [0, 0, 0, 0, 0, 0, 1, 2, 5]
+        assert or_out_degrees(induced_space(g, g.or_nodes)) == [0, 0, 0, 0, 0, 0, 1, 2, 5]
 
     def test_average_degree(self):
         _, _, g = skewed_fixture()
-        assert average_degree(g) == pytest.approx(8 / 9)
+        assert average_degree(induced_space(g, g.or_nodes)) == pytest.approx(8 / 9)
 
     def test_average_degree_all_leaves(self):
         _, _, g = graph_of("(root A B)")
-        assert average_degree(g) == 0
+        assert average_degree(induced_space(g, g.or_nodes)) == 0
 
     def test_average_degree_empty_graph_errors(self):
         g = AndOrGraph(AxiomSet([]), 10)
         with pytest.raises(ValueError):
-            average_degree(g)
+            average_degree(induced_space(g, g.or_nodes))
 
 
 class TestInducedSpace:
@@ -201,6 +203,13 @@ class TestSerialization:
         assert space2.or_members == space.or_members
         assert space2.and_members == space.and_members
 
+    def test_space_provenance_round_trip(self):
+        _, _, g = skewed_fixture()
+        prov = {"model": "model1", "k": 2, "beta": 50.0, "seed": 7, "replicate": 3}  # all five keys set
+        space = SearchSpace(g, g.or_nodes, (), prov)
+        assert {k: v for k, v in json.loads(space.to_json()).items() if k in PROVENANCE_KEYS} == prov
+        assert SearchSpace.from_json(space.to_json(), g).provenance == prov
+
     def test_edge_list_format(self):
         _, _, g = graph_of("(<= (root ?x ?y) (p ?x ?y))")
         lines = g.edge_list().splitlines()
@@ -227,4 +236,4 @@ class TestSpaceOrdering:
         g.and_nodes["a1"] = type(g.and_nodes["a0"])("a1", "r0", "o1", ("o0",))
         g.or_nodes["o1"].children = ("a1",)
         with pytest.raises(GraphCycleError):
-            g.topological_or_order()
+            induced_space(g, g.or_nodes).reverse_topological_or_order()

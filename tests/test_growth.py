@@ -136,7 +136,7 @@ class TestSynthKb:
             assert kb2.facts == kb.facts
             assert set(axioms2.clauses) == set(axioms.clauses)
             g = build_graph(axioms, root_schemas(templates), 10, kb=kb)
-            g.topological_or_order()  # acyclic by stratification
+            induced_space(g, g.or_nodes).reverse_topological_or_order()  # acyclic by stratification
 
     def test_requested_fact_count(self):
         kb, _, _ = synth_kb(small_cfg(3))

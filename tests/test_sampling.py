@@ -12,7 +12,7 @@ from percolog import (
     model2_sample,
     or_out_degrees,
 )
-from percolog.graph import induced_space
+from percolog.graph import PROVENANCE_KEYS, induced_space
 from percolog.growth import SynthConfig, synth_kb
 from percolog.harness import expand_templates, root_schemas
 from percolog.kb import parse_kb
@@ -23,6 +23,7 @@ from percolog.sampling import (
     derive_seed,
     generate_replicates,
     greedy_degree_pairs,
+    sample,
 )
 
 from conftest import random_domain, run_python
@@ -48,7 +49,7 @@ def chain_graph():
 class TestModel1:
     def test_k_at_least_max_degree_keeps_everything(self):
         _, _, _, g = skewed_graph()
-        k = max(or_out_degrees(g)) or 1
+        k = max(or_out_degrees(induced_space(g, g.or_nodes))) or 1
         space = model1_sample(g, k, random.Random(1))
         assert space.or_members == frozenset(g.or_nodes)
         assert space.and_members == frozenset(g.and_nodes)
@@ -112,6 +113,23 @@ class TestModel2:
         for bad in (0, -3, 101):
             with pytest.raises(ValueError):
                 model2_sample(g, bad, random.Random(0))
+
+
+class TestOneSampler:
+    """The sweep samples through `sample` and the README through
+    model1_sample / model2_sample; both run one sampler."""
+
+    @pytest.mark.parametrize(
+        "model, value", [("model1", k) for k in (1, 2, 3)] + [("model2", b) for b in (10, 30, 100)]
+    )
+    def test_sample_matches_model_functions(self, model, value):
+        _, _, _, g = skewed_graph()
+        direct = model1_sample if model == "model1" else model2_sample
+        for seed in range(10):
+            params = SampleParams(model, **{"k" if model == "model1" else "beta": value}, seed=seed)
+            a = sample(g, params)
+            b = direct(g, value, random.Random(seed))
+            assert (a.or_members, a.and_members) == (b.or_members, b.and_members)
 
 
 class TestReplicates:
@@ -255,3 +273,11 @@ class TestSampleParams:
         p = SampleParams("model2", beta=25.0, seed=9, replicate=4)
         prov = p.provenance()
         assert prov["model"] == "model2" and prov["beta"] == 25.0 and prov["replicate"] == 4
+        assert tuple(prov) == PROVENANCE_KEYS
+
+    def test_keep_count(self):
+        assert [SampleParams("model1", k=2).keep_count(c) for c in (1, 2, 5)] == [1, 2, 2]
+        # exact rational arithmetic: 20% of 5 is 1, 10% of 3 rounds up to 1
+        assert SampleParams("model2", beta=20.0).keep_count(5) == 1
+        assert SampleParams("model2", beta=10.0).keep_count(3) == 1
+        assert SampleParams("model2", beta=100.0).keep_count(7) == 7
