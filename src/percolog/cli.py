@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import harness, metrics, sampling
 from .engine import Evaluator
-from .graph import AndOrGraph, SearchSpace, _read_doc, build_graph
+from .graph import AndOrGraph, SearchSpace, _id_list, _read_doc, build_graph
 from .growth import InfeasibleConfigError, SynthConfig, ablate_grow, synth_kb
 from .harness import (
     ExperimentConfig,
@@ -107,10 +107,6 @@ def _load_graph(path: str) -> AndOrGraph:
     return AndOrGraph.from_json(Path(path).read_text(encoding="utf-8"))
 
 
-def _load_space(path: str, graph: AndOrGraph) -> SearchSpace:
-    return SearchSpace.from_json(Path(path).read_text(encoding="utf-8"), graph)
-
-
 def _cmd_synth(args) -> int:
     cfg = SynthConfig.from_json(args.config)
     kb, axioms, templates = synth_kb(cfg)
@@ -161,7 +157,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_alpha(args) -> int:
     graph = _load_graph(args.graph)
-    space = _load_space(args.space, graph)
+    space = SearchSpace.from_json(Path(args.space).read_text(encoding="utf-8"), graph)
     kb, _ = parse_kb(Path(args.kb).read_text(encoding="utf-8"))
     queries = expand_templates(kb, load_templates(args.templates))
     report = metrics.alpha(graph, space, queries, kb)
@@ -173,7 +169,7 @@ def _cmd_ask(args) -> int:
     kb, axioms = parse_kb(Path(args.kb).read_text(encoding="utf-8"))
     if args.space:
         doc = _read_doc(Path(args.space).read_text(encoding="utf-8"), "space")
-        axioms = axioms.restrict(doc["axiom_ids"])
+        axioms = axioms.restrict(_id_list(doc["axiom_ids"], "the space's 'axiom_ids'"))
     queries = expand_templates(kb, load_templates(args.templates))
     ev = Evaluator(kb, axioms, genlpreds_mode=not args.no_genlpreds)
     results = []

@@ -564,6 +564,8 @@ def _node_rows(
     cache = cache or SnapshotCache(kb, genlpreds_mode)
     graph = space.graph
     cache.check(kb, genlpreds_mode, graph)
+    if genlpreds_mode != graph.genlpreds_mode:
+        raise ValueError(f"genlPreds mode {genlpreds_mode} differs from the space's graph's")
     axioms = graph.axioms
     sigs, fired, intern = cache._sigs, cache._fired, cache._rows.setdefault
     node_sig: dict[str, int] = {}
@@ -595,8 +597,8 @@ def bottom_up_eval(
 
     A node's set is its retrieval matches plus every head derivable through a
     retained rule application whose body atoms are all satisfied from the
-    child sets, each atom under the node's own predicate; pass the same
-    genlpreds_mode the graph was built with.
+    child sets, each atom under the node's own predicate; a genlpreds_mode
+    other than the graph's raises ValueError.
     """
     or_nodes = space.graph.or_nodes
     return {

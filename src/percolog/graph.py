@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .kb import Atom, AxiomSet, HornClause, KbError, KnowledgeBase, Variable, _topo_order, parse_kb
@@ -69,6 +69,13 @@ def _read_doc(text: str, kind: str) -> dict:
     return doc
 
 
+def _id_list(value: object, what: str) -> list[str]:
+    """A JSON list of node or rule ids; KbError naming the field otherwise."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise KbError(f"{what} must be a list of id strings")
+    return value
+
+
 def _id_key(node_id: str) -> int:
     return int(node_id[1:])
 
@@ -96,13 +103,6 @@ class AndOrGraph:
     def or_count(self) -> int:
         return len(self.or_nodes)
 
-    def or_children(self, or_id: str) -> tuple[str, ...]:
-        """OR successors reached through this node's AND children."""
-        out: list[str] = []
-        for and_id in self.or_nodes[or_id].children:
-            out.extend(self.and_nodes[and_id].children)
-        return tuple(out)
-
     def reaches(self, src: str, dst: str) -> bool:
         """True iff OR node ``dst`` is reachable from OR node ``src``."""
         if src == dst:
@@ -110,12 +110,13 @@ class AndOrGraph:
         seen = {src}
         stack = [src]
         while stack:
-            for nxt in self.or_children(stack.pop()):
-                if nxt == dst:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
+            for and_id in self.or_nodes[stack.pop()].children:
+                for nxt in self.and_nodes[and_id].children:
+                    if nxt == dst:
+                        return True
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
         return False
 
     # -- serialization -----------------------------------------------------------
@@ -148,21 +149,24 @@ class AndOrGraph:
     @classmethod
     def from_json(cls, text: str) -> "AndOrGraph":
         doc = _read_doc(text, "graph")
-        clause_lines = "\n".join(doc["clauses"][cid] for cid in sorted(doc["clauses"]))
-        _, parsed = parse_kb(clause_lines)
-        relabeled = [
-            HornClause(c.head, c.body, id=cid)
-            for cid, c in zip(sorted(doc["clauses"]), parsed.clauses)
-        ]
-        g = cls(AxiomSet(relabeled), doc["depth_bound"], doc.get("genlpreds", True))
+        if not isinstance(doc["clauses"], dict):
+            raise KbError("the graph's 'clauses' must be an object of rule texts by id")
+        clauses = []
+        for cid, clause_text in sorted(doc["clauses"].items()):
+            kb, parsed = parse_kb(clause_text if isinstance(clause_text, str) else "")
+            if len(parsed) != 1 or kb.fact_count:
+                raise KbError(f"graph clause {cid!r} is not exactly one rule")
+            clauses.append(replace(parsed.clauses[0], id=cid))
+        g = cls(AxiomSet(clauses), doc["depth_bound"], doc.get("genlpreds", True))
         for n in doc["or_nodes"]:
             schema = GoalSchema(n["pred"], n["arity"], tuple(ch == "b" for ch in n["mask"]))
-            node = OrNode(n["id"], schema, n["depth"], tuple(n["children"]))
-            g.or_nodes[node.id] = node
-            g._schema_index[schema] = node.id
+            children = _id_list(n["children"], f"the children of OR node {n['id']}")
+            g.or_nodes[n["id"]] = OrNode(n["id"], schema, n["depth"], tuple(children))
+            g._schema_index[schema] = n["id"]
         for n in doc["and_nodes"]:
-            g.and_nodes[n["id"]] = AndNode(n["id"], n["clause"], n["parent"], tuple(n["children"]))
-        g.roots = list(doc["roots"])
+            children = _id_list(n["children"], f"the children of AND node {n['id']}")
+            g.and_nodes[n["id"]] = AndNode(n["id"], n["clause"], n["parent"], tuple(children))
+        g.roots = list(_id_list(doc["roots"], "the graph's roots"))
         return g
 
     def edge_list(self) -> str:
@@ -224,14 +228,14 @@ def _adorn_body(clause: HornClause, schema: GoalSchema) -> list[GoalSchema]:
 def build_graph(
     axioms: AxiomSet,
     roots: Sequence[GoalSchema],
-    depth_bound: int = 10,
-    kb: Optional[KnowledgeBase] = None,
+    depth_bound: int,
+    kb: KnowledgeBase,
     genlpreds_mode: bool = True,
 ) -> AndOrGraph:
     """Breadth-first AND/OR expansion from the root schemas.
 
     An OR node's children are every clause whose head predicate matches the
-    goal (via the genlPreds closure when ``kb`` is given and the mode is on).
+    goal (via the KB's genlPreds closure when the mode is on).
     Back edges to ancestor schemas are dropped together with their rule
     application, and nodes at ``depth_bound`` are left unexpanded, so the
     result is always an acyclic graph of depth <= depth_bound.
@@ -255,17 +259,12 @@ def build_graph(
         if oid not in g.roots:
             g.roots.append(oid)
 
-    def head_candidates(predicate: str) -> frozenset[str]:
-        if genlpreds_mode and kb is not None:
-            return kb.spec_preds(predicate)
-        return frozenset((predicate,))
-
     while queue:
         uid = queue.popleft()
         u = g.or_nodes[uid]
         if u.depth >= depth_bound:
             continue
-        cand = head_candidates(u.predicate)
+        cand = kb.spec_preds(u.predicate) if genlpreds_mode else (u.predicate,)
         and_children: list[str] = []
         for clause in axioms:
             if clause.head.predicate not in cand or clause.head.arity != u.arity:
@@ -318,9 +317,11 @@ class SearchSpace:
         self.or_members = frozenset(or_members)
         self.and_members = frozenset(and_members)
         self.provenance = dict(provenance) if provenance else None
-        unknown = self.or_members - graph.or_nodes.keys()
-        if unknown:
-            raise ValueError(f"unknown OR members: {sorted(unknown)[:3]}")
+        kinds = (("OR", self.or_members, graph.or_nodes), ("AND", self.and_members, graph.and_nodes))
+        for kind, members, nodes in kinds:
+            unknown = members - nodes.keys()
+            if unknown:
+                raise ValueError(f"unknown {kind} members: {sorted(unknown)[:3]}")
         for aid in self.and_members:
             a = graph.and_nodes[aid]
             if a.parent not in self.or_members or any(c not in self.or_members for c in a.children):
@@ -368,7 +369,8 @@ class SearchSpace:
     def from_json(cls, text: str, graph: AndOrGraph) -> "SearchSpace":
         doc = _read_doc(text, "space")
         prov = {key: doc[key] for key in PROVENANCE_KEYS if doc.get(key) is not None}
-        return cls(graph, doc["or_nodes"], doc["and_nodes"], prov or None)
+        members = [_id_list(doc[key], f"the space's {key!r}") for key in ("or_nodes", "and_nodes")]
+        return cls(graph, *members, prov or None)
 
 
 def induced_space(graph: AndOrGraph, member_or_nodes: Iterable[str]) -> SearchSpace:

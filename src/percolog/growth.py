@@ -200,7 +200,6 @@ def synth_kb(config: SynthConfig) -> tuple[KnowledgeBase, AxiomSet, list[QueryTe
 
     # genls tree: a chain realizes the requested depth, everything else
     # attaches wherever it keeps the depth bound; depth 0 means no tree at all
-    children: dict[str, list[str]] = defaultdict(list)
     if config.genls_depth > 0:
         tree_depth = {collections[0]: 0}
         for i, col in enumerate(collections[1:], start=1):
@@ -209,26 +208,16 @@ def synth_kb(config: SynthConfig) -> tuple[KnowledgeBase, AxiomSet, list[QueryTe
             else:
                 parent = rng.choice([c for c in collections[:i] if tree_depth[c] < config.genls_depth])
             tree_depth[col] = tree_depth[parent] + 1
-            children[parent].append(col)
             facts.append(Fact("genls", (col, parent)))
 
     # entities: cover every collection first, then spread at random
-    direct: dict[str, list[str]] = defaultdict(list)
     for i, ent in enumerate(entities):
         col = collections[i] if i < len(collections) else rng.choice(collections)
-        direct[col].append(ent)
         facts.append(Fact("isa", (ent, col)))
 
-    def closure_instances(col: str) -> list[str]:
-        acc: list[str] = []
-        stack = [col]
-        while stack:
-            c = stack.pop()
-            acc.extend(direct.get(c, ()))
-            stack.extend(children.get(c, ()))
-        return sorted(set(acc))
-
-    instance_pool = {c: closure_instances(c) for c in collections}
+    # a collection's pool: its instances under the genls closure
+    hierarchy = KnowledgeBase(facts)
+    instance_pool = {c: sorted(hierarchy.instances_of(c)) for c in collections}
     populated = [c for c in collections if instance_pool[c]]
 
     # predicate levels: roots at level 0, one predicate pinned to each higher

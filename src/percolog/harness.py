@@ -118,7 +118,6 @@ def save_templates(templates: Sequence[QueryTemplate], path: "str | Path") -> No
 class ExperimentConfig:
     kb: str
     templates: str
-    axioms: Optional[str] = None  # defaults to the kb file
     snapshot_sizes: Optional[tuple[int, ...]] = None
     snapshot_seed: int = 0
     snapshot_order: str = "uniform"
@@ -164,7 +163,6 @@ class ExperimentConfig:
         base = path.parent
         cfg.kb = str((base / cfg.kb).resolve())
         cfg.templates = str((base / cfg.templates).resolve())
-        cfg.axioms = str((base / cfg.axioms).resolve()) if cfg.axioms else None
         return cfg
 
 
@@ -189,7 +187,6 @@ def _is_list(v) -> bool:
 _CONFIG_CHECKS = {
     "kb": (_is_path, "a path"),
     "templates": (_is_path, "a path"),
-    "axioms": (lambda v: v is None or _is_path(v), "a path"),
     "snapshot_sizes": (
         lambda v: v is None or _is_list(v) and len(v) > 0 and all(map(_is_int, v)),
         "a nonempty list of integers",
@@ -275,15 +272,10 @@ class LoadedExperiment:
     graph: AndOrGraph
     queries: tuple[Query, ...]
     snapshots: list[tuple[str, KnowledgeBase]]
-    config: ExperimentConfig
 
 
 def load_experiment(cfg: ExperimentConfig) -> LoadedExperiment:
-    kb, kb_rules = parse_kb(Path(cfg.kb).read_text(encoding="utf-8"))
-    if cfg.axioms and cfg.axioms != cfg.kb:
-        _, axioms = parse_kb(Path(cfg.axioms).read_text(encoding="utf-8"))
-    else:
-        axioms = kb_rules
+    kb, axioms = parse_kb(Path(cfg.kb).read_text(encoding="utf-8"))
     templates = load_templates(cfg.templates)
     queries = expand_templates(kb, templates)
     if len(queries) == 0:
@@ -293,7 +285,7 @@ def load_experiment(cfg: ExperimentConfig) -> LoadedExperiment:
         snapshots = ablate_grow(kb, cfg.snapshot_sizes, random.Random(cfg.snapshot_seed), cfg.snapshot_order)
     else:
         snapshots = [("full", kb)]
-    return LoadedExperiment(kb, graph, queries, snapshots, cfg)
+    return LoadedExperiment(kb, graph, queries, snapshots)
 
 
 def _cell_settings(cfg: ExperimentConfig) -> list[tuple[str, float]]:
@@ -337,7 +329,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                     profile = depth_profile(space, kb, cfg.genlpreds, cache)
                     row.axiom_count = len(space.retained_axiom_ids())
                     row.or_nodes = space.node_count
-                    row.avg_degree = _space_degree(space)
+                    row.avg_degree = average_degree(space) if space.or_members else 0.0
                     row.alpha = report.alpha
                     row.q_count = qa.attempted
                     row.answered = qa.answered
@@ -359,10 +351,6 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     return result
 
 
-def _space_degree(space) -> float:
-    return average_degree(space) if space.or_members else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Detectors
 # ---------------------------------------------------------------------------
@@ -373,9 +361,6 @@ class DetectorReport:
     kind: str  # "transition" | "degenerate" | "none"
     evidence: Optional[dict]
     parameters: dict
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "evidence": self.evidence, "parameters": self.parameters}
 
 
 # detector defaults, shared by the sweep and `percolog detect`
@@ -465,7 +450,7 @@ def build_detectors(
             rep = DetectorReport("none", None, {**_transition_params(min_range, jump_share), "points": len(pts)})
         if rep.kind == "transition":
             flagged += 1
-        transitions.append({"model": model, "k_or_beta": value, **rep.to_dict()})
+        transitions.append({"model": model, "k_or_beta": value, **asdict(rep)})
     degenerate = []
     deg_flagged = 0
     for cell in sorted(profiles):
@@ -474,7 +459,7 @@ def build_detectors(
         )
         if rep.kind == "degenerate":
             deg_flagged += 1
-        degenerate.append({"cell": cell, **rep.to_dict()})
+        degenerate.append({"cell": cell, **asdict(rep)})
     return {
         "transitions": transitions,
         "degenerate": degenerate,
@@ -620,21 +605,20 @@ def parse_rows(path: "str | Path") -> list[SweepRow]:
     return rows
 
 
+PROFILE_COLUMNS = ("depth", "count")
+
+
 def profile_to_csv(profile: Mapping[int, int]) -> str:
-    lines = ["depth,count"]
-    lines.extend(f"{d},{profile[d]}" for d in sorted(profile))
-    return "\n".join(lines) + "\n"
+    return format_table([{"depth": d, "count": profile[d]} for d in sorted(profile)], PROFILE_COLUMNS)
 
 
 def parse_profile_csv(text: str) -> dict[int, int]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "depth,count":
+    """Read a depth profile CSV back; blank lines are skipped and quote
+    characters are data, so a quoted cell is not an integer."""
+    rows = list(csv.reader([ln for ln in text.splitlines() if ln.strip()], quoting=csv.QUOTE_NONE))
+    if not rows or rows[0] != list(PROFILE_COLUMNS):
         raise ValueError("not a depth profile CSV")
-    out = {}
-    for ln in lines[1:]:
-        d, c = ln.split(",")
-        out[int(d)] = int(c)
-    return out
+    return {int(d): int(c) for d, c in rows[1:]}
 
 
 def write_sweep_outputs(result: SweepResult, outdir: "str | Path") -> None:

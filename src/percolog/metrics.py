@@ -12,7 +12,7 @@ node-id order so the headline value is reproducible bit-for-bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .engine import Evaluator, Query, SnapshotCache, solutions
@@ -29,16 +29,7 @@ class AlphaReport:
     terms: tuple[tuple[str, int, int, float], ...]  # (node id, solutions, depth, term)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alpha": self.alpha,
-                "n_total": self.n_total,
-                "m_count": self.m_count,
-                "q_count": self.q_count,
-                "terms": [list(t) for t in self.terms],
-            },
-            indent=1,
-        )
+        return json.dumps(asdict(self), indent=1)
 
 
 @dataclass(frozen=True)
@@ -52,12 +43,13 @@ class QaResult:
 
 def alpha(g: AndOrGraph, space: SearchSpace, queries: Sequence[Query], kb: KnowledgeBase) -> AlphaReport:
     """Average per-node ground-fact contribution of the space toward Q,
-    counting solutions under the genlPreds mode the graph was built with."""
+    counting solutions under the genlPreds mode the graph was built with;
+    the space must have been sampled from ``g`` itself."""
     if len(queries) == 0:
         raise ValueError("alpha needs a nonempty query set")
     if g.or_count == 0:
         raise ValueError("alpha needs a graph with at least one OR node")
-    if not space.or_members <= g.or_nodes.keys():
+    if space.graph is not g:
         raise ValueError("space is not a sub-space of the given graph")
     qn = len(queries)
     terms = []
@@ -89,11 +81,13 @@ def answered_fraction(
     """Backchain every query against the space's retained axioms and report
     coverage plus the total distinct answers (the model-comparison metric).
     A cache shares its row store and goal memos with the snapshot's other
-    spaces."""
+    spaces; a genlpreds_mode other than the graph's raises ValueError."""
     if len(queries) == 0:
         raise ValueError("answered_fraction needs a nonempty query set")
     axioms = space.graph.axioms.restrict(space.retained_axiom_ids())
     ev = Evaluator(kb, axioms, genlpreds_mode, cache)
+    if genlpreds_mode != space.graph.genlpreds_mode:
+        raise ValueError(f"genlPreds mode {genlpreds_mode} differs from the space's graph's")
     per_query = []
     answered = 0
     total = 0

@@ -91,6 +91,8 @@ def cell_params(model: str, value: float, replicate: int, master_seed: int, *sco
     model, the value's canonical numeral and the replicate."""
     seed = derive_seed(master_seed, *scope, model, _numeral(value), replicate)
     if model == "model1":
+        if not float(value).is_integer():
+            raise ValueError(f"model1 takes an integer k, got {value!r}")
         return SampleParams("model1", k=int(value), seed=seed, replicate=replicate)
     return SampleParams("model2", beta=float(value), seed=seed, replicate=replicate)
 

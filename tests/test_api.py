@@ -1,6 +1,7 @@
 """The public surface the documentation and the benchmark rely on: the
-README's library example runs as written, and every layer the benchmark's
-tracer wraps is still called by ``percolog sweep``."""
+README's library example runs as written, every layer the benchmark's
+tracer wraps is still called by ``percolog sweep``, and the benchmark's
+checker passes on a sweep."""
 
 import importlib.util
 import json
@@ -32,23 +33,17 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     assert float(alpha) >= 0 and 0 <= float(fraction) <= 1 and hit in ("True", "False")
 
 
-def _load_sweep_child():
-    spec = importlib.util.spec_from_file_location("sweep_child", ROOT / "perfbench" / "sweep_child.py")
+def _load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def test_benchmark_tracer_sees_every_layer(tmp_path, monkeypatch):
-    sweep_child = _load_sweep_child()
-
-    class RestoringTracer(sweep_child.Tracer):
-        def wrap(self, owner, name, layer, count=None):
-            monkeypatch.setattr(owner, name, getattr(owner, name))  # undone after the test
-            super().wrap(owner, name, layer, count)
-
-    _write_workspace(tmp_path)
-    kb = P.parse_kb((tmp_path / "family.kb").read_text(encoding="utf-8"))[0]
+def _write_sweep(ws: Path) -> Path:
+    """A two-snapshot sweep config over the workspace's family, one cell per
+    sampler and snapshot."""
+    kb = P.parse_kb((ws / "family.kb").read_text(encoding="utf-8"))[0]
     cfg = {
         "kb": "family.kb",
         "templates": "templates.json",
@@ -57,10 +52,38 @@ def test_benchmark_tracer_sees_every_layer(tmp_path, monkeypatch):
         "model2_beta": [40],
         "replicates": 1,
     }
-    (tmp_path / "sweep.json").write_text(json.dumps(cfg), encoding="utf-8")
+    (ws / "sweep.json").write_text(json.dumps(cfg), encoding="utf-8")
+    return ws / "sweep.json"
+
+
+def test_benchmark_tracer_sees_every_layer(tmp_path, monkeypatch):
+    sweep_child = _load_perfbench("sweep_child")
+
+    class RestoringTracer(sweep_child.Tracer):
+        def wrap(self, owner, name, layer, count=None):
+            monkeypatch.setattr(owner, name, getattr(owner, name))  # undone after the test
+            super().wrap(owner, name, layer, count)
+
+    _write_workspace(tmp_path)
+    _write_sweep(tmp_path)
     tracer = RestoringTracer()
     tracer.install()
     assert main(["sweep", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "out")]) == 0
     assert len(tracer.spans) == 11
     silent = sorted(layer for layer, spans in tracer.spans.items() if not spans)
     assert silent == [], f"layers with no recorded call: {silent}"
+
+
+def test_benchmark_checker_passes_on_a_sweep(tmp_path, monkeypatch):
+    """The benchmark's row, space, alpha, growth and oracle checks call the
+    library the way ``perfbench/run.py`` does; a change to what they call or
+    read fails here, not only in a benchmark run."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # checks.py imports oracle.py
+    checks = _load_perfbench("checks")
+    _write_workspace(tmp_path)
+    config = _write_sweep(tmp_path)
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    checker = checks.SweepChecker(config, tmp_path / "out", seed=0)
+    props = checker.run()
+    assert checker.errors == []
+    assert props["cells"] == 4 and props["oracle_cells"] >= 1

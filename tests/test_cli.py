@@ -276,6 +276,12 @@ def test_negative_compare_tolerance_is_input_error(workspace, capsys, tolerance)
 
 
 TEMPLATE = {"id": "t0", "predicate": "p", "bound_position": 1, "param_collection": "Thing", "open_position": 2}
+OR_NODE = {"id": "o0", "pred": "p", "arity": 2, "mask": "bf", "depth": 0, "children": []}
+GRAPH = {
+    "format": "percolog-graph@1", "depth_bound": 10, "genlpreds": True, "roots": ["o0"],
+    "or_nodes": [OR_NODE], "and_nodes": [], "clauses": {},
+}
+SPACE = {"format": "percolog-space@1", "or_nodes": ["o0"], "and_nodes": [], "axiom_ids": []}
 MALFORMED_ARGV = {
     "build-graph": ["build-graph", "--axioms", "kb.kb", "--templates", "bad.json", "--out", "out.json"],
     "sweep": ["sweep", "--config", "sweep.json", "--out", "out"],
@@ -302,11 +308,23 @@ MALFORMED_ARGV = {
         ("build-graph", [dict(TEMPLATE, bound_position=3)], "must be 1 and 2 in either order, got 3 and 2"),
         ("sweep", [dict(TEMPLATE, open_position=1)], "must be 1 and 2 in either order, got 1 and 1"),
         ("ask", {"format": "percolog-space@1", "axiom_ids": ["zz"]}, "unknown rule ids: ['zz']"),
+        ("alpha", dict(SPACE, or_nodes=5), "the space's 'or_nodes' must be a list of id strings"),
+        ("alpha", dict(SPACE, and_nodes=["a9"]), "unknown AND members: ['a9']"),
+        ("ask", dict(SPACE, axiom_ids="r0"), "the space's 'axiom_ids' must be a list of id strings"),
+        ("sample", dict(GRAPH, or_nodes=[dict(OR_NODE, children=5)]), "the children of OR node o0 must be a list"),
+        (
+            "sample",
+            dict(GRAPH, clauses={"r0": "(p a b)", "r1": "(<= (q ?x ?y) (p ?y ?x))"}),
+            "graph clause 'r0' is not exactly one rule",
+        ),
+        ("sample", dict(GRAPH, clauses=[]), "the graph's 'clauses' must be an object"),
     ],
     ids=[
         "templates-entry-not-object", "templates-not-list", "string-position", "string-position-in-sweep",
         "bool-position", "int-predicate", "unknown-field", "missing-field", "graph-not-object", "space-not-object",
         "ask-space-not-object", "position-out-of-range", "positions-coincide", "ask-space-unknown-rule",
+        "space-or-nodes-not-list", "space-unknown-and-node", "ask-space-ids-string", "graph-children-not-list",
+        "graph-clause-not-a-rule", "graph-clauses-not-object",
     ],
 )
 def test_malformed_input_file_is_input_error(tmp_path, monkeypatch, capsys, command, doc, named):

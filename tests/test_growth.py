@@ -129,6 +129,13 @@ class TestSynthKb:
             assert serialize_kb(kb1, ax1) == serialize_kb(kb2, ax2)
             assert t1 == t2
 
+    def test_pinned_genls_family(self):
+        # sha256 of serialize_kb for a two-level genls tree: fact arguments
+        # are drawn from each collection's instances under the genls closure
+        kb, axioms, _ = synth_kb(small_cfg(3, entities=24, collections=6, genls_depth=2))
+        digest = hashlib.sha256(serialize_kb(kb, axioms).encode()).hexdigest()
+        assert digest == "f9597cf0213073c595ab959f0d8fbe46d142af8c643c8f8754fe2dd706a85961"
+
     def test_output_parses_and_validates(self):
         for seed in range(6):
             kb, axioms, templates = synth_kb(small_cfg(seed))

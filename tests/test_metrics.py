@@ -11,6 +11,7 @@ from percolog import (
     induced_space,
     model1_sample,
 )
+from percolog.engine import bottom_up_eval, depth_profile
 from percolog.graph import SearchSpace
 from percolog.growth import SynthConfig, synth_kb
 from percolog.harness import expand_templates, root_schemas
@@ -208,6 +209,38 @@ class TestIdentitySpaceCrossCheck:
         answered = sum(1 for q in queries if ev.ask(q, 10))
         assert via_space.answered == answered
         assert via_space.fraction == pytest.approx(answered / len(queries))
+
+
+class TestAgreementWithTheSpacesGraph:
+    """An evaluation takes its genlPreds mode, and alpha its graph, from the
+    graph the space was sampled from."""
+
+    ROOT = GoalSchema("root", 2, (True, False))
+    QUERIES = (Query(A("root", "a", "?x")),)
+
+    def setup_graph(self):
+        kb, axioms = parse_kb("(isa a Thing)\n(genlPreds sub root)\n(p a b)\n(<= (sub ?x ?y) (p ?x ?y))")
+        g = build_graph(axioms, [self.ROOT], 10, kb=kb, genlpreds_mode=True)
+        return kb, axioms, g, induced_space(g, g.or_nodes)
+
+    def test_another_genlpreds_mode_is_refused(self):
+        kb, _, _, space = self.setup_graph()
+        assert answered_fraction(space, kb, self.QUERIES, 10, True).answered == 1
+        assert depth_profile(space, kb, True) == {0: 1, 1: 1}
+        with pytest.raises(ValueError, match="genlPreds mode False"):
+            answered_fraction(space, kb, self.QUERIES, 10, False)
+        with pytest.raises(ValueError, match="genlPreds mode False"):
+            depth_profile(space, kb, False)
+        with pytest.raises(ValueError, match="genlPreds mode False"):
+            bottom_up_eval(space, kb, False)
+
+    def test_alpha_refuses_a_graph_with_the_same_node_ids(self):
+        kb, axioms, g, space = self.setup_graph()
+        twin = build_graph(axioms, [self.ROOT], 10, kb=kb, genlpreds_mode=True)
+        assert twin.or_nodes.keys() == g.or_nodes.keys()
+        assert alpha(g, space, self.QUERIES, kb).m_count == len(g.or_nodes)
+        with pytest.raises(ValueError, match="sub-space"):
+            alpha(twin, space, self.QUERIES, kb)
 
 
 class TestThreshold:

@@ -188,6 +188,14 @@ class TestReplicates:
         assert cell_params("model2", 10.0, 3, 42, "s0").seed == derive_seed(42, "s0", "model2", 10, 3)
         assert cell_params("model2", 12.5, 0, 42).seed == derive_seed(42, "model2", 12.5, 0)
 
+    @pytest.mark.parametrize("value", [2.5, 0.5, float("nan"), float("inf")])
+    def test_non_integral_k_is_refused(self, value):
+        # int(2.5) would sample the k = 2 cell under a seed no k = 2 cell has
+        with pytest.raises(ValueError, match="integer k"):
+            cell_params("model1", value, 0, 42)
+        with pytest.raises(ValueError, match="integer k"):
+            generate_replicates(chain_graph(), [("model1", value)], 1)
+
 
 class TestSubsetness:
     def test_axioms_subset_and_fraction_monotone(self):
