@@ -21,6 +21,10 @@ with a proof of height at most d.  Results are memoized per canonical goal
 depth; a deep query over recursive rules holds up to one answer set per
 (goal, depth) pair.
 
+A goal is answered empty, before any retrieval or rule runs, when one of its
+constants lies outside the symbols that answers of its predicate and arity
+can carry at that position under the retained clauses (``_carried``).
+
 The cells of a sweep sample many spaces from one snapshot, and their
 retained rule sets overlap.  Passing them one :class:`SnapshotCache` lets them
 share work besides the rows: bottom-up, the head rows of each rule
@@ -278,7 +282,7 @@ class SnapshotCache:
 
     Both engines retrieve facts from its base rows: per (predicate, arity),
     the rows of every predicate in ``preds``, indexed per argument position
-    on first use.  Bottom-up, each member OR node gets a hash-consed
+    on first use, and top-down reads their symbols per position.  Bottom-up, each member OR node gets a hash-consed
     signature id: the node plus its retained AND children with their
     children's signature ids.  Two
     cells whose nodes carry the same signatures derive the same rows, so the
@@ -297,6 +301,7 @@ class SnapshotCache:
         self.graph: Optional[AndOrGraph] = None  # bound by the first depth profile
         self._base: dict[tuple[str, int], frozenset[tuple]] = {}  # (predicate, arity) -> KB rows
         self._indexes: dict[tuple[str, int, int], dict[str, list]] = {}  # (predicate, arity, position) -> rows by symbol
+        self._values: dict[tuple[str, int, int], frozenset[str]] = {}  # (predicate, arity, position) -> its symbols
         self._sigs: dict[tuple, int] = {}  # (OR node, its retained applications) -> signature id
         self._fired: dict[tuple, tuple] = {}  # (AND node, child signature ids) -> head rows
         self._rows: dict[tuple, tuple] = {}  # head row -> its one cached tuple
@@ -306,6 +311,7 @@ class SnapshotCache:
         self._evaluators = 0
         self.fired_hits = 0
         self.memo_hits = 0
+        self.pruned = 0
 
     def check(self, kb: KnowledgeBase, genlpreds_mode: bool, graph: Optional[AndOrGraph] = None) -> None:
         """Raise ValueError unless the cache serves this snapshot and mode,
@@ -341,6 +347,14 @@ class SnapshotCache:
                 index[row[position]].append(row)
         return index
 
+    def base_values(self, predicate: str, arity: int, position: int) -> frozenset[str]:
+        """The symbols at the 0-based position over the base rows, built on
+        first use."""
+        key = (predicate, arity, position)
+        if key not in self._values:
+            self._values[key] = frozenset(map(itemgetter(position), self.base_rows(predicate, arity)))
+        return self._values[key]
+
     def cone_bit(self, clause: HornClause) -> int:
         """The clause's bit in the cones: one bit per clause content."""
         bit = self._bits.get(clause)
@@ -363,7 +377,7 @@ class SnapshotCache:
         return (
             f"{len(self._memos)} shared cones, {sum(map(len, self._memos.values()))} memo entries, "
             f"{len(self._fired)} cached rule applications, {self.fired_hits} rule-application hits, "
-            f"{self.memo_hits} memo hits"
+            f"{self.memo_hits} memo hits, {self.pruned} pruned goals"
         )
 
 
@@ -400,16 +414,46 @@ class Evaluator:
         cache._evaluators += 1
         self._serial = cache._evaluators
         self._memo: dict = {}  # (predicate, *parts, depth) -> answers, for the goals of cones not shared
-        self._memos: dict[tuple[str, int], dict] = {}  # (predicate, arity) -> the memo its goals use
+        self._memos: dict[tuple[str, int], tuple] = {}  # (predicate, arity) -> its goals' memo and value sets
         self._reaches: dict[tuple[str, int], tuple[int, set]] = {}
         self._shapes: dict[tuple, tuple] = {}
+        self._carries: dict[tuple[str, int], Optional[tuple]] = {}  # (predicate, arity) -> per position, see _carried
         self.hits = 0  # memo hits
+        self.pruned = 0  # goals answered empty by _carried alone
 
     def _heads(self, predicate: str, arity: int) -> list[HornClause]:
         """The retained clauses whose heads can answer goals of the predicate
         and arity."""
         preds = self.cache.preds(predicate)
         return [c for c in self.axioms if c.head.predicate in preds and c.head.arity == arity]
+
+    def _carried(self, predicate: str, arity: int) -> tuple:
+        """Per 0-based position, a superset of the symbols that any answer of
+        a goal of the predicate and arity carries there, or None if any may:
+        the base rows' symbols, each head symbol at the position and, for a
+        head variable, the intersection of the sets at its body occurrences.
+        A (predicate, arity) met again while its own sets are being built
+        (recursion) is unconstrained at every position."""
+        if (predicate, arity) in self._carries:
+            return self._carries[(predicate, arity)] or (None,) * arity
+        self._carries[(predicate, arity)] = None
+        heads = self._heads(predicate, arity)
+        sets = []
+        for i in range(arity):
+            vals, more = self.cache.base_values(predicate, arity, i), []
+            for c in heads:
+                t = c.head.args[i]
+                at = [(t,)] if isinstance(t, str) else [
+                    s for a in c.body for j, u in enumerate(a.args) if u == t
+                    if (s := self._carried(a.predicate, a.arity)[j]) is not None
+                ]
+                if not at:
+                    vals = None
+                    break
+                more.append(at[0] if len(at) == 1 else min(at, key=len).intersection(*at))
+            sets.append(vals.union(*more) if vals is not None and more else vals)
+        carried = self._carries[(predicate, arity)] = tuple(sets)
+        return carried
 
     def _reach(self, predicate: str, arity: int) -> tuple[int, set]:
         """The cone bits of the retained clauses answering goals of the
@@ -423,18 +467,20 @@ class Evaluator:
             reach = self._reaches[(predicate, arity)] = (bits, {(a.predicate, a.arity) for c in heads for a in c.body})
         return reach
 
-    def _memo_for(self, predicate: str, arity: int) -> dict:
-        """The memo of goals of the predicate and arity: the private one, or
-        the cache's memo of their cone, the retained clauses reachable from
-        them through heads and body atoms."""
+    def _memo_for(self, predicate: str, arity: int) -> tuple[dict, tuple]:
+        """The memo of goals of the predicate and arity, the private one or
+        the cache's memo of their cone (the retained clauses reachable from
+        them through heads and body atoms), and the (position, set) pairs of
+        ``_carried`` that a goal constant must lie in."""
         cone, seen, todo = 0, {(predicate, arity)}, [(predicate, arity)]
         while todo:
             bits, below = self._reach(*todo.pop())
             cone |= bits
             todo += below - seen
             seen |= below
-        memo = self._memos[(predicate, arity)] = self.cache.memo(cone, self._serial, self._memo)
-        return memo
+        carried = tuple((i, vals) for i, vals in enumerate(self._carried(predicate, arity)) if vals is not None)
+        at = self._memos[(predicate, arity)] = (self.cache.memo(cone, self._serial, self._memo), carried)
+        return at
 
     def _shape_table(self, predicate: str, shape: tuple) -> tuple:
         """Build the table for goals of the predicate and shape: the cache's
@@ -482,9 +528,11 @@ class Evaluator:
         """Answer tuples for the goal's slots, in slot order, by proofs of
         height at most ``depth``; memoized per (goal, depth)."""
         predicate, parts = canon
-        memo = self._memos.get((predicate, len(parts)))
-        if memo is None:
-            memo = self._memo_for(predicate, len(parts))
+        memo, carried = self._memos.get((predicate, len(parts))) or self._memo_for(predicate, len(parts))
+        for i, vals in carried:
+            if parts[i] not in vals and isinstance(parts[i], str):  # a slot is never in a set
+                self.pruned += 1
+                return _NO_ANSWERS
         key = (predicate, *parts, depth)
         hit = memo.get(key)
         if hit is not None:

@@ -76,6 +76,20 @@ def _id_list(value: object, what: str) -> list[str]:
     return value
 
 
+def _objects(value: object, what: str) -> list[dict]:
+    """A JSON list of objects; KbError naming the field otherwise."""
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise KbError(f"{what} must be a list of objects")
+    return value
+
+
+def _count(value: object, what: str) -> int:
+    """A JSON integer >= 0, not a boolean; KbError naming the field otherwise."""
+    if type(value) is not int or value < 0:
+        raise KbError(f"{what} must be an integer >= 0")
+    return value
+
+
 def _id_key(node_id: str) -> int:
     return int(node_id[1:])
 
@@ -157,13 +171,20 @@ class AndOrGraph:
             if len(parsed) != 1 or kb.fact_count:
                 raise KbError(f"graph clause {cid!r} is not exactly one rule")
             clauses.append(replace(parsed.clauses[0], id=cid))
-        g = cls(AxiomSet(clauses), doc["depth_bound"], doc.get("genlpreds", True))
-        for n in doc["or_nodes"]:
-            schema = GoalSchema(n["pred"], n["arity"], tuple(ch == "b" for ch in n["mask"]))
+        genlpreds = doc.get("genlpreds", True)
+        if not isinstance(genlpreds, bool):
+            raise KbError("the graph's 'genlpreds' must be true or false")
+        g = cls(AxiomSet(clauses), _count(doc["depth_bound"], "the graph's 'depth_bound'"), genlpreds)
+        for n in _objects(doc["or_nodes"], "the graph's 'or_nodes'"):
+            arity, mask = _count(n["arity"], f"the arity of OR node {n['id']}"), n["mask"]
+            if not isinstance(mask, str) or len(mask) != arity or set(mask) - {"b", "f"}:
+                raise KbError(f"the mask of OR node {n['id']} must be a string of {arity} 'b' or 'f' characters")
+            schema = GoalSchema(n["pred"], arity, tuple(ch == "b" for ch in mask))
             children = _id_list(n["children"], f"the children of OR node {n['id']}")
-            g.or_nodes[n["id"]] = OrNode(n["id"], schema, n["depth"], tuple(children))
+            depth = _count(n["depth"], f"the depth of OR node {n['id']}")
+            g.or_nodes[n["id"]] = OrNode(n["id"], schema, depth, tuple(children))
             g._schema_index[schema] = n["id"]
-        for n in doc["and_nodes"]:
+        for n in _objects(doc["and_nodes"], "the graph's 'and_nodes'"):
             children = _id_list(n["children"], f"the children of AND node {n['id']}")
             g.and_nodes[n["id"]] = AndNode(n["id"], n["clause"], n["parent"], tuple(children))
         g.roots = list(_id_list(doc["roots"], "the graph's roots"))

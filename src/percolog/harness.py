@@ -615,7 +615,10 @@ def profile_to_csv(profile: Mapping[int, int]) -> str:
 def parse_profile_csv(text: str) -> dict[int, int]:
     """Read a depth profile CSV back; blank lines are skipped and quote
     characters are data, so a quoted cell is not an integer."""
-    rows = list(csv.reader([ln for ln in text.splitlines() if ln.strip()], quoting=csv.QUOTE_NONE))
+    try:
+        rows = list(csv.reader([ln for ln in text.splitlines() if ln.strip()], quoting=csv.QUOTE_NONE))
+    except csv.Error as e:  # a field over the csv module's size limit
+        raise ValueError(f"not a depth profile CSV: {e}") from None
     if not rows or rows[0] != list(PROFILE_COLUMNS):
         raise ValueError("not a depth profile CSV")
     return {int(d): int(c) for d, c in rows[1:]}

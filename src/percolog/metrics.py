@@ -98,6 +98,7 @@ def answered_fraction(
             answered += 1
         total += n
     ev.cache.memo_hits += ev.hits
+    ev.cache.pruned += ev.pruned
     return QaResult(
         attempted=len(queries),
         answered=answered,

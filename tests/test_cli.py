@@ -172,6 +172,13 @@ def test_sweep_detect_compare(workspace, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "kb_id,pairs,model1_mean_answers,model2_mean_answers,change_pct"
 
+    # a profile cell over the csv module's field limit is an input error
+    profile = sorted((ws / "out" / "profiles").glob("*.csv"))[0]
+    profile.write_text("depth,count\n0," + " " * 140000 + "5\n", encoding="utf-8")
+    assert main(["detect", "--rows", str(ws / "out" / "sweep.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not a depth profile CSV") and err.count("\n") == 1, err[:200]
+
 
 def _sweep_outputs(outdir):
     """Every deterministic sweep output: sweep.csv without wall_time_s, the
@@ -318,13 +325,25 @@ MALFORMED_ARGV = {
             "graph clause 'r0' is not exactly one rule",
         ),
         ("sample", dict(GRAPH, clauses=[]), "the graph's 'clauses' must be an object"),
+        ("sample", dict(GRAPH, or_nodes=5), "the graph's 'or_nodes' must be a list of objects"),
+        ("sample", dict(GRAPH, and_nodes=["a0"]), "the graph's 'and_nodes' must be a list of objects"),
+        ("sample", dict(GRAPH, or_nodes=[dict(OR_NODE, mask=5)]), "the mask of OR node o0 must be a string of 2"),
+        ("sample", dict(GRAPH, or_nodes=[dict(OR_NODE, mask="bfb")]), "the mask of OR node o0 must be a string of 2"),
+        ("sample", dict(GRAPH, or_nodes=[dict(OR_NODE, mask="bx")]), "the mask of OR node o0 must be a string of 2"),
+        ("sample", dict(GRAPH, or_nodes=[dict(OR_NODE, arity="2")]), "the arity of OR node o0 must be an integer"),
+        ("sample", dict(GRAPH, or_nodes=[dict(OR_NODE, depth=-1)]), "the depth of OR node o0 must be an integer >= 0"),
+        ("sample", dict(GRAPH, depth_bound="x"), "the graph's 'depth_bound' must be an integer >= 0"),
+        ("sample", dict(GRAPH, depth_bound=True), "the graph's 'depth_bound' must be an integer >= 0"),
+        ("sample", dict(GRAPH, genlpreds=1), "the graph's 'genlpreds' must be true or false"),
     ],
     ids=[
         "templates-entry-not-object", "templates-not-list", "string-position", "string-position-in-sweep",
         "bool-position", "int-predicate", "unknown-field", "missing-field", "graph-not-object", "space-not-object",
         "ask-space-not-object", "position-out-of-range", "positions-coincide", "ask-space-unknown-rule",
         "space-or-nodes-not-list", "space-unknown-and-node", "ask-space-ids-string", "graph-children-not-list",
-        "graph-clause-not-a-rule", "graph-clauses-not-object",
+        "graph-clause-not-a-rule", "graph-clauses-not-object", "graph-or-nodes-not-list", "graph-and-node-not-object",
+        "graph-mask-not-string", "graph-mask-too-long", "graph-mask-bad-character", "graph-arity-string",
+        "graph-depth-negative", "graph-depth-bound-string", "graph-depth-bound-bool", "graph-genlpreds-not-bool",
     ],
 )
 def test_malformed_input_file_is_input_error(tmp_path, monkeypatch, capsys, command, doc, named):

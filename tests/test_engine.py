@@ -446,6 +446,72 @@ class TestDepthExactOracle:
         self.check(random_domain(seed, recursive=True))
 
 
+class TestValueSets:
+    """A goal whose constant no answer can carry at its position is answered
+    empty without running a rule: the value sets must be supersets of the
+    derivable rows' symbols, so the pruning drops no answer."""
+
+    @staticmethod
+    def check(dom, seed, recursive):
+        rounds = fixpoint_rounds(dom.kb, dom.axioms, dom.genl_edges)
+        # naive_fixpoint takes seconds on a recursive domain; the last round is the same closure
+        fix = rounds[-1] if recursive else naive_fixpoint(dom.kb, dom.axioms, dom.genl_edges)
+        relations = sorted({(pred, len(args)) for pred, args in fix})
+        random.Random(seed).shuffle(relations)  # the order sets are built in must not matter
+        ev = Evaluator(dom.kb, dom.axioms)
+        carried = {rel: ev._carried(*rel) for rel in relations}
+        for pred, args in fix:
+            for j, vals in enumerate(carried[(pred, len(args))]):
+                assert vals is None or args[j] in vals, f"({pred} {' '.join(args)}) at position {j}"
+        queries = expand_templates(dom.kb, dom.templates)
+        pruned = 0
+        for d in (0, 1, 2, 4, len(rounds)):
+            ev = Evaluator(dom.kb, dom.axioms)
+            for q in queries:
+                want = oracle_bindings(rounds[min(d, len(rounds) - 1)], q.atom)
+                assert ev.ask(q, d) == want, f"depth={d} query={q.atom}"
+            pruned += ev.pruned
+        return pruned
+
+    @pytest.mark.parametrize("flavor", ["stratified", "genlpreds", "recursive"])
+    def test_sets_hold_every_derivable_row(self, flavor):
+        recursive = flavor == "recursive"
+        pruned = [self.check(random_domain(seed, flavor == "genlpreds", recursive), seed, recursive) for seed in range(30)]
+        assert sum(1 for n in pruned if n) >= 10  # the test exercises the pruning
+
+    def test_unsupported_constant_runs_no_rule(self):
+        # Z is a KB symbol, but no p row, so no r or s answer, starts with it
+        kb, axioms = parse_kb(
+            "(p A B)\n(q B C)\n(u A)\n(u Z)\n(<= (r ?x ?z) (p ?x ?y) (q ?y ?z))\n(<= (s ?x ?y) (u ?x) (p ?x ?y))"
+        )
+        ev = Evaluator(kb, axioms)
+        assert ev._carried("r", 2) == (frozenset({"A"}), frozenset({"C"}))
+        assert ev._carried("s", 2) == (frozenset({"A"}), frozenset({"B"}))  # ?x lies in both u's and p's sets
+        assert ev.ask(Q("s", "Z", "?y"), 3) == frozenset() and ev.pruned == 1
+        assert ev.ask(Q("r", "Z", "?z"), 3) == frozenset()
+        assert ev.pruned == 2 and ev._memo == {}  # no subgoal was solved
+        assert ev.ask(Q("r", "A", "?z"), 3) == {"C"} and ev.pruned == 2
+
+    def test_head_symbols_and_genlpreds_are_carried(self):
+        # near's sets hold the near rows, the touches rows through genlPreds
+        # and the head symbol E
+        kb, axioms = parse_kb(
+            "(genlPreds touches near)\n(touches A B)\n(touches C D)\n(<= (near E ?y) (touches ?x ?y))"
+        )
+        ev = Evaluator(kb, axioms)
+        assert ev._carried("near", 2) == (frozenset({"A", "C", "E"}), frozenset({"B", "D"}))
+        assert ev.ask(Q("near", "E", "?y"), 1) == {"B", "D"}
+        assert ev.ask(Q("near", "?x", "B"), 0) == {"A"}  # the touches row, by retrieval through genlPreds
+
+    @pytest.mark.parametrize("body", ["(anc ?x ?z) (par ?z ?y)", "(anc ?x ?z) (anc ?z ?y)"], ids=["left", "double"])
+    def test_recursive_goal_is_unconstrained(self, body):
+        kb, axioms = chain_closure(body)
+        ev = Evaluator(kb, axioms)
+        # the rule meets (anc ?x ?z) while anc's sets are being built
+        assert ev._carried("anc", 2)[0] is None
+        assert len(ev.ask(Q("anc", "N0", "?x"), 40)) == 39
+
+
 def test_random_domain_returns_on_every_seed():
     # the suites use seeds below 200; some seeds above draw more facts than
     # their predicates and entities admit, which the generator caps

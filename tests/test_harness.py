@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import re
 
 import pytest
 
@@ -248,6 +249,11 @@ class TestEmit:
         assert text.splitlines()[0] == "depth,count"
         assert parse_profile_csv(text) == profile
 
+    def test_profile_csv_field_over_the_csv_limit_is_value_error(self):
+        # the csv module refuses a field over 131,072 characters with csv.Error
+        with pytest.raises(ValueError, match="not a depth profile CSV"):
+            parse_profile_csv("depth,count\n0," + " " * 140000 + "5\n")
+
 
 def write_experiment(tmp_path, *, facts=120, entities=24, seed=0):
     cfg = SynthConfig(
@@ -338,7 +344,7 @@ class TestRunSweep:
     def test_cells_equal_their_evaluation_alone(self, tmp_path, caplog):
         # the snapshot cache shares work between a snapshot's cells only:
         # every row and profile equals its cell's fresh, unshared evaluation,
-        # and the sweep logs each snapshot's cache size
+        # and the sweep logs each snapshot's cache size and pruned goals
         kb, _, _ = write_experiment(tmp_path)
         cfg = ExperimentConfig(
             kb=str(tmp_path / "kb.kb"),
@@ -353,6 +359,8 @@ class TestRunSweep:
             result = run_sweep(cfg)
         logs = [r for r in caplog.records if "cached rule applications" in r.getMessage()]
         assert [r.levelno for r in logs] == [logging.DEBUG] * 2
+        pruned = [re.search(r", (\d+) pruned goals$", r.getMessage()) for r in logs]
+        assert all(pruned) and sum(int(m.group(1)) for m in pruned) > 0
         exp = load_experiment(cfg)
         snapshots = dict(exp.snapshots)
         assert len(snapshots) == 2
