@@ -27,10 +27,9 @@ can carry at that position under the retained clauses (``_carried``).
 
 The cells of a sweep sample many spaces from one snapshot, and their
 retained rule sets overlap.  Passing them one :class:`SnapshotCache` lets them
-share work besides the rows: bottom-up, the head rows of each rule
-application under the hash-consed signatures of its children; top-down, the
-goal memo of each retained-clause cone, since a goal's answers depend only on
-the clauses it can reach.  An evaluation given no cache makes its own.
+share, besides the rows, the head rows of each bottom-up rule application
+under the hash-consed signatures of its children.  Each top-down evaluator
+keeps its own goal memo.  An evaluation given no cache makes its own.
 
 With ``genlpreds_mode`` on (the default), a goal additionally matches facts
 and rule heads whose predicate implies the goal's predicate via genlPreds.
@@ -282,17 +281,12 @@ class SnapshotCache:
 
     Both engines retrieve facts from its base rows: per (predicate, arity),
     the rows of every predicate in ``preds``, indexed per argument position
-    on first use, and top-down reads their symbols per position.  Bottom-up, each member OR node gets a hash-consed
-    signature id: the node plus its retained AND children with their
-    children's signature ids.  Two
-    cells whose nodes carry the same signatures derive the same rows, so the
-    head rows of a rule application are cached per (AND node, child
-    signature ids), each distinct row as one tuple.  Top-down, a goal's
-    answers at a depth depend only on the cone of retained clauses its
-    predicate reaches through heads and body atoms, recursion included, so
-    the goal memo is kept per cone.  A cone's memo is shared from its second
-    evaluator on: a cone only one cell uses stays in that evaluator's private
-    memo and dies with it.
+    on first use, and top-down reads their symbols per position.  Bottom-up,
+    each member OR node gets a hash-consed signature id: the node plus its
+    retained AND children with their children's signature ids.  Two cells
+    whose nodes carry the same signatures derive the same rows, so the head
+    rows of a rule application are cached per (AND node, child signature
+    ids), each distinct row as one tuple.
     """
 
     def __init__(self, kb: KnowledgeBase, genlpreds_mode: bool = True):
@@ -305,10 +299,6 @@ class SnapshotCache:
         self._sigs: dict[tuple, int] = {}  # (OR node, its retained applications) -> signature id
         self._fired: dict[tuple, tuple] = {}  # (AND node, child signature ids) -> head rows
         self._rows: dict[tuple, tuple] = {}  # head row -> its one cached tuple
-        self._bits: dict[HornClause, int] = {}  # clause content -> its bit in a cone
-        self._first: dict[int, int] = {}  # cone -> the evaluator that used it first
-        self._memos: dict[int, dict] = {}  # cone -> its shared goal memo
-        self._evaluators = 0
         self.fired_hits = 0
         self.memo_hits = 0
         self.pruned = 0
@@ -355,27 +345,9 @@ class SnapshotCache:
             self._values[key] = frozenset(map(itemgetter(position), self.base_rows(predicate, arity)))
         return self._values[key]
 
-    def cone_bit(self, clause: HornClause) -> int:
-        """The clause's bit in the cones: one bit per clause content."""
-        bit = self._bits.get(clause)
-        if bit is None:
-            bit = self._bits[clause] = 1 << len(self._bits)
-        return bit
-
-    def memo(self, cone: int, evaluator: int, private: dict) -> dict:
-        """The goal memo of the cone for the evaluator: its private memo when
-        it is the cone's first user, the shared one from the second on."""
-        memo = self._memos.get(cone)
-        if memo is None:
-            if self._first.setdefault(cone, evaluator) == evaluator:
-                return private
-            memo = self._memos[cone] = {}
-        return memo
-
     def stats(self) -> str:
         """The cache's size and hits, for the sweep's debug log."""
         return (
-            f"{len(self._memos)} shared cones, {sum(map(len, self._memos.values()))} memo entries, "
             f"{len(self._fired)} cached rule applications, {self.fired_hits} rule-application hits, "
             f"{self.memo_hits} memo hits, {self.pruned} pruned goals"
         )
@@ -395,9 +367,9 @@ class Evaluator:
     entry per (goal, depth).
     Facts are retrieved from a :class:`SnapshotCache`, a private one unless
     one is passed.  Sharing one evaluator across a query set amortizes the
-    goal memo and the per-shape tables of retained clause plans; sharing a
-    cache shares the row indices and each retained-clause cone's memo with
-    the snapshot's other evaluators.
+    goal memo, the value sets and the per-shape tables of retained clause
+    plans; sharing a cache shares the row store with the snapshot's other
+    evaluators.
     Evaluators are not shared between threads; create one per worker.
     """
 
@@ -411,11 +383,8 @@ class Evaluator:
         self.axioms = axioms
         self.cache = cache = cache or SnapshotCache(kb, genlpreds_mode)
         cache.check(kb, genlpreds_mode)
-        cache._evaluators += 1
-        self._serial = cache._evaluators
-        self._memo: dict = {}  # (predicate, *parts, depth) -> answers, for the goals of cones not shared
-        self._memos: dict[tuple[str, int], tuple] = {}  # (predicate, arity) -> its goals' memo and value sets
-        self._reaches: dict[tuple[str, int], tuple[int, set]] = {}
+        self._memo: dict = {}  # (predicate, *parts, depth) -> answers
+        self._allowed: dict[tuple[str, int], tuple] = {}  # (predicate, arity) -> the (position, set) pairs of _carried
         self._shapes: dict[tuple, tuple] = {}
         self._carries: dict[tuple[str, int], Optional[tuple]] = {}  # (predicate, arity) -> per position, see _carried
         self.hits = 0  # memo hits
@@ -454,33 +423,6 @@ class Evaluator:
             sets.append(vals.union(*more) if vals is not None and more else vals)
         carried = self._carries[(predicate, arity)] = tuple(sets)
         return carried
-
-    def _reach(self, predicate: str, arity: int) -> tuple[int, set]:
-        """The cone bits of the retained clauses answering goals of the
-        predicate and arity, and the (predicate, arity) of their body atoms."""
-        reach = self._reaches.get((predicate, arity))
-        if reach is None:
-            heads = self._heads(predicate, arity)
-            bits = 0
-            for c in heads:
-                bits |= self.cache.cone_bit(c)
-            reach = self._reaches[(predicate, arity)] = (bits, {(a.predicate, a.arity) for c in heads for a in c.body})
-        return reach
-
-    def _memo_for(self, predicate: str, arity: int) -> tuple[dict, tuple]:
-        """The memo of goals of the predicate and arity, the private one or
-        the cache's memo of their cone (the retained clauses reachable from
-        them through heads and body atoms), and the (position, set) pairs of
-        ``_carried`` that a goal constant must lie in."""
-        cone, seen, todo = 0, {(predicate, arity)}, [(predicate, arity)]
-        while todo:
-            bits, below = self._reach(*todo.pop())
-            cone |= bits
-            todo += below - seen
-            seen |= below
-        carried = tuple((i, vals) for i, vals in enumerate(self._carried(predicate, arity)) if vals is not None)
-        at = self._memos[(predicate, arity)] = (self.cache.memo(cone, self._serial, self._memo), carried)
-        return at
 
     def _shape_table(self, predicate: str, shape: tuple) -> tuple:
         """Build the table for goals of the predicate and shape: the cache's
@@ -528,13 +470,17 @@ class Evaluator:
         """Answer tuples for the goal's slots, in slot order, by proofs of
         height at most ``depth``; memoized per (goal, depth)."""
         predicate, parts = canon
-        memo, carried = self._memos.get((predicate, len(parts))) or self._memo_for(predicate, len(parts))
+        carried = self._allowed.get((predicate, len(parts)))
+        if carried is None:
+            carried = self._allowed[(predicate, len(parts))] = tuple(
+                (i, vals) for i, vals in enumerate(self._carried(predicate, len(parts))) if vals is not None
+            )
         for i, vals in carried:
             if parts[i] not in vals and isinstance(parts[i], str):  # a slot is never in a set
                 self.pruned += 1
                 return _NO_ANSWERS
         key = (predicate, *parts, depth)
-        hit = memo.get(key)
+        hit = self._memo.get(key)
         if hit is not None:
             self.hits += 1
             return hit
@@ -560,7 +506,7 @@ class Evaluator:
                     if not partials:
                         break
                 results.update(map(plan.emit, partials))
-        res = memo[key] = frozenset(results) if results else _NO_ANSWERS
+        res = self._memo[key] = frozenset(results) if results else _NO_ANSWERS
         return res
 
 

@@ -25,7 +25,7 @@ from .engine import Query, QueryTemplate, SnapshotCache, depth_profile
 from .graph import AndOrGraph, GoalSchema, average_degree, build_graph
 from .growth import ablate_grow
 from .kb import Atom, KnowledgeBase, Variable, parse_kb
-from .sampling import cell_params, greedy_degree_pairs, param_tag, sample
+from .sampling import _numeral, cell_params, greedy_degree_pairs, param_tag, sample
 
 log = logging.getLogger(__name__)
 
@@ -182,6 +182,11 @@ def _is_list(v) -> bool:
     return isinstance(v, (list, tuple))
 
 
+def _distinct(v) -> bool:
+    """Whether no two values share a canonical numeral, so no cell runs twice."""
+    return len(set(map(_numeral, v))) == len(v)
+
+
 # config key -> (check on its value, what the value must be); a list is a
 # JSON list or a Python tuple
 _CONFIG_CHECKS = {
@@ -193,10 +198,13 @@ _CONFIG_CHECKS = {
     ),
     "snapshot_seed": (_is_int, "an integer"),
     "snapshot_order": (lambda v: v in ("uniform", "stratified"), '"uniform" or "stratified"'),
-    "model1_k": (lambda v: _is_list(v) and all(_is_int(k) and k >= 1 for k in v), "a list of integers >= 1"),
+    "model1_k": (
+        lambda v: _is_list(v) and all(_is_int(k) and k >= 1 for k in v) and _distinct(v),
+        "a list of distinct integers >= 1",
+    ),
     "model2_beta": (
-        lambda v: _is_list(v) and all(_is_number(b) and 0 < b <= 100 for b in v),
-        "a list of numbers in (0, 100]",
+        lambda v: _is_list(v) and all(_is_number(b) and 0 < b <= 100 for b in v) and _distinct(v),
+        "a list of distinct numbers in (0, 100]",
     ),
     "replicates": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "master_seed": (_is_int, "an integer"),
@@ -614,14 +622,21 @@ def profile_to_csv(profile: Mapping[int, int]) -> str:
 
 def parse_profile_csv(text: str) -> dict[int, int]:
     """Read a depth profile CSV back; blank lines are skipped and quote
-    characters are data, so a quoted cell is not an integer."""
+    characters are data, so a quoted cell is not an integer.  A repeated
+    depth and a negative depth or count raise ValueError."""
     try:
         rows = list(csv.reader([ln for ln in text.splitlines() if ln.strip()], quoting=csv.QUOTE_NONE))
     except csv.Error as e:  # a field over the csv module's size limit
         raise ValueError(f"not a depth profile CSV: {e}") from None
     if not rows or rows[0] != list(PROFILE_COLUMNS):
         raise ValueError("not a depth profile CSV")
-    return {int(d): int(c) for d, c in rows[1:]}
+    profile: dict[int, int] = {}
+    for d, c in rows[1:]:
+        depth, count = int(d), int(c)
+        if depth < 0 or count < 0 or depth in profile:
+            raise ValueError(f"not a depth profile CSV: row {d},{c} repeats a depth or is negative")
+        profile[depth] = count
+    return profile
 
 
 def write_sweep_outputs(result: SweepResult, outdir: "str | Path") -> None:
@@ -632,6 +647,8 @@ def write_sweep_outputs(result: SweepResult, outdir: "str | Path") -> None:
     emit(result.rows, outdir / "sweep.csv")
     profile_dir = outdir / "profiles"
     profile_dir.mkdir(exist_ok=True)
+    for stale in profile_dir.glob("*.csv"):  # a former sweep's, which detect would read
+        stale.unlink()
     for cell, profile in sorted(result.profiles.items()):
         (profile_dir / f"{cell}.csv").write_text(profile_to_csv(profile), encoding="utf-8")
     (outdir / "detectors.json").write_text(json.dumps(result.detectors, indent=1) + "\n", encoding="utf-8")

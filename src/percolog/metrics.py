@@ -80,8 +80,8 @@ def answered_fraction(
 ) -> QaResult:
     """Backchain every query against the space's retained axioms and report
     coverage plus the total distinct answers (the model-comparison metric).
-    A cache shares its row store and goal memos with the snapshot's other
-    spaces; a genlpreds_mode other than the graph's raises ValueError."""
+    A cache shares its row store with the snapshot's other spaces; a
+    genlpreds_mode other than the graph's raises ValueError."""
     if len(queries) == 0:
         raise ValueError("answered_fraction needs a nonempty query set")
     axioms = space.graph.axioms.restrict(space.retained_axiom_ids())

@@ -172,12 +172,36 @@ def test_sweep_detect_compare(workspace, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "kb_id,pairs,model1_mean_answers,model2_mean_answers,change_pct"
 
-    # a profile cell over the csv module's field limit is an input error
+    # a profile cell over the csv module's field limit, a repeated depth
+    # (whose last count would win) and a negative depth or count are input
+    # errors
     profile = sorted((ws / "out" / "profiles").glob("*.csv"))[0]
-    profile.write_text("depth,count\n0," + " " * 140000 + "5\n", encoding="utf-8")
-    assert main(["detect", "--rows", str(ws / "out" / "sweep.csv")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: not a depth profile CSV") and err.count("\n") == 1, err[:200]
+    for text in (
+        "depth,count\n0," + " " * 140000 + "5\n",
+        "depth,count\n0,5\n0,7\n",
+        "depth,count\n1,5\n01,5\n",
+        "depth,count\n-1,5\n",
+        "depth,count\n0,-5\n",
+    ):
+        profile.write_text(text, encoding="utf-8")
+        assert main(["detect", "--rows", str(ws / "out" / "sweep.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not a depth profile CSV") and err.count("\n") == 1, err[:200]
+
+
+def test_smaller_sweep_into_the_same_out_leaves_no_stale_profiles(workspace, capsys):
+    # detect reads every profile beside sweep.csv, so a former, larger
+    # sweep's profiles must not stay there
+    ws, out = workspace, workspace / "out"
+    for replicates in (3, 1):
+        cfg = dict(BASE_SWEEP, model2_beta=[30], replicates=replicates)
+        (ws / "sweep.json").write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["sweep", "--config", str(ws / "sweep.json"), "--out", str(out)]) == 0
+    rows = parse_rows(out / "sweep.csv")
+    assert sorted(p.stem for p in (out / "profiles").glob("*.csv")) == sorted(r.cell_id() for r in rows)
+    capsys.readouterr()
+    assert main(["detect", "--rows", str(out / "sweep.csv")]) == 0
+    assert len(json.loads(capsys.readouterr().out)["degenerate"]) == len(rows) == 2
 
 
 def _sweep_outputs(outdir):
@@ -232,6 +256,9 @@ BASE_SWEEP = {"kb": "kb.kb", "templates": "templates.json", "model1_k": [2], "re
         ("genlpreds", "yes"),
         ("continue_on_error", 1),
         ("snapshot_sizes", []),  # omit the key to sweep the whole KB
+        ("model1_k", [3, 3]),  # a repeated cell
+        ("model2_beta", [30, 30.0]),  # one canonical numeral, so one cell
+        ("model2_beta", [12.5, 40, 12.5]),
     ],
 )
 def test_bad_sweep_config_is_input_error(workspace, capsys, key, value):

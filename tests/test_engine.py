@@ -266,14 +266,14 @@ class TestBackchain:
         ev.ask(Q("anc", "N0", "?x"), 40)
         assert len(ev._memo) <= 2 * 40 * 41
 
-    def test_shared_recursive_memo_is_bounded_by_goals_and_depths(self):
-        # the second evaluator of the query's cone fills the cache's memo,
-        # with the same bound
+    def test_shared_cache_keeps_each_memo_bounded_by_goals_and_depths(self):
+        # two evaluators on one cache each fill their own memo, with the same
+        # bound, and get the same answers
         kb, axioms = chain_closure("(anc ?x ?z) (anc ?z ?y)")
         cache = SnapshotCache(kb)
-        for _ in range(2):
-            Evaluator(kb, axioms, cache=cache).ask(Q("anc", "N0", "?x"), 40)
-        assert cache._memos and sum(map(len, cache._memos.values())) <= 2 * 40 * 41
+        evs = [Evaluator(kb, axioms, cache=cache) for _ in range(2)]
+        assert {len(ev.ask(Q("anc", "N0", "?x"), 40)) for ev in evs} == {39}
+        assert all(0 < len(ev._memo) <= 2 * 40 * 41 for ev in evs)
 
     def test_query_requires_exactly_one_variable(self):
         with pytest.raises(ValueError):
@@ -338,7 +338,9 @@ class TestSnapshotCache:
             shared = answered_fraction(space, dom.kb, queries, depth, True, cache)
             assert shared.per_query == alone.per_query, f"depth={depth} axioms={sorted(space.retained_axiom_ids())}"
             assert depth_profile(space, dom.kb, True, cache) == depth_profile(space, dom.kb)
-        assert cache._memos and cache.memo_hits > 0
+        # both engines read the cache's rows, and each space runs twice, so
+        # every cached rule application is hit (some graphs have none)
+        assert cache._base and cache.fired_hits >= len(cache._fired)
         return cache
 
     @pytest.mark.parametrize("seed", range(12))
