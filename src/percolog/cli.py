@@ -180,7 +180,7 @@ def _cmd_ask(args) -> int:
             answered += 1
         results.append(
             {
-                "query": str(q.atom),
+                "query": q.text,
                 "template": q.template_id,
                 "bindings": sorted(bindings),
             }

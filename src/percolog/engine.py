@@ -1,4 +1,4 @@
-"""Depth-limited backward chaining and bottom-up evaluation of search spaces.
+"""Depth-limited evaluation of queries and bottom-up evaluation of search spaces.
 
 Both engines read a snapshot's facts through one store, the
 :class:`SnapshotCache`: the KB rows (symbol tuples) answering each goal
@@ -10,26 +10,29 @@ body in ``greedy_body_order``, each atom's arguments read from a symbol, a
 column of the partial solutions or a fresh variable, with the columns still
 needed kept after each atom.  The body is joined set-at-a-time (``_join``):
 top-down solves each distinct subgoal once per rule application, bottom-up
-hash-joins the child nodes' row sets.
+hash-joins the child relations' row sets.
 
 Depth accounting: applying a rule costs one depth unit, ground retrieval is
-free, so depth_limit 0 answers by retrieval only.  Every subgoal is solved
-with one unit less, so the search ends at the depth limit on any rule set,
-recursive ones included, and the answers at limit d are exactly the atoms
-with a proof of height at most d.  Results are memoized per canonical goal
-(predicate, constants and first-occurrence variable slots) and remaining
-depth; a deep query over recursive rules holds up to one answer set per
-(goal, depth) pair.
+free, so depth_limit 0 answers by retrieval only.  The answers at limit d are
+exactly the atoms with a proof of height at most d, on any rule set,
+recursive ones included.
 
-A goal is answered empty, before any retrieval or rule runs, when one of its
-constants lies outside the symbols that answers of its predicate and arity
-can carry at that position under the retained clauses (``_carried``).
+The store hash-conses relations: a relation is a predicate and arity with a
+set of rule applications, each a clause (by content) over the relations of
+its body atoms, and its rows are the base rows plus every application's head
+rows.  A space's member OR node is the relation of its retained AND nodes;
+a query at depth d reads the relation of its predicate built from every
+retained clause to height d (capped at the height where the relation stops
+growing).  The cells of a sweep sample many spaces from one snapshot, and
+their relations overlap, so one :class:`SnapshotCache` passed to all of them
+shares each rule application's head rows, and the answers of relations that
+recur, between cells, binding masks and both metrics.
 
-The cells of a sweep sample many spaces from one snapshot, and their
-retained rule sets overlap.  Passing them one :class:`SnapshotCache` lets them
-share, besides the rows, the head rows of each bottom-up rule application
-under the hash-consed signatures of its children.  Each top-down evaluator
-keeps its own goal memo.  An evaluation given no cache makes its own.
+Without a shared cache, an :class:`Evaluator` backchains instead: subgoals
+are solved with one unit less, memoized per canonical goal and remaining
+depth, and a goal whose constant lies outside the symbols its answers can
+carry under the retained clauses (``_carried``) is answered empty at once.
+It derives only what a query needs, which a one-off ask prefers.
 
 With ``genlpreds_mode`` on (the default), a goal additionally matches facts
 and rule heads whose predicate implies the goal's predicate via genlPreds.
@@ -37,13 +40,14 @@ and rule heads whose predicate implies the goal's predicate via genlPreds.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .graph import AndOrGraph, GoalSchema, SearchSpace, greedy_body_order
+from .graph import GoalSchema, SearchSpace, greedy_body_order
 from .kb import Atom, AxiomSet, HornClause, KnowledgeBase, Variable
 
 __all__ = [
@@ -93,6 +97,18 @@ class Query:
         n_distinct = len(self.atom.variables())
         if n_distinct != 1:
             raise ValueError(f"query {self.atom} must contain exactly one distinct variable")
+
+    @cached_property
+    def text(self) -> str:
+        """The atom's text, formatted once."""
+        return str(self.atom)
+
+    @cached_property
+    def goal(self) -> tuple:
+        """The canonical goal ``(predicate, parts)`` (see :class:`Evaluator`)."""
+        slots: dict[Variable, int] = {}
+        parts = tuple(t if isinstance(t, str) else slots.setdefault(t, len(slots)) for t in self.atom.args)
+        return (self.atom.predicate, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -271,45 +287,80 @@ class _Probes(dict):
         return hits
 
 
+@lru_cache(maxsize=1024)
+def _retrieval(shape: tuple) -> tuple:
+    """How rows answer goals of the shape (see ``_rule_plan``): the position
+    of the first constant, read through an index (None without constants),
+    a getter of the other constants' positions (or None), the (position,
+    position) pairs where a repeated slot must agree, and each slot's first
+    position, in slot order."""
+    consts = [i for i, g in enumerate(shape) if g is None]
+    first: dict[int, int] = {}  # slot -> position of its first occurrence
+    same = []  # later occurrences of a repeated slot
+    for i, g in enumerate(shape):
+        if g is not None:
+            if g in first:
+                same.append((i, first[g]))
+            else:
+                first[g] = i
+    return (
+        consts[0] if consts else None,
+        _getter(*consts[1:]) if len(consts) > 1 else None,
+        tuple(same),
+        tuple(first.values()),
+    )
+
+
+def _matching(source, parts: tuple, bound_at: Optional[int], checks: Optional[Callable], same: tuple):
+    """The rows that match the goal's parts, from ``source``: the rows, or
+    their index on ``bound_at`` when the goal has a constant (``_retrieval``)."""
+    rows = source if bound_at is None else source.get(parts[bound_at], ())
+    if checks:
+        want = checks(parts)
+        rows = [r for r in rows if checks(r) == want]
+    if same:
+        rows = [r for r in rows if all(r[i] == r[j] for i, j in same)]
+    return rows
+
+
 _NO_ANSWERS: frozenset = frozenset()  # every empty answer set, shared
 
 
 class SnapshotCache:
     """The evaluation context of one snapshot of the KB under one genlPreds
-    mode, and the work shared by every space evaluated on it; drop it when
-    the sweep moves to the next snapshot.
+    mode, and the work shared by every evaluation on it; drop it when the
+    sweep moves to the next snapshot.
 
-    Both engines retrieve facts from its base rows: per (predicate, arity),
-    the rows of every predicate in ``preds``, indexed per argument position
-    on first use, and top-down reads their symbols per position.  Bottom-up,
-    each member OR node gets a hash-consed signature id: the node plus its
-    retained AND children with their children's signature ids.  Two cells
-    whose nodes carry the same signatures derive the same rows, so the head
-    rows of a rule application are cached per (AND node, child signature
-    ids), each distinct row as one tuple.
+    Facts: per (predicate, arity), the base rows of every predicate in
+    ``preds``; top-down reads their symbols per position.  Relations are
+    hash-consed: ``relation`` gives each (predicate, arity, rule
+    applications) one id, where a rule application is a clause, keyed by its
+    content, and the ids of its body atoms' relations.  Equal ids mean equal
+    rows, whichever space, binding mask, depth or metric built them, so the
+    head rows of each rule application are kept once, each distinct row as
+    one tuple, and so are the answers of each goal asked of a relation that
+    more than one evaluator queries.  A relation's own rows are rebuilt per
+    evaluation (``rows``), in a memo the caller drops.
     """
 
     def __init__(self, kb: KnowledgeBase, genlpreds_mode: bool = True):
         self.kb = kb
         self.mode = genlpreds_mode
-        self.graph: Optional[AndOrGraph] = None  # bound by the first depth profile
         self._base: dict[tuple[str, int], frozenset[tuple]] = {}  # (predicate, arity) -> KB rows
-        self._indexes: dict[tuple[str, int, int], dict[str, list]] = {}  # (predicate, arity, position) -> rows by symbol
         self._values: dict[tuple[str, int, int], frozenset[str]] = {}  # (predicate, arity, position) -> its symbols
-        self._sigs: dict[tuple, int] = {}  # (OR node, its retained applications) -> signature id
-        self._fired: dict[tuple, tuple] = {}  # (AND node, child signature ids) -> head rows
+        self._ids: dict[tuple, int] = {}  # (predicate, arity, rule applications) -> relation id
+        self._relations: list[tuple] = []  # relation id -> (predicate, arity, rule applications)
+        self._fired: dict[tuple, tuple] = {}  # (clause, body relation ids) -> head rows
         self._rows: dict[tuple, tuple] = {}  # head row -> its one cached tuple
+        self._askers: dict[int, object] = {}  # relation id -> the token of the first evaluator to query it
+        self._answers: dict[tuple[int, tuple], tuple] = {}  # (relation id, goal parts) -> answer symbols
         self.fired_hits = 0
-        self.memo_hits = 0
-        self.pruned = 0
+        self.relation_hits = 0
 
-    def check(self, kb: KnowledgeBase, genlpreds_mode: bool, graph: Optional[AndOrGraph] = None) -> None:
-        """Raise ValueError unless the cache serves this snapshot and mode,
-        and the graph its rule applications were cached on."""
-        bound = graph if self.graph is None else self.graph
-        if kb is not self.kb or genlpreds_mode != self.mode or graph not in (None, bound):
-            raise ValueError("a SnapshotCache serves one KB snapshot, genlPreds mode and graph")
-        self.graph = bound
+    def check(self, kb: KnowledgeBase, genlpreds_mode: bool) -> None:
+        """Raise ValueError unless the cache serves this snapshot and mode."""
+        if kb is not self.kb or genlpreds_mode != self.mode:
+            raise ValueError("a SnapshotCache serves one KB snapshot and genlPreds mode")
 
     def preds(self, predicate: str) -> frozenset[str]:
         """The predicates whose facts and rule heads answer goals of the
@@ -327,16 +378,6 @@ class SnapshotCache:
             )
         return rows
 
-    def base_index(self, predicate: str, arity: int, position: int) -> dict[str, list]:
-        """The base rows by their symbol at the 0-based position, built on
-        first use."""
-        index = self._indexes.get((predicate, arity, position))
-        if index is None:
-            index = self._indexes[(predicate, arity, position)] = defaultdict(list)
-            for row in self.base_rows(predicate, arity):
-                index[row[position]].append(row)
-        return index
-
     def base_values(self, predicate: str, arity: int, position: int) -> frozenset[str]:
         """The symbols at the 0-based position over the base rows, built on
         first use."""
@@ -345,32 +386,74 @@ class SnapshotCache:
             self._values[key] = frozenset(map(itemgetter(position), self.base_rows(predicate, arity)))
         return self._values[key]
 
+    def relation(self, predicate: str, arity: int, applied: frozenset = frozenset()) -> int:
+        """The id of the relation of the predicate and arity with these rule
+        applications, each a ``(clause, body relation ids)`` pair; no
+        applications is the base relation."""
+        key = (predicate, arity, applied)
+        rid = self._ids.get(key)
+        if rid is None:
+            rid = self._ids[key] = len(self._relations)
+            self._relations.append(key)
+        else:
+            self.relation_hits += 1
+        return rid
+
+    def rows(self, rid: int, memo: dict[int, frozenset[tuple]]) -> frozenset[tuple]:
+        """The relation's rows: its base rows and every rule application's
+        head rows, firing each application not yet cached over its body
+        relations' rows; ``memo`` keeps the rows built for the caller."""
+        rows = memo.get(rid)
+        if rows is None:
+            predicate, arity, applied = self._relations[rid]
+            base = self.base_rows(predicate, arity)
+            derived = []
+            for app in applied:
+                heads = self._fired.get(app)
+                if heads is None:
+                    clause, body = app
+                    intern = self._rows.setdefault
+                    fired = _fire_clause(clause, [self.rows(b, memo) for b in body])
+                    heads = self._fired[app] = tuple([intern(row, row) for row in fired])
+                else:
+                    self.fired_hits += 1
+                derived.append(heads)
+            rows = memo[rid] = base.union(*derived) if derived else base
+        return rows
+
     def stats(self) -> str:
-        """The cache's size and hits, for the sweep's debug log."""
+        """The store's size and hits, for the sweep's debug log."""
         return (
-            f"{len(self._fired)} cached rule applications, {self.fired_hits} rule-application hits, "
-            f"{self.memo_hits} memo hits, {self.pruned} pruned goals"
+            f"{len(self._relations)} relations derived, {self.relation_hits} relation hits, "
+            f"{len(self._fired)} cached rule applications, {self.fired_hits} rule-application hits"
         )
 
 
 class Evaluator:
-    """Reusable backchaining context over a fixed (kb, axioms, mode) triple.
+    """Answers queries over a fixed (kb, axioms, mode) triple: the constants
+    that fill a query's open variable by a proof of height at most the depth
+    limit.  Evaluators are not shared between threads; create one per worker.
 
-    Goals are canonical pairs ``(predicate, parts)``: each part is a constant
-    symbol or the int slot of a goal variable, numbered by first occurrence.
-    A rule application runs the clause's plan for the goal's shape
+    On a shared :class:`SnapshotCache` (a sweep's), a query reads the store's
+    relation of its predicate (``_relation``): the base rows plus the heads
+    of every retained clause answering it, fired over its body atoms'
+    relations one height below, with the height capped where the relation
+    stops growing (``_height``).  Recursive clauses leave it uncapped, so
+    the depth limit bounds the relations met, at one id per (predicate,
+    arity, depth).  A goal reads the relation's index on its first constant,
+    built per evaluator; once a second evaluator queries the relation, the
+    cache keeps each goal's answers.
+
+    Without a cache, the evaluator backchains over a private one.  Goals are
+    canonical pairs ``(predicate, parts)``: each part is a constant symbol
+    or the int slot of a goal variable, numbered by first occurrence.  A
+    rule application runs the clause's plan for the goal's shape
     (``_rule_plan``): it checks the goal's constants against the head, then
     joins the body set-at-a-time, solving each distinct subgoal once per body
-    atom, one depth unit below the goal.  Facts are matched as the KB's
-    symbol-tuple rows.  The depth limit alone ends the search, so recursive
-    rules get every answer whose proof fits in the limit, at up to one memo
-    entry per (goal, depth).
-    Facts are retrieved from a :class:`SnapshotCache`, a private one unless
-    one is passed.  Sharing one evaluator across a query set amortizes the
-    goal memo, the value sets and the per-shape tables of retained clause
-    plans; sharing a cache shares the row store with the snapshot's other
-    evaluators.
-    Evaluators are not shared between threads; create one per worker.
+    atom, one depth unit below the goal.  The depth limit alone ends the
+    search, at up to one memo entry per (goal, depth).  Sharing one
+    evaluator across a query set amortizes the goal memo, the value sets and
+    the per-shape tables of retained clause plans.
     """
 
     def __init__(
@@ -381,20 +464,103 @@ class Evaluator:
         cache: Optional[SnapshotCache] = None,
     ):
         self.axioms = axioms
+        self._shared = cache is not None
         self.cache = cache = cache or SnapshotCache(kb, genlpreds_mode)
         cache.check(kb, genlpreds_mode)
+        self._by_head: dict[tuple[str, int], list[HornClause]] = {}  # (predicate, arity) -> see _heads
+        self._derived: dict[int, frozenset[tuple]] = {}  # relation id -> rows, for this evaluator's asks
+        self._indexes: dict[tuple[int, int], dict[str, list]] = {}  # (relation id, position) -> see _source
+        # bottom-up, on a shared cache
+        self._heights: dict[tuple[str, int], float] = {}  # (predicate, arity) -> see _height
+        self._relations: dict[tuple[str, int, int], int] = {}  # (predicate, arity, depth) -> relation id
+        self._token = object()  # this evaluator, to the cache's _askers
+        # top-down, without one
         self._memo: dict = {}  # (predicate, *parts, depth) -> answers
         self._allowed: dict[tuple[str, int], tuple] = {}  # (predicate, arity) -> the (position, set) pairs of _carried
         self._shapes: dict[tuple, tuple] = {}
         self._carries: dict[tuple[str, int], Optional[tuple]] = {}  # (predicate, arity) -> per position, see _carried
-        self.hits = 0  # memo hits
         self.pruned = 0  # goals answered empty by _carried alone
 
     def _heads(self, predicate: str, arity: int) -> list[HornClause]:
         """The retained clauses whose heads can answer goals of the predicate
         and arity."""
-        preds = self.cache.preds(predicate)
-        return [c for c in self.axioms if c.head.predicate in preds and c.head.arity == arity]
+        heads = self._by_head.get((predicate, arity))
+        if heads is None:
+            preds = self.cache.preds(predicate)
+            heads = self._by_head[(predicate, arity)] = [
+                c for c in self.axioms if c.head.predicate in preds and c.head.arity == arity
+            ]
+        return heads
+
+    def ask(self, query: Query, depth_limit: int) -> frozenset[str]:
+        """The constants that answer the query's open variable by a proof of
+        height at most ``depth_limit``.  Raises ValueError when the
+        evaluation nests deeper than Python's recursion limit, as recursive
+        rules do at depth limits in the hundreds."""
+        if depth_limit < 0:
+            raise ValueError("depth_limit must be >= 0")
+        predicate, parts = goal = query.goal
+        try:
+            if self._shared:
+                rid = self._relation(predicate, len(parts), depth_limit)
+                # keep answers only for relations a second evaluator queries:
+                # most relations serve one cell, and they hold most answers
+                kept = self.cache._askers.setdefault(rid, self._token) is not self._token
+                answers = self.cache._answers.get((rid, parts)) if kept else None
+                if answers is not None:
+                    return frozenset(answers)
+                shape = tuple([None if isinstance(p, str) else p for p in parts])
+                bound_at, checks, same, (open_at,) = _retrieval(shape)
+                rows = _matching(self._source(rid, bound_at), parts, bound_at, checks, same)
+                answers = frozenset(map(itemgetter(open_at), rows))
+                if kept:
+                    self.cache._answers[(rid, parts)] = tuple(answers)
+                return answers
+            return frozenset([t[0] for t in self._solve(goal, depth_limit)])
+        except RecursionError:
+            raise ValueError(
+                f"depth limit {depth_limit} is too deep for {query.text}: the search exceeds Python's recursion limit"
+            ) from None
+
+    def _source(self, rid: int, bound_at: Optional[int]):
+        """The relation's rows, or with a 0-based position, the rows by their
+        symbol there, built on first use: the source ``_matching`` reads."""
+        if bound_at is None:
+            return self.cache.rows(rid, self._derived)
+        index = self._indexes.get((rid, bound_at))
+        if index is None:
+            index = self._indexes[(rid, bound_at)] = defaultdict(list)
+            for row in self.cache.rows(rid, self._derived):
+                index[row[bound_at]].append(row)
+        return index
+
+    def _height(self, predicate: str, arity: int) -> float:
+        """The height from which the relation of the predicate and arity
+        stops growing under the retained clauses: 0 with none answering it,
+        else one more than the tallest of their body atoms', and infinite for
+        a relation that reaches a recursive clause (one met again while its
+        own height is being found)."""
+        height = self._heights.get((predicate, arity))
+        if height is None:
+            self._heights[(predicate, arity)] = math.inf
+            height = self._heights[(predicate, arity)] = max(
+                (1 + self._height(a.predicate, a.arity) for c in self._heads(predicate, arity) for a in c.body),
+                default=0,
+            )
+        return height
+
+    def _relation(self, predicate: str, arity: int, depth: int) -> int:
+        """The store's id of the relation that answers goals of the predicate
+        and arity by proofs of height at most ``depth``."""
+        rid = self._relations.get((predicate, arity, depth))
+        if rid is None:
+            height = min(depth, self._height(predicate, arity))
+            applied = frozenset([
+                (c, tuple([self._relation(a.predicate, a.arity, height - 1) for a in c.body]))
+                for c in self._heads(predicate, arity)
+            ]) if height else frozenset()
+            rid = self._relations[(predicate, arity, depth)] = self.cache.relation(predicate, arity, applied)
+        return rid
 
     def _carried(self, predicate: str, arity: int) -> tuple:
         """Per 0-based position, a superset of the symbols that any answer of
@@ -427,44 +593,21 @@ class Evaluator:
     def _shape_table(self, predicate: str, shape: tuple) -> tuple:
         """Build the table for goals of the predicate and shape: the cache's
         base rows answering them (or their index on the first bound
-        position), the retrieval checks and projection, and the plans of the
-        retained clauses whose heads can answer them."""
+        position), the retrieval of ``_retrieval`` with the projection to
+        the slots, and the plans of the retained clauses whose heads can
+        answer them."""
         arity = len(shape)
-        consts = [i for i, g in enumerate(shape) if g is None]
-        first: dict[int, int] = {}  # slot -> position of its first occurrence
-        same = []  # later occurrences of a repeated slot
-        for i, g in enumerate(shape):
-            if g is not None:
-                if g in first:
-                    same.append((i, first[g]))
-                else:
-                    first[g] = i
+        bound_at, checks, same, first = _retrieval(shape)
         plans = (_rule_plan(c, shape) for c in self._heads(predicate, arity))
         table = self._shapes[(predicate, shape)] = (
-            self.cache.base_index(predicate, arity, consts[0]) if consts else self.cache.base_rows(predicate, arity),
-            consts[0] if consts else None,
-            _getter(*consts[1:]) if len(consts) > 1 else None,  # the first is looked up in an index
-            tuple(same),
-            _getter(*first.values()),
+            self._source(self.cache.relation(predicate, arity), bound_at),
+            bound_at,
+            checks,
+            same,
+            _getter(*first),
             tuple(p for p in plans if p is not None),
         )
         return table
-
-    def ask(self, query: Query, depth_limit: int) -> frozenset[str]:
-        """The constants that answer the query's open variable by a proof of
-        height at most ``depth_limit``.  Raises ValueError when the search
-        nests deeper than Python's recursion limit, as recursive rules do at
-        depth limits in the hundreds."""
-        if depth_limit < 0:
-            raise ValueError("depth_limit must be >= 0")
-        slots: dict[Variable, int] = {}
-        parts = tuple(t if isinstance(t, str) else slots.setdefault(t, len(slots)) for t in query.atom.args)
-        try:
-            return frozenset([t[0] for t in self._solve((query.atom.predicate, parts), depth_limit)])
-        except RecursionError:
-            raise ValueError(
-                f"depth limit {depth_limit} is too deep for {query.atom}: the search exceeds Python's recursion limit"
-            ) from None
 
     def _solve(self, canon: tuple, depth: int) -> frozenset:
         """Answer tuples for the goal's slots, in slot order, by proofs of
@@ -482,20 +625,12 @@ class Evaluator:
         key = (predicate, *parts, depth)
         hit = self._memo.get(key)
         if hit is not None:
-            self.hits += 1
             return hit
         shape = tuple([None if isinstance(p, str) else p for p in parts])
-        rows, bound_at, checks, same, project, plans = self._shapes.get((predicate, shape)) or self._shape_table(
+        source, bound_at, checks, same, project, plans = self._shapes.get((predicate, shape)) or self._shape_table(
             predicate, shape
         )
-        if bound_at is not None:
-            rows = rows.get(parts[bound_at], ())
-        if checks:
-            want = checks(parts)
-            rows = [r for r in rows if checks(r) == want]
-        if same:
-            rows = [r for r in rows if all(r[i] == r[j] for i, j in same)]
-        results = set(map(project, rows))
+        results = set(map(project, _matching(source, parts, bound_at, checks, same)))
         if depth > 0 and plans:
             for plan in plans:
                 if (plan.checks or plan.eqs) and not plan.admits(parts):
@@ -525,7 +660,7 @@ def solutions(node_goal: GoalSchema, kb: KnowledgeBase, genlpreds_mode: bool = T
 
 
 def _fire_clause(clause: HornClause, child_sets: Sequence[frozenset[tuple]]) -> set[tuple]:
-    """Hash-join the clause body against the child OR nodes' row sets through
+    """Hash-join the clause body against its body relations' row sets through
     the clause's all-slots plan and emit the instantiated head rows.  Each
     join keeps only the columns still needed downstream, which keeps
     intermediate results bounded on fact-rich KBs."""
@@ -551,37 +686,25 @@ def _fire_clause(clause: HornClause, child_sets: Sequence[frozenset[tuple]]) -> 
 def _node_rows(
     space: SearchSpace, kb: KnowledgeBase, genlpreds_mode: bool, cache: Optional[SnapshotCache] = None
 ) -> dict[str, frozenset[tuple]]:
-    """Derived rows per member OR node, children evaluated first.  A node's
-    rows are the cache's base rows of its predicate and arity; retained rule
-    applications add head rows, which the cache keeps per (AND node, child
-    signature ids), one tuple per distinct row."""
+    """Derived rows per member OR node: the rows of the store's relation of
+    its predicate and arity with its retained AND nodes' rule applications,
+    each over its children's relations."""
     cache = cache or SnapshotCache(kb, genlpreds_mode)
     graph = space.graph
-    cache.check(kb, genlpreds_mode, graph)
+    cache.check(kb, genlpreds_mode)
     if genlpreds_mode != graph.genlpreds_mode:
         raise ValueError(f"genlPreds mode {genlpreds_mode} differs from the space's graph's")
-    axioms = graph.axioms
-    sigs, fired, intern = cache._sigs, cache._fired, cache._rows.setdefault
-    node_sig: dict[str, int] = {}
-    sets: dict[str, frozenset[tuple]] = {}
+    clause, and_nodes = graph.axioms.clause, graph.and_nodes
+    rids: dict[str, int] = {}
     for oid in space.reverse_topological_or_order():
         node = graph.or_nodes[oid]
-        applied, derived = [], []
-        for aid in space.member_and_children(oid):
-            anode = graph.and_nodes[aid]
-            key = (aid, tuple([node_sig[c] for c in anode.children]))
-            rows = fired.get(key)
-            if rows is None:
-                heads = _fire_clause(axioms.clause(anode.clause_id), [sets[c] for c in anode.children])
-                rows = fired[key] = tuple([intern(row, row) for row in heads])
-            else:
-                cache.fired_hits += 1
-            applied.append(key)
-            derived.append(rows)
-        node_sig[oid] = sigs.setdefault((oid, tuple(applied)), len(sigs))
-        base = cache.base_rows(node.predicate, node.arity)
-        sets[oid] = base.union(*derived) if derived else base
-    return sets
+        applied = frozenset([
+            (clause(anode.clause_id), tuple([rids[c] for c in anode.children]))
+            for anode in map(and_nodes.__getitem__, space.member_and_children(oid))
+        ])
+        rids[oid] = cache.relation(node.predicate, node.arity, applied)
+    memo: dict[int, frozenset[tuple]] = {}
+    return {oid: cache.rows(rid, memo) for oid, rid in rids.items()}
 
 
 def bottom_up_eval(
@@ -606,7 +729,8 @@ def depth_profile(
 ) -> dict[int, int]:
     """Distinct derived atoms per depth (union across the OR nodes of that
     depth), the percolation profile from the leaves toward the roots.  A
-    cache shares rule applications with the snapshot's other spaces."""
+    cache shares relations and rule applications with the snapshot's other
+    spaces and with their Q/A."""
     sets = _node_rows(space, kb, genlpreds_mode, cache)
     by_depth: dict[int, dict[str, frozenset[tuple]]] = defaultdict(dict)
     for oid in space.or_members:

@@ -105,7 +105,8 @@ class Fact(NamedTuple):
 @dataclass(frozen=True)
 class HornClause:
     """One definite rule.  ``id`` is bookkeeping metadata and excluded from
-    equality so that re-parsed rule sets compare by content."""
+    equality so that re-parsed rule sets compare by content; the content's
+    hash is computed once, since the engines key rule applications by it."""
 
     head: Atom
     body: tuple[Atom, ...]
@@ -120,6 +121,10 @@ class HornClause:
             raise KbValidationError(
                 f"rule {self.head} is not range-restricted: head variable {loose[0]} missing from body"
             )
+        object.__setattr__(self, "_hash", hash((self.head, self.body)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return "(<= " + " ".join([str(self.head)] + [str(a) for a in self.body]) + ")"

@@ -78,10 +78,12 @@ def answered_fraction(
     genlpreds_mode: bool = True,
     cache: Optional[SnapshotCache] = None,
 ) -> QaResult:
-    """Backchain every query against the space's retained axioms and report
+    """Answer every query with the space's retained axioms and report
     coverage plus the total distinct answers (the model-comparison metric).
-    A cache shares its row store with the snapshot's other spaces; a
-    genlpreds_mode other than the graph's raises ValueError."""
+    With a cache, each query reads the store's relation of its predicate,
+    shared with the snapshot's other spaces and their depth profiles;
+    without one, the queries are backchained.  Both give the same answers.
+    A genlpreds_mode other than the graph's raises ValueError."""
     if len(queries) == 0:
         raise ValueError("answered_fraction needs a nonempty query set")
     axioms = space.graph.axioms.restrict(space.retained_axiom_ids())
@@ -93,12 +95,10 @@ def answered_fraction(
     total = 0
     for q in queries:
         n = len(ev.ask(q, depth_limit))
-        per_query.append((str(q.atom), q.template_id, n))
+        per_query.append((q.text, q.template_id, n))
         if n > 0:
             answered += 1
         total += n
-    ev.cache.memo_hits += ev.hits
-    ev.cache.pruned += ev.pruned
     return QaResult(
         attempted=len(queries),
         answered=answered,

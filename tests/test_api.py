@@ -72,6 +72,9 @@ def test_benchmark_tracer_sees_every_layer(tmp_path, monkeypatch):
     assert len(tracer.spans) == 11
     silent = sorted(layer for layer, spans in tracer.spans.items() if not spans)
     assert silent == [], f"layers with no recorded call: {silent}"
+    # Q/A runs through the timed method: one ask per query of every cell
+    rows = P.harness.parse_rows(tmp_path / "out" / "sweep.csv")
+    assert len(tracer.spans["engine.ask"]) == len(rows) * rows[0].q_count == sum(r.q_count for r in rows)
 
 
 def test_benchmark_checker_passes_on_a_sweep(tmp_path, monkeypatch):

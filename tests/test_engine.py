@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from percolog import (
     AxiomSet,
@@ -267,13 +269,14 @@ class TestBackchain:
         assert len(ev._memo) <= 2 * 40 * 41
 
     def test_shared_cache_keeps_each_memo_bounded_by_goals_and_depths(self):
-        # two evaluators on one cache each fill their own memo, with the same
-        # bound, and get the same answers
+        # two evaluators on one cache keep no goal memo: each holds at most
+        # one relation id per (predicate, depth), for 2 predicates at depths
+        # 0 to 40, and they get the same answers
         kb, axioms = chain_closure("(anc ?x ?z) (anc ?z ?y)")
         cache = SnapshotCache(kb)
         evs = [Evaluator(kb, axioms, cache=cache) for _ in range(2)]
         assert {len(ev.ask(Q("anc", "N0", "?x"), 40)) for ev in evs} == {39}
-        assert all(0 < len(ev._memo) <= 2 * 40 * 41 for ev in evs)
+        assert all(ev._memo == {} and 0 < len(ev._relations) <= 2 * 41 for ev in evs)
 
     def test_query_requires_exactly_one_variable(self):
         with pytest.raises(ValueError):
@@ -385,9 +388,51 @@ class TestSnapshotCache:
         with pytest.raises(ValueError, match="SnapshotCache"):
             depth_profile(space, dom.kb, False, cache)
         depth_profile(space, dom.kb, True, cache)
+        # rule applications are keyed by clause content, not by graph node,
+        # so a graph built again meets the cached ones
+        cached = len(cache._fired)
         regraphed = build_graph(dom.axioms, root_schemas(dom.templates), 6, kb=dom.kb)
-        with pytest.raises(ValueError, match="SnapshotCache"):
-            depth_profile(induced_space(regraphed, regraphed.or_nodes), dom.kb, True, cache)
+        again = induced_space(regraphed, regraphed.or_nodes)
+        assert depth_profile(again, dom.kb, True, cache) == depth_profile(again, dom.kb)
+        assert len(cache._fired) == cached > 0
+
+    def test_clauses_are_keyed_by_content_not_id(self):
+        # parse_kb numbers each call's rules from r0, so two rule sets that
+        # share a cache hold different clauses under one id; an id-keyed rule
+        # application would give the second the first one's head rows
+        kb, _ = parse_kb("(q A B)\n(q B C)")
+        cache = SnapshotCache(kb)
+        for head in ("(p ?x ?y)", "(p ?y ?x)"):
+            _, axioms = parse_kb(f"(<= {head} (q ?x ?y))")
+            assert [c.id for c in axioms] == ["r0"]
+            for query in (Q("p", "A", "?x"), Q("p", "?x", "A")):
+                assert Evaluator(kb, axioms, cache=cache).ask(query, 1) == Evaluator(kb, axioms).ask(query, 1)
+        assert len(cache._fired) == 2
+
+
+class TestSharedRelations:
+    """An evaluator on a shared cache answers from the store's relations, one
+    without a cache backchains; at every depth limit both give exactly the
+    answers of proofs of that height, by the independent fixpoint."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["stratified", "genlpreds", "recursive"]),
+        st.integers(0, 10_000),
+        st.lists(st.tuples(st.integers(0, 2**20 - 1), st.integers(0, 8)), min_size=1, max_size=4),
+    )
+    def test_equal_to_backchaining_and_the_fixpoint(self, flavor, seed, cells):
+        dom = random_domain(seed, flavor == "genlpreds", flavor == "recursive")
+        queries = expand_templates(dom.kb, dom.templates)
+        cache = SnapshotCache(dom.kb)  # one store for every cell's rule subset and depth
+        for mask, depth in cells:
+            axioms = AxiomSet(c for i, c in enumerate(dom.axioms) if mask >> i & 1)
+            rounds = fixpoint_rounds(dom.kb, axioms, dom.genl_edges)
+            shared, private = Evaluator(dom.kb, axioms, cache=cache), Evaluator(dom.kb, axioms)
+            for q in queries:
+                want = oracle_bindings(rounds[min(depth, len(rounds) - 1)], q.atom)
+                got = shared.ask(q, depth)
+                assert got == private.ask(q, depth) == want, f"depth={depth} query={q.atom}"
 
 
 class TestOracleEquivalence:

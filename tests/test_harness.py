@@ -344,7 +344,7 @@ class TestRunSweep:
     def test_cells_equal_their_evaluation_alone(self, tmp_path, caplog):
         # the snapshot cache shares work between a snapshot's cells only:
         # every row and profile equals its cell's fresh, unshared evaluation,
-        # and the sweep logs each snapshot's cache size and pruned goals
+        # and the sweep logs each snapshot's store size and relation hits
         kb, _, _ = write_experiment(tmp_path)
         cfg = ExperimentConfig(
             kb=str(tmp_path / "kb.kb"),
@@ -359,8 +359,8 @@ class TestRunSweep:
             result = run_sweep(cfg)
         logs = [r for r in caplog.records if "cached rule applications" in r.getMessage()]
         assert [r.levelno for r in logs] == [logging.DEBUG] * 2
-        pruned = [re.search(r", (\d+) pruned goals$", r.getMessage()) for r in logs]
-        assert all(pruned) and sum(int(m.group(1)) for m in pruned) > 0
+        hits = [re.search(r", (\d+) relation hits, ", r.getMessage()) for r in logs]
+        assert all(hits) and sum(int(m.group(1)) for m in hits) > 0
         exp = load_experiment(cfg)
         snapshots = dict(exp.snapshots)
         assert len(snapshots) == 2
