@@ -20,19 +20,22 @@ recursive ones included.
 The store hash-conses relations: a relation is a predicate and arity with a
 set of rule applications, each a clause (by content) over the relations of
 its body atoms, and its rows are the base rows plus every application's head
-rows.  A space's member OR node is the relation of its retained AND nodes;
-a query at depth d reads the relation of its predicate built from every
-retained clause to height d (capped at the height where the relation stops
-growing).  The cells of a sweep sample many spaces from one snapshot, and
-their relations overlap, so one :class:`SnapshotCache` passed to all of them
-shares each rule application's head rows, and the answers of relations that
-recur, between cells, binding masks and both metrics.
+rows.  A space's member OR node is the relation of its retained AND nodes.
+On a shared cache, a query whose predicate's cone under the retained clauses
+is free of recursion reads, at depth d, the relation of its predicate built
+from every retained clause to height d (capped at the height where the
+relation stops growing).  The cells of a sweep sample many spaces from one
+snapshot, and their relations overlap, so one :class:`SnapshotCache` passed
+to all of them shares each rule application's head rows between cells,
+binding masks and both metrics.
 
-Without a shared cache, an :class:`Evaluator` backchains instead: subgoals
-are solved with one unit less, memoized per canonical goal and remaining
-depth, and a goal whose constant lies outside the symbols its answers can
-carry under the retained clauses (``_carried``) is answered empty at once.
-It derives only what a query needs, which a one-off ask prefers.
+A query whose cone is recursive, and every query of an :class:`Evaluator`
+without a shared cache, backchains instead: subgoals are solved with one
+unit less, memoized per canonical goal and remaining depth, and a goal whose
+constant lies outside the symbols its answers can carry under the retained
+clauses (``_carried``) is answered empty at once.  It derives only what a
+query needs, which a one-off ask prefers, and a recursive cone needs no
+relation per height.
 
 With ``genlpreds_mode`` on (the default), a goal additionally matches facts
 and rule heads whose predicate implies the goal's predicate via genlPreds.
@@ -332,28 +335,27 @@ class SnapshotCache:
     sweep moves to the next snapshot.
 
     Facts: per (predicate, arity), the base rows of every predicate in
-    ``preds``; top-down reads their symbols per position.  Relations are
-    hash-consed: ``relation`` gives each (predicate, arity, rule
-    applications) one id, where a rule application is a clause, keyed by its
-    content, and the ids of its body atoms' relations.  Equal ids mean equal
-    rows, whichever space, binding mask, depth or metric built them, so the
-    head rows of each rule application are kept once, each distinct row as
-    one tuple, and so are the answers of each goal asked of a relation that
-    more than one evaluator queries.  A relation's own rows are rebuilt per
-    evaluation (``rows``), in a memo the caller drops.
+    ``preds``, indexed per argument position on first use; top-down reads
+    their symbols per position.  Relations are hash-consed: ``relation``
+    gives each (predicate, arity, rule applications) one id, where a rule
+    application is a clause, keyed by its content, and the ids of its body
+    atoms' relations.  Equal ids mean equal rows, whichever space, binding
+    mask, depth or metric built them, so the head rows of each rule
+    application are kept once, each distinct row as one tuple.  A relation's
+    own rows are rebuilt per evaluation (``rows``), in a memo the caller
+    drops.
     """
 
     def __init__(self, kb: KnowledgeBase, genlpreds_mode: bool = True):
         self.kb = kb
         self.mode = genlpreds_mode
         self._base: dict[tuple[str, int], frozenset[tuple]] = {}  # (predicate, arity) -> KB rows
+        self._indexes: dict[tuple[str, int, int], dict[str, list]] = {}  # (predicate, arity, position) -> rows by symbol
         self._values: dict[tuple[str, int, int], frozenset[str]] = {}  # (predicate, arity, position) -> its symbols
         self._ids: dict[tuple, int] = {}  # (predicate, arity, rule applications) -> relation id
         self._relations: list[tuple] = []  # relation id -> (predicate, arity, rule applications)
         self._fired: dict[tuple, tuple] = {}  # (clause, body relation ids) -> head rows
         self._rows: dict[tuple, tuple] = {}  # head row -> its one cached tuple
-        self._askers: dict[int, object] = {}  # relation id -> the token of the first evaluator to query it
-        self._answers: dict[tuple[int, tuple], tuple] = {}  # (relation id, goal parts) -> answer symbols
         self.fired_hits = 0
         self.relation_hits = 0
 
@@ -377,6 +379,16 @@ class SnapshotCache:
                 *(kb.rows(p) for p in self.preds(predicate) if kb.arity(p) == arity)
             )
         return rows
+
+    def base_index(self, predicate: str, arity: int, position: int) -> dict[str, list]:
+        """The base rows by their symbol at the 0-based position, built on
+        first use."""
+        index = self._indexes.get((predicate, arity, position))
+        if index is None:
+            index = self._indexes[(predicate, arity, position)] = defaultdict(list)
+            for row in self.base_rows(predicate, arity):
+                index[row[position]].append(row)
+        return index
 
     def base_values(self, predicate: str, arity: int, position: int) -> frozenset[str]:
         """The symbols at the 0-based position over the base rows, built on
@@ -429,98 +441,54 @@ class SnapshotCache:
         )
 
 
-class Evaluator:
-    """Answers queries over a fixed (kb, axioms, mode) triple: the constants
-    that fill a query's open variable by a proof of height at most the depth
-    limit.  Evaluators are not shared between threads; create one per worker.
+class _Heads(dict):
+    """Per (predicate, arity), the retained clauses whose heads can answer
+    its goals, found on first use."""
 
-    On a shared :class:`SnapshotCache` (a sweep's), a query reads the store's
-    relation of its predicate (``_relation``): the base rows plus the heads
-    of every retained clause answering it, fired over its body atoms'
-    relations one height below, with the height capped where the relation
-    stops growing (``_height``).  Recursive clauses leave it uncapped, so
-    the depth limit bounds the relations met, at one id per (predicate,
-    arity, depth).  A goal reads the relation's index on its first constant,
-    built per evaluator; once a second evaluator queries the relation, the
-    cache keeps each goal's answers.
+    def __init__(self, axioms: AxiomSet, cache: SnapshotCache):
+        self.axioms, self.cache = axioms, cache
 
-    Without a cache, the evaluator backchains over a private one.  Goals are
-    canonical pairs ``(predicate, parts)``: each part is a constant symbol
-    or the int slot of a goal variable, numbered by first occurrence.  A
-    rule application runs the clause's plan for the goal's shape
-    (``_rule_plan``): it checks the goal's constants against the head, then
-    joins the body set-at-a-time, solving each distinct subgoal once per body
-    atom, one depth unit below the goal.  The depth limit alone ends the
-    search, at up to one memo entry per (goal, depth).  Sharing one
-    evaluator across a query set amortizes the goal memo, the value sets and
-    the per-shape tables of retained clause plans.
-    """
-
-    def __init__(
-        self,
-        kb: KnowledgeBase,
-        axioms: AxiomSet,
-        genlpreds_mode: bool = True,
-        cache: Optional[SnapshotCache] = None,
-    ):
-        self.axioms = axioms
-        self._shared = cache is not None
-        self.cache = cache = cache or SnapshotCache(kb, genlpreds_mode)
-        cache.check(kb, genlpreds_mode)
-        self._by_head: dict[tuple[str, int], list[HornClause]] = {}  # (predicate, arity) -> see _heads
-        self._derived: dict[int, frozenset[tuple]] = {}  # relation id -> rows, for this evaluator's asks
-        self._indexes: dict[tuple[int, int], dict[str, list]] = {}  # (relation id, position) -> see _source
-        # bottom-up, on a shared cache
-        self._heights: dict[tuple[str, int], float] = {}  # (predicate, arity) -> see _height
-        self._relations: dict[tuple[str, int, int], int] = {}  # (predicate, arity, depth) -> relation id
-        self._token = object()  # this evaluator, to the cache's _askers
-        # top-down, without one
-        self._memo: dict = {}  # (predicate, *parts, depth) -> answers
-        self._allowed: dict[tuple[str, int], tuple] = {}  # (predicate, arity) -> the (position, set) pairs of _carried
-        self._shapes: dict[tuple, tuple] = {}
-        self._carries: dict[tuple[str, int], Optional[tuple]] = {}  # (predicate, arity) -> per position, see _carried
-        self.pruned = 0  # goals answered empty by _carried alone
-
-    def _heads(self, predicate: str, arity: int) -> list[HornClause]:
-        """The retained clauses whose heads can answer goals of the predicate
-        and arity."""
-        heads = self._by_head.get((predicate, arity))
-        if heads is None:
-            preds = self.cache.preds(predicate)
-            heads = self._by_head[(predicate, arity)] = [
-                c for c in self.axioms if c.head.predicate in preds and c.head.arity == arity
-            ]
+    def __missing__(self, key: tuple[str, int]) -> list[HornClause]:
+        predicate, arity = key
+        preds = self.cache.preds(predicate)
+        heads = self[key] = [c for c in self.axioms if c.head.predicate in preds and c.head.arity == arity]
         return heads
 
-    def ask(self, query: Query, depth_limit: int) -> frozenset[str]:
-        """The constants that answer the query's open variable by a proof of
-        height at most ``depth_limit``.  Raises ValueError when the
-        evaluation nests deeper than Python's recursion limit, as recursive
-        rules do at depth limits in the hundreds."""
-        if depth_limit < 0:
-            raise ValueError("depth_limit must be >= 0")
-        predicate, parts = goal = query.goal
-        try:
-            if self._shared:
-                rid = self._relation(predicate, len(parts), depth_limit)
-                # keep answers only for relations a second evaluator queries:
-                # most relations serve one cell, and they hold most answers
-                kept = self.cache._askers.setdefault(rid, self._token) is not self._token
-                answers = self.cache._answers.get((rid, parts)) if kept else None
-                if answers is not None:
-                    return frozenset(answers)
-                shape = tuple([None if isinstance(p, str) else p for p in parts])
-                bound_at, checks, same, (open_at,) = _retrieval(shape)
-                rows = _matching(self._source(rid, bound_at), parts, bound_at, checks, same)
-                answers = frozenset(map(itemgetter(open_at), rows))
-                if kept:
-                    self.cache._answers[(rid, parts)] = tuple(answers)
-                return answers
-            return frozenset([t[0] for t in self._solve(goal, depth_limit)])
-        except RecursionError:
-            raise ValueError(
-                f"depth limit {depth_limit} is too deep for {query.text}: the search exceeds Python's recursion limit"
-            ) from None
+
+class _Relations:
+    """An :class:`Evaluator`'s reads of a shared cache's relations.
+
+    A query reads the store's relation of its predicate (``relation``): the
+    base rows plus the heads of every retained clause answering it, fired
+    over its body atoms' relations one height below, with the height capped
+    where the relation stops growing (``height``), at one id per (predicate,
+    arity, depth).  Only predicates whose cone under the retained clauses is
+    free of recursion are read so.  A recursive one would need a relation
+    per height up to the depth limit, each nesting Python calls, so it would
+    refuse depth limits that backchaining answers, such as a right-recursive
+    rule's over a chain.  A goal reads the relation's index on its first
+    constant, built per evaluator and dropped with it.
+    """
+
+    def __init__(self, cache: SnapshotCache, heads: _Heads):
+        self.cache = cache
+        self._heads = heads
+        self._heights: dict[tuple[str, int], float] = {}  # (predicate, arity) -> see height
+        self._ids: dict[tuple[str, int, int], int] = {}  # (predicate, arity, depth) -> relation id
+        self._derived: dict[int, frozenset[tuple]] = {}  # relation id -> rows, for this evaluator's asks
+        self._indexes: dict[tuple[int, int], dict[str, list]] = {}  # (relation id, position) -> see _source
+
+    def answers(self, predicate: str, parts: tuple, depth: int) -> Optional[frozenset[str]]:
+        """The goal's answers (it has one slot) by proofs of height at most
+        ``depth``, or None when its predicate's cone is recursive."""
+        arity = len(parts)
+        if self.height(predicate, arity) == math.inf:
+            return None
+        rid = self.relation(predicate, arity, depth)
+        shape = tuple([None if isinstance(p, str) else p for p in parts])
+        bound_at, checks, same, (open_at,) = _retrieval(shape)
+        rows = _matching(self._source(rid, bound_at), parts, bound_at, checks, same)
+        return frozenset(map(itemgetter(open_at), rows))
 
     def _source(self, rid: int, bound_at: Optional[int]):
         """The relation's rows, or with a 0-based position, the rows by their
@@ -534,7 +502,7 @@ class Evaluator:
                 index[row[bound_at]].append(row)
         return index
 
-    def _height(self, predicate: str, arity: int) -> float:
+    def height(self, predicate: str, arity: int) -> float:
         """The height from which the relation of the predicate and arity
         stops growing under the retained clauses: 0 with none answering it,
         else one more than the tallest of their body atoms', and infinite for
@@ -544,23 +512,88 @@ class Evaluator:
         if height is None:
             self._heights[(predicate, arity)] = math.inf
             height = self._heights[(predicate, arity)] = max(
-                (1 + self._height(a.predicate, a.arity) for c in self._heads(predicate, arity) for a in c.body),
+                (1 + self.height(a.predicate, a.arity) for c in self._heads[(predicate, arity)] for a in c.body),
                 default=0,
             )
         return height
 
-    def _relation(self, predicate: str, arity: int, depth: int) -> int:
+    def relation(self, predicate: str, arity: int, depth: int) -> int:
         """The store's id of the relation that answers goals of the predicate
-        and arity by proofs of height at most ``depth``."""
-        rid = self._relations.get((predicate, arity, depth))
+        and arity by proofs of height at most ``depth``; the predicate's
+        height must be finite."""
+        rid = self._ids.get((predicate, arity, depth))
         if rid is None:
-            height = min(depth, self._height(predicate, arity))
+            height = min(depth, self.height(predicate, arity))
             applied = frozenset([
-                (c, tuple([self._relation(a.predicate, a.arity, height - 1) for a in c.body]))
-                for c in self._heads(predicate, arity)
+                (c, tuple([self.relation(a.predicate, a.arity, height - 1) for a in c.body]))
+                for c in self._heads[(predicate, arity)]
             ]) if height else frozenset()
-            rid = self._relations[(predicate, arity, depth)] = self.cache.relation(predicate, arity, applied)
+            rid = self._ids[(predicate, arity, depth)] = self.cache.relation(predicate, arity, applied)
         return rid
+
+
+class Evaluator:
+    """Answers queries over a fixed (kb, axioms, mode) triple: the constants
+    that fill a query's open variable by a proof of height at most the depth
+    limit.  Evaluators are not shared between threads; create one per worker.
+
+    Queries backchain, except those that ``__init__`` routes to a shared
+    cache's relations.  Goals are canonical pairs ``(predicate, parts)``: each
+    part is a constant symbol or the int slot of a goal variable, numbered by
+    first occurrence.  A rule application runs the clause's plan for the
+    goal's shape (``_rule_plan``): it checks the goal's constants against the
+    head, then joins the body set-at-a-time, solving each distinct subgoal
+    once per body atom, one depth unit below the goal.  The depth limit alone
+    ends the search, at up to one memo entry per (goal, depth).  Sharing one
+    evaluator across a query set amortizes the goal memo, the value sets and
+    the per-shape tables of retained clause plans.
+    """
+
+    def __init__(
+        self,
+        kb: KnowledgeBase,
+        axioms: AxiomSet,
+        genlpreds_mode: bool = True,
+        cache: Optional[SnapshotCache] = None,
+    ):
+        """Without ``cache``, facts come from a private :class:`SnapshotCache`
+        and every query backchains.  Passing a cache (a sweep's, shared by a
+        snapshot's spaces) also selects the algorithm: a query whose
+        predicate's cone under ``axioms`` is free of recursion reads the
+        store's bottom-up relations (:class:`_Relations`), shared with the
+        snapshot's other evaluators and depth profiles; a recursive one
+        backchains.  Reading a relation derives all of it, which pays when
+        other cells of the snapshot derive it too; a one-off ask should pass
+        no cache."""
+        self.axioms = axioms
+        self.cache = cache or SnapshotCache(kb, genlpreds_mode)
+        self.cache.check(kb, genlpreds_mode)
+        self._heads = _Heads(axioms, self.cache)
+        self._relations = _Relations(cache, self._heads) if cache is not None else None
+        self._memo: dict = {}  # (predicate, *parts, depth) -> answers
+        self._allowed: dict[tuple[str, int], tuple] = {}  # (predicate, arity) -> the (position, set) pairs of _carried
+        self._shapes: dict[tuple, tuple] = {}
+        self._carries: dict[tuple[str, int], Optional[tuple]] = {}  # (predicate, arity) -> per position, see _carried
+        self.pruned = 0  # goals answered empty by _carried alone
+
+    def ask(self, query: Query, depth_limit: int) -> frozenset[str]:
+        """The constants that answer the query's open variable by a proof of
+        height at most ``depth_limit``.  Raises ValueError when the search
+        nests deeper than Python's recursion limit, as recursive rules do at
+        depth limits in the hundreds."""
+        if depth_limit < 0:
+            raise ValueError("depth_limit must be >= 0")
+        predicate, parts = goal = query.goal
+        try:
+            if self._relations is not None:
+                answers = self._relations.answers(predicate, parts, depth_limit)
+                if answers is not None:
+                    return answers
+            return frozenset([t[0] for t in self._solve(goal, depth_limit)])
+        except RecursionError:
+            raise ValueError(
+                f"depth limit {depth_limit} is too deep for {query.text}: the search exceeds Python's recursion limit"
+            ) from None
 
     def _carried(self, predicate: str, arity: int) -> tuple:
         """Per 0-based position, a superset of the symbols that any answer of
@@ -572,7 +605,7 @@ class Evaluator:
         if (predicate, arity) in self._carries:
             return self._carries[(predicate, arity)] or (None,) * arity
         self._carries[(predicate, arity)] = None
-        heads = self._heads(predicate, arity)
+        heads = self._heads[(predicate, arity)]
         sets = []
         for i in range(arity):
             vals, more = self.cache.base_values(predicate, arity, i), []
@@ -598,9 +631,10 @@ class Evaluator:
         answer them."""
         arity = len(shape)
         bound_at, checks, same, first = _retrieval(shape)
-        plans = (_rule_plan(c, shape) for c in self._heads(predicate, arity))
+        plans = (_rule_plan(c, shape) for c in self._heads[(predicate, arity)])
+        cache = self.cache
         table = self._shapes[(predicate, shape)] = (
-            self._source(self.cache.relation(predicate, arity), bound_at),
+            cache.base_rows(predicate, arity) if bound_at is None else cache.base_index(predicate, arity, bound_at),
             bound_at,
             checks,
             same,

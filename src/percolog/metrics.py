@@ -80,9 +80,10 @@ def answered_fraction(
 ) -> QaResult:
     """Answer every query with the space's retained axioms and report
     coverage plus the total distinct answers (the model-comparison metric).
-    With a cache, each query reads the store's relation of its predicate,
-    shared with the snapshot's other spaces and their depth profiles;
-    without one, the queries are backchained.  Both give the same answers.
+    With a cache, each query whose cone is free of recursion reads the
+    store's relation of its predicate, shared with the snapshot's other
+    spaces and their depth profiles; the other queries, and every query
+    without a cache, are backchained.  Both give the same answers.
     A genlpreds_mode other than the graph's raises ValueError."""
     if len(queries) == 0:
         raise ValueError("answered_fraction needs a nonempty query set")

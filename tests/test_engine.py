@@ -269,14 +269,15 @@ class TestBackchain:
         assert len(ev._memo) <= 2 * 40 * 41
 
     def test_shared_cache_keeps_each_memo_bounded_by_goals_and_depths(self):
-        # two evaluators on one cache keep no goal memo: each holds at most
-        # one relation id per (predicate, depth), for 2 predicates at depths
-        # 0 to 40, and they get the same answers
+        # two evaluators on one cache each fill their own memo, with the same
+        # bound, and get the same answers: a recursive cone backchains even
+        # on a shared cache, so the store derives no relation for it
         kb, axioms = chain_closure("(anc ?x ?z) (anc ?z ?y)")
         cache = SnapshotCache(kb)
         evs = [Evaluator(kb, axioms, cache=cache) for _ in range(2)]
         assert {len(ev.ask(Q("anc", "N0", "?x"), 40)) for ev in evs} == {39}
-        assert all(ev._memo == {} and 0 < len(ev._relations) <= 2 * 41 for ev in evs)
+        assert all(0 < len(ev._memo) <= 2 * 40 * 41 for ev in evs)
+        assert cache._relations == []
 
     def test_query_requires_exactly_one_variable(self):
         with pytest.raises(ValueError):
@@ -411,9 +412,26 @@ class TestSnapshotCache:
 
 
 class TestSharedRelations:
-    """An evaluator on a shared cache answers from the store's relations, one
-    without a cache backchains; at every depth limit both give exactly the
-    answers of proofs of that height, by the independent fixpoint."""
+    """An evaluator on a shared cache answers a query whose cone is free of
+    recursion from the store's relations and backchains the rest, one
+    without a cache backchains every query; at every depth limit both give
+    exactly the answers of proofs of that height, by the independent
+    fixpoint."""
+
+    def test_only_recursive_cones_backchain(self):
+        # gp's cone is free of recursion, so it reads the store's relation at
+        # its height 1 whatever the depth limit; anc's is right-recursive,
+        # so it backchains, and depth 400 answers as without a cache
+        lines = [f"(par N{i} N{i + 1})" for i in range(39)]
+        lines += ["(<= (gp ?x ?z) (par ?x ?y) (par ?y ?z))", "(<= (anc ?x ?y) (par ?x ?y))",
+                  "(<= (anc ?x ?y) (par ?x ?z) (anc ?z ?y))"]
+        kb, axioms = parse_kb("\n".join(lines))
+        cache = SnapshotCache(kb)
+        ev = Evaluator(kb, axioms, cache=cache)
+        assert ev.ask(Q("gp", "N0", "?x"), 400) == {"N2"} and ev._memo == {}
+        assert {p for p, _, _ in cache._relations} == {"gp", "par"}
+        assert len(ev.ask(Q("anc", "N0", "?x"), 400)) == 39 and ev._memo
+        assert {p for p, _, _ in cache._relations} == {"gp", "par"}
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(

@@ -426,6 +426,28 @@ class TestRunSweep:
         with pytest.raises(SweepCellError, match="cell full_model1_k2_rep0 failed: depth limit 1000"):
             run_sweep(cfg)
 
+    def test_right_recursive_cells_answer_at_depth_400(self, tmp_path):
+        # the open goal (anc ?w ?v) keeps the right-recursive anc rule in the
+        # graph; its recursion ends with the chain, so depth limit 400
+        # answers, as without a shared cache: (reach Ni ?x) reaches the
+        # 39 - i nodes after Ni
+        text = node_chain_text(
+            "(<= (reach ?x ?y) (par ?x ?y) (anc ?w ?v))",
+            "(<= (reach ?x ?y) (par ?x ?z) (anc ?z ?y))",
+            "(<= (anc ?x ?y) (par ?x ?y))",
+            "(<= (anc ?x ?y) (par ?x ?z) (anc ?z ?y))",
+        )
+        (tmp_path / "chain.kb").write_text(text, encoding="utf-8")
+        save_templates([QueryTemplate("t0", "reach", 1, "Node", 2)], tmp_path / "templates.json")
+        cfg = ExperimentConfig(
+            kb=str(tmp_path / "chain.kb"),
+            templates=str(tmp_path / "templates.json"),
+            model1_k=(2,),
+            replicates=2,
+            depth_limit=400,
+        )
+        assert [r.total_answers for r in run_sweep(cfg).rows] == [39 * 40 // 2] * 2
+
     def test_continue_on_error_records_error_rows(self, tmp_path, monkeypatch):
         write_experiment(tmp_path)
         cfg = ExperimentConfig(
