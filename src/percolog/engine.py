@@ -31,11 +31,9 @@ binding masks and both metrics.
 
 A query whose cone is recursive, and every query of an :class:`Evaluator`
 without a shared cache, backchains instead: subgoals are solved with one
-unit less, memoized per canonical goal and remaining depth, and a goal whose
-constant lies outside the symbols its answers can carry under the retained
-clauses (``_carried``) is answered empty at once.  It derives only what a
-query needs, which a one-off ask prefers, and a recursive cone needs no
-relation per height.
+unit less, memoized per canonical goal and remaining depth.  It derives only
+what a query needs, which a one-off ask prefers, and a recursive cone needs
+no relation per height.
 
 With ``genlpreds_mode`` on (the default), a goal additionally matches facts
 and rule heads whose predicate implies the goal's predicate via genlPreds.
@@ -326,6 +324,14 @@ def _matching(source, parts: tuple, bound_at: Optional[int], checks: Optional[Ca
     return rows
 
 
+def _index(rows, position: int) -> dict[str, list]:
+    """The rows grouped by their symbol at the 0-based position."""
+    index: dict[str, list] = defaultdict(list)
+    for row in rows:
+        index[row[position]].append(row)
+    return index
+
+
 _NO_ANSWERS: frozenset = frozenset()  # every empty answer set, shared
 
 
@@ -335,15 +341,14 @@ class SnapshotCache:
     sweep moves to the next snapshot.
 
     Facts: per (predicate, arity), the base rows of every predicate in
-    ``preds``, indexed per argument position on first use; top-down reads
-    their symbols per position.  Relations are hash-consed: ``relation``
-    gives each (predicate, arity, rule applications) one id, where a rule
-    application is a clause, keyed by its content, and the ids of its body
-    atoms' relations.  Equal ids mean equal rows, whichever space, binding
-    mask, depth or metric built them, so the head rows of each rule
-    application are kept once, each distinct row as one tuple.  A relation's
-    own rows are rebuilt per evaluation (``rows``), in a memo the caller
-    drops.
+    ``preds``, indexed per argument position on first use.  Relations are
+    hash-consed: ``relation`` gives each (predicate, arity, rule
+    applications) one id, where a rule application is a clause, keyed by its
+    content, and the ids of its body atoms' relations.  Equal ids mean equal
+    rows, whichever space, binding mask, depth or metric built them, so the
+    head rows of each rule application are kept once, each distinct row as
+    one tuple.  A relation's own rows are rebuilt per evaluation (``rows``),
+    in a memo the caller drops.
     """
 
     def __init__(self, kb: KnowledgeBase, genlpreds_mode: bool = True):
@@ -351,7 +356,6 @@ class SnapshotCache:
         self.mode = genlpreds_mode
         self._base: dict[tuple[str, int], frozenset[tuple]] = {}  # (predicate, arity) -> KB rows
         self._indexes: dict[tuple[str, int, int], dict[str, list]] = {}  # (predicate, arity, position) -> rows by symbol
-        self._values: dict[tuple[str, int, int], frozenset[str]] = {}  # (predicate, arity, position) -> its symbols
         self._ids: dict[tuple, int] = {}  # (predicate, arity, rule applications) -> relation id
         self._relations: list[tuple] = []  # relation id -> (predicate, arity, rule applications)
         self._fired: dict[tuple, tuple] = {}  # (clause, body relation ids) -> head rows
@@ -385,18 +389,8 @@ class SnapshotCache:
         first use."""
         index = self._indexes.get((predicate, arity, position))
         if index is None:
-            index = self._indexes[(predicate, arity, position)] = defaultdict(list)
-            for row in self.base_rows(predicate, arity):
-                index[row[position]].append(row)
+            index = self._indexes[(predicate, arity, position)] = _index(self.base_rows(predicate, arity), position)
         return index
-
-    def base_values(self, predicate: str, arity: int, position: int) -> frozenset[str]:
-        """The symbols at the 0-based position over the base rows, built on
-        first use."""
-        key = (predicate, arity, position)
-        if key not in self._values:
-            self._values[key] = frozenset(map(itemgetter(position), self.base_rows(predicate, arity)))
-        return self._values[key]
 
     def relation(self, predicate: str, arity: int, applied: frozenset = frozenset()) -> int:
         """The id of the relation of the predicate and arity with these rule
@@ -497,9 +491,7 @@ class _Relations:
             return self.cache.rows(rid, self._derived)
         index = self._indexes.get((rid, bound_at))
         if index is None:
-            index = self._indexes[(rid, bound_at)] = defaultdict(list)
-            for row in self.cache.rows(rid, self._derived):
-                index[row[bound_at]].append(row)
+            index = self._indexes[(rid, bound_at)] = _index(self.cache.rows(rid, self._derived), bound_at)
         return index
 
     def height(self, predicate: str, arity: int) -> float:
@@ -545,8 +537,8 @@ class Evaluator:
     head, then joins the body set-at-a-time, solving each distinct subgoal
     once per body atom, one depth unit below the goal.  The depth limit alone
     ends the search, at up to one memo entry per (goal, depth).  Sharing one
-    evaluator across a query set amortizes the goal memo, the value sets and
-    the per-shape tables of retained clause plans.
+    evaluator across a query set amortizes the goal memo and the per-shape
+    tables of retained clause plans.
     """
 
     def __init__(
@@ -571,10 +563,7 @@ class Evaluator:
         self._heads = _Heads(axioms, self.cache)
         self._relations = _Relations(cache, self._heads) if cache is not None else None
         self._memo: dict = {}  # (predicate, *parts, depth) -> answers
-        self._allowed: dict[tuple[str, int], tuple] = {}  # (predicate, arity) -> the (position, set) pairs of _carried
         self._shapes: dict[tuple, tuple] = {}
-        self._carries: dict[tuple[str, int], Optional[tuple]] = {}  # (predicate, arity) -> per position, see _carried
-        self.pruned = 0  # goals answered empty by _carried alone
 
     def ask(self, query: Query, depth_limit: int) -> frozenset[str]:
         """The constants that answer the query's open variable by a proof of
@@ -594,34 +583,6 @@ class Evaluator:
             raise ValueError(
                 f"depth limit {depth_limit} is too deep for {query.text}: the search exceeds Python's recursion limit"
             ) from None
-
-    def _carried(self, predicate: str, arity: int) -> tuple:
-        """Per 0-based position, a superset of the symbols that any answer of
-        a goal of the predicate and arity carries there, or None if any may:
-        the base rows' symbols, each head symbol at the position and, for a
-        head variable, the intersection of the sets at its body occurrences.
-        A (predicate, arity) met again while its own sets are being built
-        (recursion) is unconstrained at every position."""
-        if (predicate, arity) in self._carries:
-            return self._carries[(predicate, arity)] or (None,) * arity
-        self._carries[(predicate, arity)] = None
-        heads = self._heads[(predicate, arity)]
-        sets = []
-        for i in range(arity):
-            vals, more = self.cache.base_values(predicate, arity, i), []
-            for c in heads:
-                t = c.head.args[i]
-                at = [(t,)] if isinstance(t, str) else [
-                    s for a in c.body for j, u in enumerate(a.args) if u == t
-                    if (s := self._carried(a.predicate, a.arity)[j]) is not None
-                ]
-                if not at:
-                    vals = None
-                    break
-                more.append(at[0] if len(at) == 1 else min(at, key=len).intersection(*at))
-            sets.append(vals.union(*more) if vals is not None and more else vals)
-        carried = self._carries[(predicate, arity)] = tuple(sets)
-        return carried
 
     def _shape_table(self, predicate: str, shape: tuple) -> tuple:
         """Build the table for goals of the predicate and shape: the cache's
@@ -647,15 +608,6 @@ class Evaluator:
         """Answer tuples for the goal's slots, in slot order, by proofs of
         height at most ``depth``; memoized per (goal, depth)."""
         predicate, parts = canon
-        carried = self._allowed.get((predicate, len(parts)))
-        if carried is None:
-            carried = self._allowed[(predicate, len(parts))] = tuple(
-                (i, vals) for i, vals in enumerate(self._carried(predicate, len(parts))) if vals is not None
-            )
-        for i, vals in carried:
-            if parts[i] not in vals and isinstance(parts[i], str):  # a slot is never in a set
-                self.pruned += 1
-                return _NO_ANSWERS
         key = (predicate, *parts, depth)
         hit = self._memo.get(key)
         if hit is not None:

@@ -376,11 +376,20 @@ MIN_RANGE, JUMP_SHARE = 0.2, 0.5  # transition
 MIN_PEAK, ROOT_SHARE = 100, 0.01  # degeneracy
 
 
+def _require(name: str, value: float, ok: bool, want: str) -> None:
+    if not ok:  # NaN fails every range test, so it is refused too
+        raise ValueError(f"detector parameter {name} must be a number {want}, got {value!r}")
+
+
 def _transition_params(min_range: float, jump_share: float) -> dict:
+    _require("min_range", min_range, 0 <= min_range <= 1, "in [0, 1]")
+    _require("jump_share", jump_share, 0 < jump_share <= 1, "in (0, 1]")
     return {"min_range": min_range, "jump_share": jump_share}
 
 
 def _degenerate_params(min_peak: int, root_share: float) -> dict:
+    _require("min_peak", min_peak, min_peak >= 0, ">= 0")
+    _require("root_share", root_share, 0 <= root_share <= 1, "in [0, 1]")
     return {"min_peak": min_peak, "root_share": root_share}
 
 
@@ -443,6 +452,8 @@ def build_detectors(
 ) -> dict:
     """Transition detection per (model, parameter) pooled across snapshots and
     replicates, degeneracy detection per cell, and the observed rates."""
+    transition_params = _transition_params(min_range, jump_share)
+    degenerate_params = _degenerate_params(min_peak, root_share)
     groups: dict[tuple[str, float], list[tuple[float, float]]] = {}
     for r in rows:
         if r.is_error or r.alpha is None:
@@ -455,7 +466,7 @@ def build_detectors(
         if len(pts) >= 3:
             rep = detect_transition(pts, min_range, jump_share)
         else:
-            rep = DetectorReport("none", None, {**_transition_params(min_range, jump_share), "points": len(pts)})
+            rep = DetectorReport("none", None, {**transition_params, "points": len(pts)})
         if rep.kind == "transition":
             flagged += 1
         transitions.append({"model": model, "k_or_beta": value, **asdict(rep)})
@@ -463,7 +474,7 @@ def build_detectors(
     deg_flagged = 0
     for cell in sorted(profiles):
         rep = detect_degenerate(dict(profiles[cell]), min_peak, root_share) if profiles[cell] else DetectorReport(
-            "none", None, _degenerate_params(min_peak, root_share)
+            "none", None, degenerate_params
         )
         if rep.kind == "degenerate":
             deg_flagged += 1

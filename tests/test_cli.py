@@ -172,6 +172,17 @@ def test_sweep_detect_compare(workspace, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "kb_id,pairs,model1_mean_answers,model2_mean_answers,change_pct"
 
+    # a detector parameter outside its range, or NaN, is an input error
+    for flag, value in (
+        ("--min-range", "1.5"), ("--min-range", "nan"), ("--jump-share", "0"), ("--jump-share", "nan"),
+        ("--min-peak", "-3"), ("--root-share", "5"), ("--root-share", "-0.1"),
+    ):
+        assert main(["detect", "--rows", str(ws / "out" / "sweep.csv"), flag, value]) == 2
+        captured = capsys.readouterr()
+        name = flag[2:].replace("-", "_")
+        assert captured.out == "" and captured.err.startswith(f"error: detector parameter {name} must be")
+        assert captured.err.count("\n") == 1
+
     # a profile cell over the csv module's field limit, a repeated depth
     # (whose last count would win) and a negative depth or count are input
     # errors

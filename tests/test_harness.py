@@ -7,6 +7,7 @@ import pytest
 
 from percolog import QueryTemplate, depth_profile, expand_templates, serialize_kb
 from percolog.growth import SynthConfig, synth_kb
+from percolog.engine import Evaluator
 from percolog.metrics import answered_fraction
 from percolog.sampling import cell_params, sample
 from percolog.harness import (
@@ -269,6 +270,20 @@ def write_experiment(tmp_path, *, facts=120, entities=24, seed=0):
     return kb, axioms, templates
 
 
+def count_solves(monkeypatch) -> list:
+    """The goals every Evaluator backchains from now on, one entry per
+    ``_solve`` call."""
+    solved = []
+    solve = Evaluator._solve
+
+    def spy(self, canon, depth):
+        solved.append(canon)
+        return solve(self, canon, depth)
+
+    monkeypatch.setattr(Evaluator, "_solve", spy)
+    return solved
+
+
 class TestRunSweep:
     def test_row_count_arithmetic_k_grid(self, tmp_path):
         kb, _, _ = write_experiment(tmp_path)
@@ -341,10 +356,11 @@ class TestRunSweep:
         with pytest.raises(InfeasibleExperimentError):
             run_sweep(cfg)
 
-    def test_cells_equal_their_evaluation_alone(self, tmp_path, caplog):
+    def test_cells_equal_their_evaluation_alone(self, tmp_path, caplog, monkeypatch):
         # the snapshot cache shares work between a snapshot's cells only:
         # every row and profile equals its cell's fresh, unshared evaluation,
-        # and the sweep logs each snapshot's store size and relation hits
+        # and the sweep logs each snapshot's store size and relation hits;
+        # the layered family has no recursion, so no sweep query backchains
         kb, _, _ = write_experiment(tmp_path)
         cfg = ExperimentConfig(
             kb=str(tmp_path / "kb.kb"),
@@ -355,8 +371,11 @@ class TestRunSweep:
             replicates=3,
             master_seed=5,
         )
+        solved = count_solves(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="percolog.harness"):
             result = run_sweep(cfg)
+        assert solved == []
+        monkeypatch.undo()
         logs = [r for r in caplog.records if "cached rule applications" in r.getMessage()]
         assert [r.levelno for r in logs] == [logging.DEBUG] * 2
         hits = [re.search(r", (\d+) relation hits, ", r.getMessage()) for r in logs]
@@ -426,7 +445,7 @@ class TestRunSweep:
         with pytest.raises(SweepCellError, match="cell full_model1_k2_rep0 failed: depth limit 1000"):
             run_sweep(cfg)
 
-    def test_right_recursive_cells_answer_at_depth_400(self, tmp_path):
+    def test_right_recursive_cells_answer_at_depth_400(self, tmp_path, monkeypatch):
         # the open goal (anc ?w ?v) keeps the right-recursive anc rule in the
         # graph; its recursion ends with the chain, so depth limit 400
         # answers, as without a shared cache: (reach Ni ?x) reaches the
@@ -446,7 +465,9 @@ class TestRunSweep:
             replicates=2,
             depth_limit=400,
         )
+        solved = count_solves(monkeypatch)
         assert [r.total_answers for r in run_sweep(cfg).rows] == [39 * 40 // 2] * 2
+        assert solved  # the recursive cone backchains
 
     def test_continue_on_error_records_error_rows(self, tmp_path, monkeypatch):
         write_experiment(tmp_path)
