@@ -531,6 +531,17 @@ class TestDepthExactOracle:
         self.check(random_domain(seed, recursive=True))
 
 
+class TestValueSets:
+    @pytest.mark.parametrize("body", ["(anc ?x ?z) (par ?z ?y)", "(anc ?x ?z) (anc ?z ?y)"], ids=["left", "double"])
+    def test_recursive_goal_is_unconstrained(self, body):
+        # the rule meets (anc ?x ?z) while anc itself is being answered; no
+        # set of anc's values may narrow that inner goal, so every node below
+        # N0 is an answer
+        kb, axioms = chain_closure(body)
+        ev = Evaluator(kb, axioms)
+        assert ev.ask(Q("anc", "N0", "?x"), 40) == {f"N{i}" for i in range(1, 40)}
+
+
 def test_random_domain_returns_on_every_seed():
     # the suites use seeds below 200; some seeds above draw more facts than
     # their predicates and entities admit, which the generator caps
