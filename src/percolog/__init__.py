@@ -29,7 +29,6 @@ from .harness import (
     compare_models,
     detect_degenerate,
     detect_transition,
-    emit,
     expand_templates,
     run_sweep,
 )
@@ -48,6 +47,6 @@ from .kb import (
     serialize_kb,
 )
 from .metrics import AlphaReport, QaResult, alpha, answered_fraction, threshold_hit
-from .sampling import SampleParams, generate_replicates, model1_sample, model2_sample
+from .sampling import SampleParams, cell_params, sample
 
 __version__ = "0.1.0"

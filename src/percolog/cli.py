@@ -143,13 +143,14 @@ def _cmd_sample(args) -> int:
         if args.beta is None or args.k is not None:
             raise UsageError("model 2 takes --beta (and no --k)")
         value = args.beta
+    if args.replicates < 1:
+        raise ValueError("replicates must be >= 1")
     graph = _load_graph(args.graph)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    spaces = sampling.generate_replicates(graph, [(model, value)], args.replicates, args.seed)
-    for space in spaces:
-        prov = space.provenance or {}
-        path = outdir / f"{sampling.param_tag(model, value)}_rep{prov.get('replicate', 0)}.json"
+    for rep in range(args.replicates):
+        space = sampling.sample(graph, sampling.cell_params(model, value, rep, args.seed))
+        path = outdir / f"{sampling.param_tag(model, value)}_rep{rep}.json"
         path.write_text(space.to_json() + "\n", encoding="utf-8")
         print(f"{path.name}: {space.node_count} OR nodes, {len(space.retained_axiom_ids())} axioms")
     return EXIT_OK
@@ -160,7 +161,7 @@ def _cmd_alpha(args) -> int:
     space = SearchSpace.from_json(Path(args.space).read_text(encoding="utf-8"), graph)
     kb, _ = parse_kb(Path(args.kb).read_text(encoding="utf-8"))
     queries = expand_templates(kb, load_templates(args.templates))
-    report = metrics.alpha(graph, space, queries, kb)
+    report = metrics.alpha(space, queries, kb)
     print(report.to_json())
     return EXIT_OK
 
@@ -226,7 +227,7 @@ def _cmd_detect(args) -> int:
     profile_dir = Path(args.rows).parent / "profiles"
     if profile_dir.is_dir():
         for path in sorted(profile_dir.glob("*.csv")):
-            profiles[path.stem] = parse_profile_csv(path.read_text(encoding="utf-8"))
+            profiles[path.stem] = parse_profile_csv(path)
     report = build_detectors(
         rows,
         profiles,

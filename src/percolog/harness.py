@@ -332,7 +332,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                 try:
                     t0 = time.perf_counter()
                     space = sample(exp.graph, params)
-                    report = metrics.alpha(exp.graph, space, exp.queries, kb)
+                    report = metrics.alpha(space, exp.queries, kb)
                     qa = metrics.answered_fraction(space, kb, exp.queries, cfg.depth_limit, cfg.genlpreds, cache)
                     profile = depth_profile(space, kb, cfg.genlpreds, cache)
                     row.axiom_count = len(space.retained_axiom_ids())
@@ -580,15 +580,6 @@ def format_table(rows: "Sequence[SweepRow] | Sequence[Mapping]", columns: Option
     return buf.getvalue()
 
 
-def emit(
-    rows: "Sequence[SweepRow] | Sequence[Mapping]",
-    path: "str | Path",
-    columns: Optional[Sequence[str]] = None,
-) -> None:
-    """Write rows as CSV via :func:`format_table`."""
-    Path(path).write_text(format_table(rows, columns), encoding="utf-8")
-
-
 def _parse_param(s: str):
     try:
         return int(s)
@@ -596,12 +587,17 @@ def _parse_param(s: str):
         return float(s)
 
 
+def _parse_bool(s: str) -> bool:
+    if s not in ("true", "false"):  # the spellings _format_cell writes
+        raise ValueError(f"{s!r} is not true or false")
+    return s == "true"
+
+
 def _cell_parser(kind):
     """The parser of a nonempty CSV cell for a SweepRow field of this type:
-    the type itself, or an Optional's non-None member; a bool cell is true
-    only as "true", the spelling _format_cell writes."""
+    the type itself, or an Optional's non-None member."""
     kind = next((a for a in get_args(kind) if a is not type(None)), kind)
-    return (lambda s: s == "true") if kind is bool else kind
+    return _parse_bool if kind is bool else kind
 
 
 _ROW_PARSERS = {name: _cell_parser(kind) for name, kind in get_type_hints(SweepRow).items()}
@@ -609,7 +605,9 @@ _ROW_PARSERS["k_or_beta"] = _parse_param  # an int k or a float beta
 
 
 def parse_rows(path: "str | Path") -> list[SweepRow]:
-    """Read a sweep CSV back into rows (the emit round trip)."""
+    """Read a sweep CSV back into rows (the round trip of format_table); a
+    cell its column's type cannot parse raises ValueError naming the line
+    and the column."""
     rows = []
     with Path(path).open(encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -619,7 +617,10 @@ def parse_rows(path: "str | Path") -> list[SweepRow]:
             kwargs = {}
             for col in SWEEP_COLUMNS:
                 raw = rec[col]
-                kwargs[col] = None if raw == "" else _ROW_PARSERS[col](raw)
+                try:
+                    kwargs[col] = None if raw == "" else _ROW_PARSERS[col](raw)
+                except ValueError as e:
+                    raise ValueError(f"{path}, line {reader.line_num}, column {col}: {e}") from None
             rows.append(SweepRow(**kwargs))
     return rows
 
@@ -631,21 +632,28 @@ def profile_to_csv(profile: Mapping[int, int]) -> str:
     return format_table([{"depth": d, "count": profile[d]} for d in sorted(profile)], PROFILE_COLUMNS)
 
 
-def parse_profile_csv(text: str) -> dict[int, int]:
-    """Read a depth profile CSV back; blank lines are skipped and quote
-    characters are data, so a quoted cell is not an integer.  A repeated
-    depth and a negative depth or count raise ValueError."""
+def parse_profile_csv(path: "str | Path") -> dict[int, int]:
+    """Read a depth profile CSV file back; blank lines are skipped and quote
+    characters are data, so a quoted cell is not an integer.  A row other
+    than two integers, a repeated depth and a negative depth or count raise
+    ValueError naming the file and the line."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    bad = f"not a depth profile CSV: {path}"
     try:
-        rows = list(csv.reader([ln for ln in text.splitlines() if ln.strip()], quoting=csv.QUOTE_NONE))
+        rows = list(csv.reader([ln for _, ln in lines], quoting=csv.QUOTE_NONE))
     except csv.Error as e:  # a field over the csv module's size limit
-        raise ValueError(f"not a depth profile CSV: {e}") from None
+        raise ValueError(f"{bad}: {e}") from None
     if not rows or rows[0] != list(PROFILE_COLUMNS):
-        raise ValueError("not a depth profile CSV")
+        raise ValueError(f"{bad}: its header is not depth,count")
     profile: dict[int, int] = {}
-    for d, c in rows[1:]:
-        depth, count = int(d), int(c)
+    for (n, line), row in zip(lines[1:], rows[1:]):
+        try:
+            depth, count = map(int, row)
+        except ValueError:  # other than two fields, or a field not an integer
+            depth = count = -1
         if depth < 0 or count < 0 or depth in profile:
-            raise ValueError(f"not a depth profile CSV: row {d},{c} repeats a depth or is negative")
+            raise ValueError(f"{bad}: line {n} {line!r} is not two integers >= 0 or repeats a depth")
         profile[depth] = count
     return profile
 
@@ -655,7 +663,7 @@ def write_sweep_outputs(result: SweepResult, outdir: "str | Path") -> None:
     the matched model comparison, and the figure aggregates."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    emit(result.rows, outdir / "sweep.csv")
+    (outdir / "sweep.csv").write_text(format_table(result.rows), encoding="utf-8")
     profile_dir = outdir / "profiles"
     profile_dir.mkdir(exist_ok=True)
     for stale in profile_dir.glob("*.csv"):  # a former sweep's, which detect would read
@@ -663,6 +671,6 @@ def write_sweep_outputs(result: SweepResult, outdir: "str | Path") -> None:
     for cell, profile in sorted(result.profiles.items()):
         (profile_dir / f"{cell}.csv").write_text(profile_to_csv(profile), encoding="utf-8")
     (outdir / "detectors.json").write_text(json.dumps(result.detectors, indent=1) + "\n", encoding="utf-8")
-    emit(result.comparison, outdir / "comparison.csv", COMPARISON_COLUMNS)
-    emit(result.figures["model1"], outdir / "figure_model1.csv", FIGURE_COLUMNS)
-    emit(result.figures["model2"], outdir / "figure_model2.csv", FIGURE_COLUMNS)
+    (outdir / "comparison.csv").write_text(format_table(result.comparison, COMPARISON_COLUMNS), encoding="utf-8")
+    for model in ("model1", "model2"):
+        (outdir / f"figure_{model}.csv").write_text(format_table(result.figures[model], FIGURE_COLUMNS), encoding="utf-8")

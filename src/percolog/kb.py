@@ -4,15 +4,14 @@ predicates (isa / genls / genlPreds / argIsa) and a line-oriented text format.
 A knowledge base holds ground facts only; rules live in a separate
 :class:`AxiomSet`.  Hierarchy predicates are stored as ordinary facts but get
 precomputed closure tables so that type and predicate-generalization queries
-are cheap.  KnowledgeBase instances are immutable after construction:
-``add_facts`` returns a new value, and every read is safe under concurrency.
+are cheap.  KnowledgeBase instances are immutable after construction, so
+every read is safe under concurrency.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -215,10 +214,6 @@ class KnowledgeBase:
     # -- read API --------------------------------------------------------------
 
     @property
-    def facts(self) -> frozenset[Fact]:
-        return frozenset(self.sorted_facts())
-
-    @property
     def fact_count(self) -> int:
         return sum(map(len, self._rows.values()))
 
@@ -263,16 +258,6 @@ class KnowledgeBase:
             if isinstance(t, str) and t not in self.instances_of(col):
                 return False
         return True
-
-    def add_facts(self, facts: Iterable[Fact]) -> "KnowledgeBase":
-        """A new KnowledgeBase containing the union; duplicates are silently
-        deduplicated, this value is left untouched."""
-        return KnowledgeBase([*self.sorted_facts(), *facts])
-
-    def __contains__(self, fact: Fact) -> bool:
-        rows = self.rows(fact.predicate)
-        i = bisect_left(rows, fact.args)
-        return i < len(rows) and rows[i] == fact.args
 
     def __repr__(self) -> str:
         return f"KnowledgeBase({self.fact_count} facts, {len(self._rows)} predicates)"

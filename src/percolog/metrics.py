@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .engine import Evaluator, Query, SnapshotCache, solutions
-from .graph import AndOrGraph, SearchSpace
+from .graph import SearchSpace
 from .kb import KnowledgeBase
 
 
@@ -41,16 +41,15 @@ class QaResult:
     total_answers: int
 
 
-def alpha(g: AndOrGraph, space: SearchSpace, queries: Sequence[Query], kb: KnowledgeBase) -> AlphaReport:
-    """Average per-node ground-fact contribution of the space toward Q,
-    counting solutions under the genlPreds mode the graph was built with;
-    the space must have been sampled from ``g`` itself."""
+def alpha(space: SearchSpace, queries: Sequence[Query], kb: KnowledgeBase) -> AlphaReport:
+    """Average per-node ground-fact contribution of the space toward Q, over
+    |N| = the OR nodes of the space's graph, counting solutions under the
+    genlPreds mode that graph was built with."""
+    g = space.graph
     if len(queries) == 0:
         raise ValueError("alpha needs a nonempty query set")
     if g.or_count == 0:
         raise ValueError("alpha needs a graph with at least one OR node")
-    if space.graph is not g:
-        raise ValueError("space is not a sub-space of the given graph")
     qn = len(queries)
     terms = []
     for oid in space.sorted_or_members():

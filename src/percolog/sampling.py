@@ -2,12 +2,13 @@
 
 Model 1 keeps at most k rule applications per OR node (uniformizing the
 out-degree distribution); Model 2 keeps ceil(beta% * c) of a node's c
-applications (preserving skew).  Both walk breadth-first from the roots,
-decide each visited OR node exactly once, and keep every body child of a kept
-rule application, so a sampled space is always closed and acyclic.  RNG
-streams are derived deterministically from (master seed, scope, model,
-canonical parameter numeral, replicate index) by :func:`cell_params`, so
-results depend neither on scheduling nor on how a parameter is spelled.
+applications (preserving skew), so beta=100 keeps the whole graph.  Both walk
+breadth-first from the roots, decide each visited OR node exactly once, and
+keep every body child of a kept rule application, so a sampled space is
+always closed and acyclic.  RNG streams are derived deterministically from
+(master seed, scope, model, canonical parameter numeral, replicate index) by
+:func:`cell_params`, so results depend neither on scheduling nor on how a
+parameter is spelled.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 from collections import deque
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graph import AndOrGraph, SearchSpace
 
@@ -63,9 +64,6 @@ class SampleParams:
         # exact rational arithmetic so 20% of 5 is exactly 1, never 2
         return math.ceil(Fraction(str(self.beta)) * child_count / 100)
 
-    def provenance(self) -> dict:
-        return asdict(self)
-
 
 def derive_seed(master_seed: int, *parts: object) -> int:
     """Stable 64-bit stream seed for a sweep cell."""
@@ -97,12 +95,10 @@ def cell_params(model: str, value: float, replicate: int, master_seed: int, *sco
     return SampleParams("model2", beta=float(value), seed=seed, replicate=replicate)
 
 
-def _sample(
-    graph: AndOrGraph,
-    params: SampleParams,
-    rng: random.Random,
-    provenance: Optional[dict],
-) -> SearchSpace:
+def sample(graph: AndOrGraph, params: SampleParams) -> SearchSpace:
+    """Sample one space from its cell parameters: the RNG is seeded with
+    ``params.seed`` and the parameters are the space's provenance."""
+    rng = random.Random(params.seed)
     visited: set[str] = set()
     kept_and: list[str] = []
     queue: deque[str] = deque()
@@ -127,41 +123,7 @@ def _sample(
                 if cid not in visited:
                     visited.add(cid)
                     queue.append(cid)
-    return SearchSpace(graph, visited, kept_and, provenance)
-
-
-def model1_sample(graph: AndOrGraph, k: int, rng: random.Random) -> SearchSpace:
-    """Keep min(k, c) rule applications per visited OR node, uniformly without
-    replacement; every out-degree in the result is <= k."""
-    return _sample(graph, SampleParams("model1", k=k), rng, {"model": "model1", "k": k})
-
-
-def model2_sample(graph: AndOrGraph, beta: float, rng: random.Random) -> SearchSpace:
-    """Keep ceil(beta% * c) rule applications per visited OR node; beta=100
-    reproduces the parent graph exactly."""
-    return _sample(graph, SampleParams("model2", beta=beta), rng, {"model": "model2", "beta": beta})
-
-
-def sample(graph: AndOrGraph, params: SampleParams) -> SearchSpace:
-    """Sample one space from its cell parameters (seed included)."""
-    return _sample(graph, params, random.Random(params.seed), params.provenance())
-
-
-def generate_replicates(
-    graph: AndOrGraph,
-    settings: Iterable[tuple[str, float]],
-    replicates: int = 7,
-    master_seed: int = 0,
-) -> list[SearchSpace]:
-    """Replicated spaces for each (model, parameter) setting, with one derived
-    RNG stream per replicate; same master seed, same spaces."""
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    out = []
-    for model, value in settings:
-        for rep in range(replicates):
-            out.append(sample(graph, cell_params(model, value, rep, master_seed)))
-    return out
+    return SearchSpace(graph, visited, kept_and, asdict(params))
 
 
 def greedy_degree_pairs(

@@ -16,8 +16,6 @@ from fractions import Fraction
 from percolog import (
     build_graph,
     induced_space,
-    model1_sample,
-    model2_sample,
     parse_kb,
 )
 from percolog.cli import main as cli_main
@@ -33,6 +31,7 @@ from percolog.harness import (
 )
 from percolog.kb import KnowledgeBase, Fact
 from percolog.metrics import alpha, answered_fraction, threshold_hit
+from percolog.sampling import SampleParams, sample
 
 from conftest import F, naive_fixpoint, oracle_bindings, random_domain
 from test_engine import bottleneck_fixture
@@ -55,7 +54,7 @@ def test_criterion_1_engine_oracle_equivalence():
         for seed in range(200):
             dom = random_domain(seed, with_genlpreds=(seed % 4 == 0))
             assert len(dom.axioms) <= 15
-            assert len([f for f in dom.kb.facts if not f.atom.predicate.startswith(("isa", "genls", "genlPreds"))]) <= 50
+            assert len([f for f in dom.kb.sorted_facts() if not f.atom.predicate.startswith(("isa", "genls", "genlPreds"))]) <= 50
             fix = naive_fixpoint(dom.kb, dom.axioms, dom.genl_edges)
             queries = expand_templates(dom.kb, dom.templates)
             ev = Evaluator(dom.kb, dom.axioms, genlpreds_mode=True)
@@ -89,7 +88,7 @@ def test_criterion_2_model1_degree_bound():
         for _, g in graphs:
             for k in range(2, 8):
                 for rep in range(28):
-                    space = model1_sample(g, k, random.Random(hash((k, rep)) & 0xFFFF))
+                    space = sample(g, SampleParams("model1", k=k, seed=hash((k, rep)) & 0xFFFF))
                     degrees = or_out_degrees(space)
                     assert not degrees or max(degrees) <= k
                     spaces += 1
@@ -101,11 +100,11 @@ def test_criterion_3_model2_identity_and_fraction():
         graphs = _graph_family()
         for _, g in graphs:
             for seed in range(3):
-                space = model2_sample(g, 100, random.Random(seed))
+                space = sample(g, SampleParams("model2", beta=100, seed=seed))
                 assert space.or_members == frozenset(g.or_nodes)
                 assert space.and_members == frozenset(g.and_nodes)
             for beta in (10, 15, 20, 30, 40, 50, 66.5):
-                space = model2_sample(g, beta, random.Random(7))
+                space = sample(g, SampleParams("model2", beta=beta, seed=7))
                 for oid in space.or_members:
                     c = len(g.or_nodes[oid].children)
                     kept = len(space.member_and_children(oid))
@@ -121,19 +120,19 @@ def test_criterion_4_alpha_correctness():
         # fixture 1: empty member set
         kb = KnowledgeBase([F("p", "a", "b")])
         g = build_graph(AxiomSet([]), [GoalSchema("p", 2, (True, False))], 10, kb=kb)
-        assert alpha(g, SearchSpace(g, [], []), queries("p", ["a"]), kb).alpha == 0.0
+        assert alpha(SearchSpace(g, [], []), queries("p", ["a"]), kb).alpha == 0.0
         # fixture 2: single root, Solutions == |Q|
         kb = KnowledgeBase([F("p", f"e{i}", "c") for i in range(4)])
         g = build_graph(AxiomSet([]), [GoalSchema("p", 2, (True, False))], 10, kb=kb)
         full = induced_space(g, g.or_nodes.keys())
-        a2 = alpha(g, full, queries("p", [f"e{i}" for i in range(4)]), kb).alpha
+        a2 = alpha(full, queries("p", [f"e{i}" for i in range(4)]), kb).alpha
         assert abs(a2 - 1.0) <= 1e-12
         # fixture 3: one depth-1 member, Solutions 2, |Q| 4
         kb = KnowledgeBase([F("q", "a", "b"), F("q", "c", "d")])
         _, axioms = parse_kb("(<= (p ?x ?y) (q ?x ?y))")
         g = build_graph(axioms, [GoalSchema("p", 2, (True, False))], 10, kb=kb)
         q_node = next(oid for oid, n in g.or_nodes.items() if n.predicate == "q")
-        a3 = alpha(g, SearchSpace(g, [q_node], []), queries("p", ["e1", "e2", "e3", "e4"]), kb).alpha
+        a3 = alpha(SearchSpace(g, [q_node], []), queries("p", ["e1", "e2", "e3", "e4"]), kb).alpha
         assert abs(a3 - 0.125) <= 0.125 * 1e-12
 
         for trial in range(100):
@@ -143,21 +142,21 @@ def test_criterion_4_alpha_correctness():
             rng.shuffle(ids)
             half = len(ids) // 2
             m1, m2 = ids[:half], ids[half:]
-            a_union = alpha(g, SearchSpace(g, ids, []), qs, kb).alpha
+            a_union = alpha(SearchSpace(g, ids, []), qs, kb).alpha
             a_split = (
-                alpha(g, SearchSpace(g, m1, []), qs, kb).alpha
-                + alpha(g, SearchSpace(g, m2, []), qs, kb).alpha
+                alpha(SearchSpace(g, m1, []), qs, kb).alpha
+                + alpha(SearchSpace(g, m2, []), qs, kb).alpha
             )
             assert abs(a_union - a_split) <= max(1e-12 * max(abs(a_union), 1e-9), 1e-15)
-            space = model1_sample(g, 2, rng)
-            base = alpha(g, space, qs, kb).alpha
+            space = sample(g, SampleParams("model1", k=2, seed=trial))
+            base = alpha(space, qs, kb).alpha
             pred = g.or_nodes[sorted(space.or_members)[0]].predicate
-            grown_kb = kb.add_facts([Fact(pred, ("Ex", "Ey"))])
-            assert alpha(g, space, qs, grown_kb).alpha >= base
+            grown_kb = KnowledgeBase([*kb.sorted_facts(), Fact(pred, ("Ex", "Ey"))])
+            assert alpha(space, qs, grown_kb).alpha >= base
             cut = max(1, len(ids) // 3)
             assert (
-                alpha(g, SearchSpace(g, ids, []), qs, kb).alpha
-                >= alpha(g, SearchSpace(g, ids[:cut], []), qs, kb).alpha
+                alpha(SearchSpace(g, ids, []), qs, kb).alpha
+                >= alpha(SearchSpace(g, ids[:cut], []), qs, kb).alpha
             )
 
 

@@ -1,15 +1,18 @@
 """The public surface the documentation and the benchmark rely on: the
-README's library example runs as written, every layer the benchmark's
-tracer wraps is still called by ``percolog sweep``, and the benchmark's
-checker passes on a sweep."""
+README's library example runs as written, its CLI walkthrough parses, every
+layer the benchmark's tracer wraps is still called by ``percolog sweep``, and
+the benchmark's checker passes on a sweep."""
 
 import importlib.util
 import json
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import percolog as P
-from percolog.cli import main
+from percolog.cli import _HANDLERS, _build_parser, main
 
 from test_cli import SYNTH_CONFIG
 
@@ -31,6 +34,27 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(code, "README.md", "exec"), {})
     alpha, fraction, hit = capsys.readouterr().out.split()
     assert float(alpha) >= 0 and 0 <= float(fraction) <= 1 and hit in ("True", "False")
+
+
+def _walkthrough_commands() -> list[list[str]]:
+    """The argument lists of the README's CLI walkthrough, with backslash
+    continuations joined."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## CLI walkthrough", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("percolog ")]
+
+
+def test_readme_walkthrough_covers_every_command():
+    assert {argv[0] for argv in _walkthrough_commands()} == set(_HANDLERS)
+
+
+@pytest.mark.parametrize("argv", _walkthrough_commands(), ids=" ".join)
+def test_readme_walkthrough_parses(argv, capsys):
+    """Argparse alone: a renamed or deleted flag fails here."""
+    try:
+        _build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"percolog {' '.join(argv)}: {capsys.readouterr().err.strip()}")
 
 
 def _load_perfbench(name: str):

@@ -1,9 +1,13 @@
 import json
+import re
+from dataclasses import asdict
 
 import pytest
 
 from percolog.cli import main
+from percolog.graph import PROVENANCE_KEYS
 from percolog.harness import parse_rows
+from percolog.sampling import cell_params
 
 from conftest import node_chain_text, run_python
 
@@ -70,6 +74,17 @@ def test_full_pipeline(workspace, capsys):
     manifest = json.loads(spaces[0].read_text())
     for key in ("model", "k", "beta", "seed", "replicate", "axiom_ids", "avg_degree", "node_count"):
         assert key in manifest
+    # each file records the cell it was drawn as, seed and replicate included
+    for rep, path in enumerate(spaces):
+        assert path.name == f"model1_k2_rep{rep}.json"
+        assert {k: json.loads(path.read_text())[k] for k in PROVENANCE_KEYS} == asdict(cell_params("model1", 2, rep, 11))
+
+    # fewer than one replicate is an input error
+    capsys.readouterr()
+    assert main(
+        ["sample", "--graph", str(ws / "graph.json"), "--model", "2", "--beta", "30", "--replicates", "0", "--out", str(ws / "none")]
+    ) == 2
+    assert capsys.readouterr().err == "error: replicates must be >= 1\n"
 
     capsys.readouterr()
     assert main(
@@ -193,11 +208,25 @@ def test_sweep_detect_compare(workspace, capsys):
         "depth,count\n1,5\n01,5\n",
         "depth,count\n-1,5\n",
         "depth,count\n0,-5\n",
+        "depth,count\n0,1,2\n",
+        "depth,count\n0\n",
+        "depth,count\nx,5\n",
     ):
         profile.write_text(text, encoding="utf-8")
         assert main(["detect", "--rows", str(ws / "out" / "sweep.csv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: not a depth profile CSV") and err.count("\n") == 1, err[:200]
+        assert err.startswith(f"error: not a depth profile CSV: {profile}") and err.count("\n") == 1, err[:200]
+    profile.write_text("depth,count\n0,1\n", encoding="utf-8")
+
+    # a boolean cell is true or false, nothing else
+    sweep_csv = ws / "out" / "sweep.csv"
+    lines = sweep_csv.read_text().splitlines()
+    lines[1] = re.sub(r",(true|false),([^,]*)$", r",garbage,\2", lines[1])
+    sweep_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for command in ("compare", "detect"):
+        assert main([command, "--rows", str(sweep_csv)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {sweep_csv}, line 2, column threshold_hit: 'garbage' is not true or false\n"
 
 
 def test_smaller_sweep_into_the_same_out_leaves_no_stale_profiles(workspace, capsys):

@@ -20,7 +20,7 @@ from percolog.engine import Evaluator, SnapshotCache, _join, _rule_plan
 from percolog.harness import expand_templates, root_schemas
 from percolog.kb import Atom, HornClause, parse_kb
 from percolog.metrics import answered_fraction
-from percolog.sampling import cell_params, sample
+from percolog.sampling import SampleParams, cell_params, sample
 
 from conftest import A, F, fixpoint_rounds, kb_of, naive_fixpoint, oracle_bindings, random_domain
 
@@ -196,7 +196,7 @@ class TestBackchain:
     def test_fact_monotonicity(self):
         kb, axioms = parse_kb("(p A B)\n(<= (r ?x ?y) (p ?x ?y))")
         before = ask(kb, axioms, Q("r", "A", "?y"), 1)
-        kb2 = kb.add_facts([F("p", "A", "C")])
+        kb2 = KnowledgeBase([*kb.sorted_facts(), F("p", "A", "C")])
         after = ask(kb2, axioms, Q("r", "A", "?y"), 1)
         assert before <= after
 
@@ -278,6 +278,20 @@ class TestBackchain:
         assert {len(ev.ask(Q("anc", "N0", "?x"), 40)) for ev in evs} == {39}
         assert all(0 < len(ev._memo) <= 2 * 40 * 41 for ev in evs)
         assert cache._relations == []
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["no-cache", "shared-cache"])
+    def test_three_predicate_cycle_at_every_depth(self, shared):
+        # p -> q -> r -> p: one turn of the cycle costs three depth units and
+        # adds one e step, so (p a ?y) grows only at depths 3 and 6 although
+        # p's rows repeat in between
+        kb, axioms = parse_kb(
+            "(p a b)\n(e b c)\n(e c d)\n"
+            "(<= (p ?x ?y) (q ?x ?y))\n(<= (q ?x ?y) (r ?x ?y))\n(<= (r ?x ?y) (p ?x ?z) (e ?z ?y))"
+        )
+        cache = SnapshotCache(kb) if shared else None
+        got = [Evaluator(kb, axioms, cache=cache).ask(Q("p", "a", "?y"), d) for d in range(8)]
+        b, bc, bcd = {"b"}, {"b", "c"}, {"b", "c", "d"}
+        assert got == [b, b, b, bc, bc, bc, bcd, bcd]
 
     def test_unsupported_constant_has_no_answers(self):
         # Z is a KB symbol, but no p row, so no r or s answer, starts with it
@@ -403,7 +417,7 @@ class TestSnapshotCache:
         space = induced_space(graph, graph.or_nodes)
         queries = expand_templates(dom.kb, dom.templates)
         cache = SnapshotCache(dom.kb)
-        other = dom.kb.add_facts([])
+        other = KnowledgeBase(dom.kb.sorted_facts())
         with pytest.raises(ValueError, match="SnapshotCache"):
             answered_fraction(space, other, queries, 3, True, cache)
         with pytest.raises(ValueError, match="SnapshotCache"):
@@ -663,10 +677,7 @@ class TestBottomUp:
         dom = random_domain(7)
         queries = expand_templates(dom.kb, dom.templates)
         g = build_graph(dom.axioms, root_schemas(dom.templates), 10, kb=dom.kb)
-        rng = random.Random(3)
-        from percolog import model1_sample
-
-        space = model1_sample(g, 1, rng)
+        space = sample(g, SampleParams("model1", k=1, seed=3))
         sets = bottom_up_eval(space, dom.kb)
         axioms = dom.axioms.restrict(space.retained_axiom_ids())
         for q in queries:

@@ -20,8 +20,8 @@ from percolog.harness import (
     compare_models,
     detect_degenerate,
     detect_transition,
-    emit,
     figure_tables,
+    format_table,
     load_experiment,
     load_templates,
     parse_rows,
@@ -209,18 +209,18 @@ class TestEmit:
 
     def test_zero_rows_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit([], path, columns=SWEEP_COLUMNS)
+        write_csv(path, [], SWEEP_COLUMNS)
         assert path.read_text() == ",".join(SWEEP_COLUMNS) + "\n"
 
     def test_one_row_two_lines(self, tmp_path):
         path = tmp_path / "one.csv"
-        emit(self._rows(1), path)
+        write_csv(path, self._rows(1))
         lines = path.read_text().splitlines()
         assert len(lines) == 2
 
     def test_lf_endings_and_decimal_dot(self, tmp_path):
         path = tmp_path / "rows.csv"
-        emit(self._rows(2), path)
+        write_csv(path, self._rows(2))
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert b"0.25" in raw
@@ -228,32 +228,65 @@ class TestEmit:
     def test_round_trip(self, tmp_path):
         rows = self._rows(3)
         path = tmp_path / "rows.csv"
-        emit(rows, path)
+        write_csv(path, rows)
         parsed = parse_rows(path)
         assert parsed == rows
         again = tmp_path / "again.csv"
-        emit(parsed, again)
+        write_csv(again, parsed)
         assert again.read_text() == path.read_text()
 
     def test_error_row_columns_empty(self, tmp_path):
         row = SweepRow(model="model1", k_or_beta=2, replicate=0, seed=1, kb_id="kb0", kb_facts=10)
         path = tmp_path / "err.csv"
-        emit([row], path)
+        write_csv(path, [row])
         line = path.read_text().splitlines()[1]
         assert line == "model1,2,0,1,kb0,10,,,,,,,,,,"
         (parsed,) = parse_rows(path)
         assert parsed.is_error and parsed.alpha is None
 
-    def test_profile_csv_round_trip(self):
+    def test_profile_csv_round_trip(self, tmp_path):
         profile = {0: 0, 1: 225, 4: 60}
         text = profile_to_csv(profile)
         assert text.splitlines()[0] == "depth,count"
-        assert parse_profile_csv(text) == profile
+        path = tmp_path / "cell.csv"
+        path.write_text(text, encoding="utf-8")
+        assert parse_profile_csv(path) == profile
 
-    def test_profile_csv_field_over_the_csv_limit_is_value_error(self):
+    def test_profile_csv_field_over_the_csv_limit_is_value_error(self, tmp_path):
         # the csv module refuses a field over 131,072 characters with csv.Error
+        path = tmp_path / "cell.csv"
+        path.write_text("depth,count\n0," + " " * 140000 + "5\n", encoding="utf-8")
         with pytest.raises(ValueError, match="not a depth profile CSV"):
-            parse_profile_csv("depth,count\n0," + " " * 140000 + "5\n")
+            parse_profile_csv(path)
+
+    @pytest.mark.parametrize("row", ["0,1,2", "0,5 5"])
+    def test_bad_profile_row_names_the_file_and_line(self, tmp_path, row):
+        path = tmp_path / "cell.csv"
+        path.write_text(f"depth,count\n\n1,4\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as e:
+            parse_profile_csv(path)
+        assert str(e.value) == f"not a depth profile CSV: {path}: line 4 {row!r} is not two integers >= 0 or repeats a depth"
+
+    @pytest.mark.parametrize("cell", ["garbage", "True", "1", "false "])
+    def test_bool_cell_other_than_true_or_false_is_refused(self, tmp_path, cell):
+        path = tmp_path / "rows.csv"
+        write_csv(path, self._rows(2))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace(",true,", f",{cell},")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"line 3, column threshold_hit: {re.escape(repr(cell))} is not true or false"):
+            parse_rows(path)
+
+    def test_false_cell_parses(self, tmp_path):
+        rows = self._rows(1)
+        rows[0].threshold_hit = False
+        path = tmp_path / "rows.csv"
+        write_csv(path, rows)
+        assert parse_rows(path) == rows
+
+
+def write_csv(path, rows, columns=None):
+    path.write_text(format_table(rows, columns), encoding="utf-8")
 
 
 def write_experiment(tmp_path, *, facts=120, entities=24, seed=0):
@@ -322,8 +355,8 @@ class TestRunSweep:
             master_seed=9,
         )
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit(run_sweep(cfg).rows, out_a)
-        emit(run_sweep(cfg).rows, out_b)
+        write_csv(out_a, run_sweep(cfg).rows)
+        write_csv(out_b, run_sweep(cfg).rows)
         strip = lambda p: [ln.rsplit(",", 1)[0] for ln in p.read_text().splitlines()]
         assert strip(out_a) == strip(out_b)
 

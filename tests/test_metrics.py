@@ -9,7 +9,6 @@ from percolog import (
     Query,
     build_graph,
     induced_space,
-    model1_sample,
 )
 from percolog.engine import bottom_up_eval, depth_profile
 from percolog.graph import SearchSpace
@@ -17,6 +16,7 @@ from percolog.growth import SynthConfig, synth_kb
 from percolog.harness import expand_templates, root_schemas
 from percolog.kb import parse_kb
 from percolog.metrics import alpha, answered_fraction, threshold_hit
+from percolog.sampling import SampleParams, sample
 
 from conftest import A, F, kb_of, naive_fixpoint, oracle_bindings
 
@@ -35,7 +35,7 @@ class TestAlphaFixtures:
         kb = kb_of(("p", "a", "b"))
         g = build_graph(AxiomSet([]), [GoalSchema("p", 2, (True, False))], 10, kb=kb)
         space = SearchSpace(g, [], [])
-        report = alpha(g, space, queries("p", ["a"]), kb)
+        report = alpha(space, queries("p", ["a"]), kb)
         assert report.alpha == 0.0
         assert report.m_count == 0
 
@@ -44,7 +44,7 @@ class TestAlphaFixtures:
         kb = KnowledgeBase([F("p", f"e{i}", "c") for i in range(4)])
         g = build_graph(AxiomSet([]), [GoalSchema("p", 2, (True, False))], 10, kb=kb)
         space = induced_space(g, g.or_nodes.keys())
-        report = alpha(g, space, queries("p", [f"e{i}" for i in range(4)]), kb)
+        report = alpha(space, queries("p", [f"e{i}" for i in range(4)]), kb)
         assert report.alpha == pytest.approx(1.0, rel=1e-12)
         assert (report.n_total, report.m_count, report.q_count) == (1, 1, 4)
 
@@ -55,14 +55,14 @@ class TestAlphaFixtures:
         g = build_graph(axioms, [GoalSchema("p", 2, (True, False))], 10, kb=kb)
         q_node = next(oid for oid, n in g.or_nodes.items() if n.predicate == "q")
         space = SearchSpace(g, [q_node], [])
-        report = alpha(g, space, queries("p", ["e1", "e2", "e3", "e4"]), kb)
+        report = alpha(space, queries("p", ["e1", "e2", "e3", "e4"]), kb)
         assert report.alpha == pytest.approx(0.125, rel=1e-12)
 
     def test_report_internally_consistent(self):
         kb = KnowledgeBase([F("p", f"e{i}", "c") for i in range(4)])
         g = build_graph(AxiomSet([]), [GoalSchema("p", 2, (True, False))], 10, kb=kb)
         space = induced_space(g, g.or_nodes.keys())
-        report = alpha(g, space, queries("p", ["e0"]), kb)
+        report = alpha(space, queries("p", ["e0"]), kb)
         recomputed = sum(t[3] for t in report.terms) / report.n_total
         assert recomputed == pytest.approx(report.alpha, rel=1e-12)
 
@@ -71,7 +71,7 @@ class TestAlphaFixtures:
         g = build_graph(AxiomSet([]), [GoalSchema("p", 2, (True, False))], 10, kb=kb)
         space = induced_space(g, g.or_nodes.keys())
         with pytest.raises(ValueError):
-            alpha(g, space, (), kb)
+            alpha(space, (), kb)
 
 
 def synth_setup(seed):
@@ -94,21 +94,21 @@ class TestAlphaProperties:
         rng.shuffle(ids)
         half = len(ids) // 2
         m1, m2 = ids[:half], ids[half:]
-        a_union = alpha(g, SearchSpace(g, m1 + m2, []), qs, kb).alpha
+        a_union = alpha(SearchSpace(g, m1 + m2, []), qs, kb).alpha
         a_parts = (
-            alpha(g, SearchSpace(g, m1, []), qs, kb).alpha
-            + alpha(g, SearchSpace(g, m2, []), qs, kb).alpha
+            alpha(SearchSpace(g, m1, []), qs, kb).alpha
+            + alpha(SearchSpace(g, m2, []), qs, kb).alpha
         )
         assert a_union == pytest.approx(a_parts, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_monotone_under_fact_addition(self, seed):
         kb, g, qs = synth_setup(seed)
-        space = model1_sample(g, 2, random.Random(seed))
-        before = alpha(g, space, qs, kb).alpha
+        space = sample(g, SampleParams("model1", k=2, seed=seed))
+        before = alpha(space, qs, kb).alpha
         extra_pred = g.or_nodes[g.roots[0]].predicate
-        bigger = kb.add_facts([F(extra_pred, "Enew1", "Enew2")])
-        after = alpha(g, space, qs, bigger).alpha
+        bigger = KnowledgeBase([*kb.sorted_facts(), F(extra_pred, "Enew1", "Enew2")])
+        after = alpha(space, qs, bigger).alpha
         assert after >= before
 
     @pytest.mark.parametrize("seed", range(8))
@@ -118,8 +118,8 @@ class TestAlphaProperties:
         ids = sorted(g.or_nodes)
         rng.shuffle(ids)
         cut = max(1, len(ids) // 3)
-        small = alpha(g, SearchSpace(g, ids[:cut], []), qs, kb).alpha
-        large = alpha(g, SearchSpace(g, ids, []), qs, kb).alpha
+        small = alpha(SearchSpace(g, ids[:cut], []), qs, kb).alpha
+        large = alpha(SearchSpace(g, ids, []), qs, kb).alpha
         assert large >= small
 
 
@@ -177,14 +177,14 @@ class TestAnsweredFraction:
         full = induced_space(g, g.or_nodes.keys())
         qs = queries("root", ["e1", "e2", "e3"])
         base = answered_fraction(full, kb, qs, 10)
-        with_fact = answered_fraction(full, kb.add_facts([F("extra", "e2", "z")]), qs, 10)
+        with_fact = answered_fraction(full, KnowledgeBase([*kb.sorted_facts(), F("extra", "e2", "z")]), qs, 10)
         assert with_fact.fraction >= base.fraction
         # dropping an axiom (smaller space) cannot answer more
         smaller_members = set(g.or_nodes) - {
             oid for oid, n in g.or_nodes.items() if n.predicate == "extra"
         }
         smaller = induced_space(g, smaller_members)
-        dropped = answered_fraction(smaller, kb.add_facts([F("extra", "e2", "z")]), qs, 10)
+        dropped = answered_fraction(smaller, KnowledgeBase([*kb.sorted_facts(), F("extra", "e2", "z")]), qs, 10)
         assert dropped.fraction <= with_fact.fraction
 
 
@@ -234,13 +234,14 @@ class TestAgreementWithTheSpacesGraph:
         with pytest.raises(ValueError, match="genlPreds mode False"):
             bottom_up_eval(space, kb, False)
 
-    def test_alpha_refuses_a_graph_with_the_same_node_ids(self):
+    def test_alpha_counts_the_nodes_of_the_space_graph(self):
+        # |N| and the genlPreds mode both come from the space's own graph
         kb, axioms, g, space = self.setup_graph()
-        twin = build_graph(axioms, [self.ROOT], 10, kb=kb, genlpreds_mode=True)
-        assert twin.or_nodes.keys() == g.or_nodes.keys()
-        assert alpha(g, space, self.QUERIES, kb).m_count == len(g.or_nodes)
-        with pytest.raises(ValueError, match="sub-space"):
-            alpha(twin, space, self.QUERIES, kb)
+        assert alpha(space, self.QUERIES, kb).terms == (("o0", 0, 0, 0.0), ("o1", 1, 1, 0.5))
+        assert alpha(space, self.QUERIES, kb).alpha == 0.5 / 2
+        flat = build_graph(axioms, [self.ROOT], 10, kb=kb, genlpreds_mode=False)
+        report = alpha(induced_space(flat, flat.or_nodes), self.QUERIES, kb)
+        assert (report.n_total, report.m_count, report.alpha) == (1, 1, 0.0)
 
 
 class TestThreshold:

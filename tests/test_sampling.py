@@ -8,8 +8,6 @@ from percolog import (
     GoalSchema,
     average_degree,
     build_graph,
-    model1_sample,
-    model2_sample,
     or_out_degrees,
 )
 from percolog.graph import PROVENANCE_KEYS, induced_space
@@ -21,7 +19,6 @@ from percolog.sampling import (
     SampleParams,
     cell_params,
     derive_seed,
-    generate_replicates,
     greedy_degree_pairs,
     sample,
 )
@@ -46,11 +43,17 @@ def chain_graph():
     return build_graph(axioms, [GoalSchema("p0", 2, (True, False))], 10, kb=kb)
 
 
+def replicates(graph, settings, n, master_seed=0):
+    """n replicate spaces per (model, value) setting, drawn as `percolog
+    sample` draws them."""
+    return [sample(graph, cell_params(model, value, rep, master_seed)) for model, value in settings for rep in range(n)]
+
+
 class TestModel1:
     def test_k_at_least_max_degree_keeps_everything(self):
         _, _, _, g = skewed_graph()
         k = max(or_out_degrees(induced_space(g, g.or_nodes))) or 1
-        space = model1_sample(g, k, random.Random(1))
+        space = sample(g, SampleParams("model1", k=k, seed=1))
         assert space.or_members == frozenset(g.or_nodes)
         assert space.and_members == frozenset(g.and_nodes)
 
@@ -58,13 +61,13 @@ class TestModel1:
         _, _, _, g = skewed_graph()
         for seed in range(20):
             for k in (1, 2, 3):
-                space = model1_sample(g, k, random.Random(seed))
+                space = sample(g, SampleParams("model1", k=k, seed=seed))
                 degrees = or_out_degrees(space)
                 assert degrees and max(degrees) <= k
 
     def test_kept_count_is_min_k_children(self):
         _, _, _, g = skewed_graph()
-        space = model1_sample(g, 2, random.Random(5))
+        space = sample(g, SampleParams("model1", k=2, seed=5))
         for oid in space.or_members:
             total = len(g.or_nodes[oid].children)
             kept = len(space.member_and_children(oid))
@@ -72,21 +75,21 @@ class TestModel1:
 
     def test_chain_survives_k1(self):
         g = chain_graph()
-        space = model1_sample(g, 1, random.Random(0))
+        space = sample(g, SampleParams("model1", k=1, seed=0))
         assert space.or_members == frozenset(g.or_nodes)
         assert space.and_members == frozenset(g.and_nodes)
 
     def test_k_validation(self):
         g = chain_graph()
         with pytest.raises(ValueError):
-            model1_sample(g, 0, random.Random(0))
+            sample(g, SampleParams("model1", k=0, seed=0))
 
 
 class TestModel2:
     def test_beta_100_is_identity(self):
         _, _, _, g = skewed_graph()
         for seed in range(5):
-            space = model2_sample(g, 100, random.Random(seed))
+            space = sample(g, SampleParams("model2", beta=100, seed=seed))
             assert space.or_members == frozenset(g.or_nodes)
             assert space.and_members == frozenset(g.and_nodes)
 
@@ -94,7 +97,7 @@ class TestModel2:
         _, _, _, g = skewed_graph()
         for seed in range(10):
             for beta in (10, 15, 20, 30, 40, 50, 75):
-                space = model2_sample(g, beta, random.Random(seed))
+                space = sample(g, SampleParams("model2", beta=beta, seed=seed))
                 for oid in space.or_members:
                     total = len(g.or_nodes[oid].children)
                     kept = len(space.member_and_children(oid))
@@ -105,57 +108,73 @@ class TestModel2:
             "(<= (root ?x ?y) (a ?x ?y))\n(<= (root ?x ?y) (b ?x ?y))\n(<= (root ?x ?y) (c ?x ?y))"
         )
         g = build_graph(axioms, [GoalSchema("root", 2, (True, False))], 10, kb=kb)
-        space = model2_sample(g, 10, random.Random(3))
+        space = sample(g, SampleParams("model2", beta=10, seed=3))
         assert len(space.member_and_children(g.roots[0])) == 1
 
     def test_beta_validation(self):
         g = chain_graph()
         for bad in (0, -3, 101):
             with pytest.raises(ValueError):
-                model2_sample(g, bad, random.Random(0))
+                sample(g, SampleParams("model2", beta=bad, seed=0))
+
+
+def reference_draw(graph, keep, rng):
+    """The sampler's draw, written out independently: breadth-first from the
+    roots, each OR node decided once, keep(c) of its c children chosen by
+    rng.sample over their indices."""
+    seen, kept, queue = set(graph.roots), [], list(dict.fromkeys(graph.roots))
+    for oid in queue:
+        children = graph.or_nodes[oid].children
+        n = keep(len(children))
+        picked = range(n) if n == len(children) else sorted(rng.sample(range(len(children)), n))
+        for aid in (children[i] for i in picked):
+            kept.append(aid)
+            for cid in graph.and_nodes[aid].children:
+                if cid not in seen:
+                    seen.add(cid)
+                    queue.append(cid)
+    return frozenset(seen), frozenset(kept)
 
 
 class TestOneSampler:
-    """The sweep samples through `sample` and the README through
-    model1_sample / model2_sample; both run one sampler."""
+    """`sample` draws with random.Random(params.seed), so a space drawn from
+    an explicit RNG seeded with s is the space of the cell with seed s."""
 
     @pytest.mark.parametrize(
         "model, value", [("model1", k) for k in (1, 2, 3)] + [("model2", b) for b in (10, 30, 100)]
     )
     def test_sample_matches_model_functions(self, model, value):
         _, _, _, g = skewed_graph()
-        direct = model1_sample if model == "model1" else model2_sample
         for seed in range(10):
             params = SampleParams(model, **{"k" if model == "model1" else "beta": value}, seed=seed)
             a = sample(g, params)
-            b = direct(g, value, random.Random(seed))
-            assert (a.or_members, a.and_members) == (b.or_members, b.and_members)
+            assert (a.or_members, a.and_members) == reference_draw(g, params.keep_count, random.Random(seed))
 
 
 class TestReplicates:
     def test_same_master_seed_is_identical(self):
         _, _, _, g = skewed_graph()
         settings = [("model1", 2), ("model2", 40.0)]
-        a = generate_replicates(g, settings, replicates=3, master_seed=11)
-        b = generate_replicates(g, settings, replicates=3, master_seed=11)
+        a = replicates(g, settings, 3, master_seed=11)
+        b = replicates(g, settings, 3, master_seed=11)
         assert [(s.or_members, s.and_members) for s in a] == [
             (s.or_members, s.and_members) for s in b
         ]
 
     def test_different_replicates_vary(self):
         _, _, _, g = skewed_graph()
-        spaces = generate_replicates(g, [("model1", 2)], replicates=7, master_seed=1)
+        spaces = replicates(g, [("model1", 2)], 7, master_seed=1)
         assert len({s.and_members for s in spaces}) > 1
 
     def test_k_grid_times_replicates(self):
         _, _, _, g = skewed_graph()
-        spaces = generate_replicates(g, [("model1", k) for k in range(2, 8)], 7, 0)
+        spaces = replicates(g, [("model1", k) for k in range(2, 8)], 7, 0)
         assert len(spaces) == 42
 
     def test_beta_grid_times_replicates(self):
         _, _, _, g = skewed_graph()
         grid = [("model2", b) for b in (10, 15, 20, 30, 40, 50)]
-        spaces = generate_replicates(g, grid, 7, 0)
+        spaces = replicates(g, grid, 7, 0)
         assert len(spaces) == 42
 
     def test_derive_seed_is_stable_and_distinct(self):
@@ -193,8 +212,6 @@ class TestReplicates:
         # int(2.5) would sample the k = 2 cell under a seed no k = 2 cell has
         with pytest.raises(ValueError, match="integer k"):
             cell_params("model1", value, 0, 42)
-        with pytest.raises(ValueError, match="integer k"):
-            generate_replicates(chain_graph(), [("model1", value)], 1)
 
 
 class TestSubsetness:
@@ -208,7 +225,7 @@ class TestSubsetness:
             parent = induced_space(g, g.or_nodes.keys())
             parent_q = answered_fraction(parent, dom.kb, queries, 10)
             for k in (1, 2):
-                space = model1_sample(g, k, random.Random(seed))
+                space = sample(g, SampleParams("model1", k=k, seed=seed))
                 assert space.retained_axiom_ids() <= parent.retained_axiom_ids()
                 sampled_q = answered_fraction(space, dom.kb, queries, 10)
                 assert sampled_q.fraction <= parent_q.fraction + 1e-12
@@ -231,8 +248,8 @@ class TestMatchedPairs:
 
     def test_matched_pair_objects(self):
         _, _, _, g = skewed_graph()
-        m1 = generate_replicates(g, [("model1", k) for k in (2, 3)], 4, 5)
-        m2 = generate_replicates(g, [("model2", b) for b in (30, 50, 70)], 4, 5)
+        m1 = replicates(g, [("model1", k) for k in (2, 3)], 4, 5)
+        m2 = replicates(g, [("model2", b) for b in (30, 50, 70)], 4, 5)
         pairs = degree_matched(m1, m2, tolerance=0.5)
         assert pairs
         for a, b in pairs:
@@ -259,8 +276,8 @@ class TestDegreeDistributionContrast:
         # pooled over seeds on a skewed parent: limiting children to k narrows
         # the out-degree spread relative to keeping beta% everywhere
         _, _, _, g = skewed_graph(seed=3)
-        m1 = generate_replicates(g, [("model1", k) for k in (2, 3, 4)], 12, 7)
-        m2 = generate_replicates(g, [("model2", b) for b in (20, 30, 40, 50, 60)], 12, 7)
+        m1 = replicates(g, [("model1", k) for k in (2, 3, 4)], 12, 7)
+        m2 = replicates(g, [("model2", b) for b in (20, 30, 40, 50, 60)], 12, 7)
         pairs = degree_matched(m1, m2, tolerance=0.15)
         assert len(pairs) >= 10
         var1 = sum(_variance(or_out_degrees(a)) for a, _ in pairs) / len(pairs)
@@ -279,8 +296,8 @@ class TestSampleParams:
 
     def test_provenance_round_trip(self):
         p = SampleParams("model2", beta=25.0, seed=9, replicate=4)
-        prov = p.provenance()
-        assert prov["model"] == "model2" and prov["beta"] == 25.0 and prov["replicate"] == 4
+        prov = sample(chain_graph(), p).provenance
+        assert prov == {"model": "model2", "k": None, "beta": 25.0, "seed": 9, "replicate": 4}
         assert tuple(prov) == PROVENANCE_KEYS
 
     def test_keep_count(self):
