@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import harness, metrics, sampling
 from .engine import Evaluator
-from .graph import AndOrGraph, SearchSpace, _id_list, _read_doc, build_graph
+from .graph import AndOrGraph, SearchSpace, _field, _read_doc, build_graph
 from .growth import InfeasibleConfigError, SynthConfig, ablate_grow, synth_kb
 from .harness import (
     ExperimentConfig,
@@ -170,7 +170,7 @@ def _cmd_ask(args) -> int:
     kb, axioms = parse_kb(Path(args.kb).read_text(encoding="utf-8"))
     if args.space:
         doc = _read_doc(Path(args.space).read_text(encoding="utf-8"), "space")
-        axioms = axioms.restrict(_id_list(doc["axiom_ids"], "the space's 'axiom_ids'"))
+        axioms = axioms.restrict(_field(doc.get("axiom_ids"), "ids", "the space's 'axiom_ids'"))
     queries = expand_templates(kb, load_templates(args.templates))
     ev = Evaluator(kb, axioms, genlpreds_mode=not args.no_genlpreds)
     results = []
@@ -278,7 +278,7 @@ def main(argv=None) -> int:
     except (InfeasibleConfigError, InfeasibleExperimentError, SweepCellError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (KbError, OSError, json.JSONDecodeError, ValueError, KeyError) as e:
+    except (KbError, OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

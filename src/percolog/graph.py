@@ -14,13 +14,15 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, replace
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .kb import Atom, AxiomSet, HornClause, KbError, KnowledgeBase, Variable, _topo_order, parse_kb
+from .kb import Atom, AxiomSet, HornClause, KbError, KnowledgeBase, Variable, has_type, parse_kb
 
 
-class GraphCycleError(Exception):
-    """A graph or space unexpectedly lost its DAG property."""
+class GraphCycleError(KbError):
+    """A graph file whose rule applications lead from an OR node back to
+    itself, so that no children-first order exists."""
 
 
 @dataclass(frozen=True)
@@ -69,25 +71,30 @@ def _read_doc(text: str, kind: str) -> dict:
     return doc
 
 
-def _id_list(value: object, what: str) -> list[str]:
-    """A JSON list of node or rule ids; KbError naming the field otherwise."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise KbError(f"{what} must be a list of id strings")
+# what a field of a graph or space file must be: its check and its wording
+_SHAPES = {
+    "ids": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of id strings"),
+    "objects": (lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v), "a list of objects"),
+    "clauses": (lambda v: isinstance(v, dict), "an object of rule texts by id"),
+    "count": (lambda v: has_type(v, "int") and v >= 0, "an integer >= 0"),
+    "str": (lambda v: has_type(v, "str"), "a string"),
+    "bool": (lambda v: has_type(v, "bool"), "true or false"),
+}
+
+
+def _field(value: object, shape: str, what: str):
+    """``value`` if it has the named shape; KbError naming the field otherwise."""
+    valid, expected = _SHAPES[shape]
+    if not valid(value):
+        raise KbError(f"{what} must be {expected}")
     return value
 
 
-def _objects(value: object, what: str) -> list[dict]:
-    """A JSON list of objects; KbError naming the field otherwise."""
-    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
-        raise KbError(f"{what} must be a list of objects")
-    return value
-
-
-def _count(value: object, what: str) -> int:
-    """A JSON integer >= 0, not a boolean; KbError naming the field otherwise."""
-    if type(value) is not int or value < 0:
-        raise KbError(f"{what} must be an integer >= 0")
-    return value
+def _known(ids: Iterable[str], known: Mapping, what: str) -> None:
+    """KbError naming the first of ``ids`` that is not a key of ``known``."""
+    unknown = [i for i in ids if i not in known]
+    if unknown:
+        raise KbError(f"{what} refers to {unknown[0]!r}, which the graph lacks")
 
 
 def _id_key(node_id: str) -> int:
@@ -100,7 +107,9 @@ PROVENANCE_KEYS = ("model", "k", "beta", "seed", "replicate")
 
 class AndOrGraph:
     """The full query graph G.  ``|N|`` (the alpha denominator) counts OR
-    nodes only; AND nodes are rule applications between them."""
+    nodes only; AND nodes are rule applications between them.  A graph is not
+    changed once ``build_graph`` has built it or ``from_json`` has read it:
+    both fix its children-first OR order then, which every space inherits."""
 
     def __init__(self, axioms: AxiomSet, depth_bound: int, genlpreds_mode: bool = True):
         self.axioms = axioms
@@ -109,7 +118,7 @@ class AndOrGraph:
         self.or_nodes: dict[str, OrNode] = {}
         self.and_nodes: dict[str, AndNode] = {}
         self.roots: list[str] = []
-        self._schema_index: dict[GoalSchema, str] = {}
+        self._order: tuple[str, ...] = ()  # OR ids, children first (_seal)
 
     # -- structure -------------------------------------------------------------
 
@@ -132,6 +141,16 @@ class AndOrGraph:
                         seen.add(nxt)
                         stack.append(nxt)
         return False
+
+    def _seal(self) -> "AndOrGraph":
+        """Fix the children-first order of the OR nodes, or raise
+        GraphCycleError if the rule applications hold a cycle."""
+        below = {oid: [c for a in n.children for c in self.and_nodes[a].children] for oid, n in self.or_nodes.items()}
+        try:
+            self._order = tuple(TopologicalSorter(below).static_order())
+        except CycleError as e:
+            raise GraphCycleError(f"the graph has a cycle through OR node {e.args[1][0]}") from None
+        return self
 
     # -- serialization -----------------------------------------------------------
 
@@ -162,33 +181,42 @@ class AndOrGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "AndOrGraph":
+        """Read a graph file; KbError unless every id it refers to names a
+        node or clause of the file and no rule application leads back to
+        its OR node."""
         doc = _read_doc(text, "graph")
-        if not isinstance(doc["clauses"], dict):
-            raise KbError("the graph's 'clauses' must be an object of rule texts by id")
+        clause_texts = _field(doc.get("clauses"), "clauses", "the graph's 'clauses'")
         clauses = []
-        for cid, clause_text in sorted(doc["clauses"].items()):
+        for cid, clause_text in sorted(clause_texts.items()):
             kb, parsed = parse_kb(clause_text if isinstance(clause_text, str) else "")
             if len(parsed) != 1 or kb.fact_count:
                 raise KbError(f"graph clause {cid!r} is not exactly one rule")
             clauses.append(replace(parsed.clauses[0], id=cid))
-        genlpreds = doc.get("genlpreds", True)
-        if not isinstance(genlpreds, bool):
-            raise KbError("the graph's 'genlpreds' must be true or false")
-        g = cls(AxiomSet(clauses), _count(doc["depth_bound"], "the graph's 'depth_bound'"), genlpreds)
-        for n in _objects(doc["or_nodes"], "the graph's 'or_nodes'"):
-            arity, mask = _count(n["arity"], f"the arity of OR node {n['id']}"), n["mask"]
+        genlpreds = _field(doc.get("genlpreds", True), "bool", "the graph's 'genlpreds'")
+        g = cls(AxiomSet(clauses), _field(doc.get("depth_bound"), "count", "the graph's 'depth_bound'"), genlpreds)
+        for i, n in enumerate(_field(doc.get("or_nodes"), "objects", "the graph's 'or_nodes'")):
+            oid = _field(n.get("id"), "str", f"the id of OR node entry {i}")
+            arity, mask = _field(n.get("arity"), "count", f"the arity of OR node {oid}"), n.get("mask")
             if not isinstance(mask, str) or len(mask) != arity or set(mask) - {"b", "f"}:
-                raise KbError(f"the mask of OR node {n['id']} must be a string of {arity} 'b' or 'f' characters")
-            schema = GoalSchema(n["pred"], arity, tuple(ch == "b" for ch in mask))
-            children = _id_list(n["children"], f"the children of OR node {n['id']}")
-            depth = _count(n["depth"], f"the depth of OR node {n['id']}")
-            g.or_nodes[n["id"]] = OrNode(n["id"], schema, depth, tuple(children))
-            g._schema_index[schema] = n["id"]
-        for n in _objects(doc["and_nodes"], "the graph's 'and_nodes'"):
-            children = _id_list(n["children"], f"the children of AND node {n['id']}")
-            g.and_nodes[n["id"]] = AndNode(n["id"], n["clause"], n["parent"], tuple(children))
-        g.roots = list(_id_list(doc["roots"], "the graph's roots"))
-        return g
+                raise KbError(f"the mask of OR node {oid} must be a string of {arity} 'b' or 'f' characters")
+            pred = _field(n.get("pred"), "str", f"the pred of OR node {oid}")
+            children = _field(n.get("children"), "ids", f"the children of OR node {oid}")
+            depth = _field(n.get("depth"), "count", f"the depth of OR node {oid}")
+            schema = GoalSchema(pred, arity, tuple(ch == "b" for ch in mask))
+            g.or_nodes[oid] = OrNode(oid, schema, depth, tuple(children))
+        for i, n in enumerate(_field(doc.get("and_nodes"), "objects", "the graph's 'and_nodes'")):
+            aid = _field(n.get("id"), "str", f"the id of AND node entry {i}")
+            clause = _field(n.get("clause"), "str", f"the clause of AND node {aid}")
+            parent = _field(n.get("parent"), "str", f"the parent of AND node {aid}")
+            children = _field(n.get("children"), "ids", f"the children of AND node {aid}")
+            _known([clause], clause_texts, f"AND node {aid}")
+            _known([parent, *children], g.or_nodes, f"AND node {aid}")
+            g.and_nodes[aid] = AndNode(aid, clause, parent, tuple(children))
+        for n in g.or_nodes.values():
+            _known(n.children, g.and_nodes, f"OR node {n.id}")
+        g.roots = list(_field(doc.get("roots"), "ids", "the graph's roots"))
+        _known(g.roots, g.or_nodes, "the graph's roots")
+        return g._seal()
 
     def edge_list(self) -> str:
         """Debug/visualization export; masks are intentionally omitted, use
@@ -264,16 +292,17 @@ def build_graph(
     if depth_bound < 0:
         raise ValueError("depth_bound must be >= 0")
     g = AndOrGraph(axioms, depth_bound, genlpreds_mode)
+    schema_index: dict[GoalSchema, str] = {}
 
     def new_or(schema: GoalSchema, depth: int) -> str:
         oid = f"o{len(g.or_nodes)}"
         g.or_nodes[oid] = OrNode(oid, schema, depth)
-        g._schema_index[schema] = oid
+        schema_index[schema] = oid
         return oid
 
     queue: deque[str] = deque()
     for schema in roots:
-        oid = g._schema_index.get(schema)
+        oid = schema_index.get(schema)
         if oid is None:
             oid = new_or(schema, 0)
             queue.append(oid)
@@ -295,7 +324,7 @@ def build_graph(
             # rule application (a clause cannot fire with a missing body slot)
             ok = True
             for bs in body_schemas:
-                existing = g._schema_index.get(bs)
+                existing = schema_index.get(bs)
                 if existing is not None and g.reaches(existing, uid):
                     ok = False
                     break
@@ -303,7 +332,7 @@ def build_graph(
                 continue
             child_ids = []
             for bs in body_schemas:
-                cid = g._schema_index.get(bs)
+                cid = schema_index.get(bs)
                 if cid is None:
                     cid = new_or(bs, u.depth + 1)
                     queue.append(cid)
@@ -313,8 +342,7 @@ def build_graph(
             and_children.append(aid)
         u.children = tuple(and_children)
 
-    induced_space(g, g.or_nodes).reverse_topological_or_order()  # acyclicity check on every build
-    return g
+    return g._seal()
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +391,8 @@ class SearchSpace:
 
     def reverse_topological_or_order(self) -> list[str]:
         """Member OR ids with children before parents (the bottom-up
-        evaluation order); doubles as the per-sample acyclicity check."""
-        and_nodes = self.graph.and_nodes
-        edges = [
-            (c, oid) for oid in self.or_members for aid in self.member_and_children(oid) for c in and_nodes[aid].children
-        ]
-        order = _topo_order(self.or_members, edges, _id_key)
-        if len(order) != len(self.or_members):
-            raise GraphCycleError("search space contains a cycle")
-        return order
+        evaluation order): the graph's order, which a sub-space inherits."""
+        return [oid for oid in self.graph._order if oid in self.or_members]
 
     def to_json(self) -> str:
         prov = self.provenance or {}
@@ -390,7 +411,7 @@ class SearchSpace:
     def from_json(cls, text: str, graph: AndOrGraph) -> "SearchSpace":
         doc = _read_doc(text, "space")
         prov = {key: doc[key] for key in PROVENANCE_KEYS if doc.get(key) is not None}
-        members = [_id_list(doc[key], f"the space's {key!r}") for key in ("or_nodes", "and_nodes")]
+        members = [_field(doc.get(key), "ids", f"the space's {key!r}") for key in ("or_nodes", "and_nodes")]
         return cls(graph, *members, prov or None)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import random
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -22,6 +22,7 @@ from .kb import (
     KnowledgeBase,
     RESERVED_PREDICATES,
     Variable,
+    check_record,
 )
 
 
@@ -35,24 +36,18 @@ class InfeasibleConfigError(Exception):
 
 
 def _stratified_order(content: list[Fact], rng: random.Random) -> list[Fact]:
-    """Re-add order holding per-predicate proportions roughly constant: each
-    prefix takes from the predicate that is currently most under-represented."""
+    """Re-add order holding per-predicate proportions roughly constant: after
+    a shuffle per predicate, the k-th of a predicate's n facts sorts at
+    (k / n, predicate), so each prefix takes the predicate that is currently
+    most under-represented."""
     groups: dict[str, list[Fact]] = defaultdict(list)
     for f in content:
         groups[f.predicate].append(f)
-    for preds in groups.values():
-        rng.shuffle(preds)
-    taken = {p: 0 for p in groups}
-    total = {p: len(fs) for p, fs in groups.items()}
-    out: list[Fact] = []
-    remaining = sorted(groups)
-    while remaining:
-        p = min(remaining, key=lambda p: (taken[p] / total[p], p))
-        out.append(groups[p][taken[p]])
-        taken[p] += 1
-        if taken[p] == total[p]:
-            remaining.remove(p)
-    return out
+    keyed = []
+    for facts in groups.values():
+        rng.shuffle(facts)
+        keyed.extend((k / len(facts), f.predicate, f) for k, f in enumerate(facts))
+    return [f for *_, f in sorted(keyed)]
 
 
 def ablate_grow(
@@ -123,12 +118,7 @@ class SynthConfig:
         """Check each key's type, whether the config was loaded or built in
         Python: an int key takes an integer, a float key any number.  A
         mistyped key raises ValueError naming it; ranges are validate's."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind = int if f.type == "int" else (int, float)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                expected = "an integer" if kind is int else "a number"
-                raise ValueError(f"synth config key {f.name!r} must be {expected}, got {value!r}")
+        check_record(SynthConfig, vars(self), "synth config")
 
     def validate(self) -> None:
         counts = {
@@ -168,13 +158,7 @@ class SynthConfig:
     def from_json(cls, path: "str | Path") -> "SynthConfig":
         """Load a synth config; a document that is not an object, or an
         unknown, missing or mistyped key, raises ValueError naming the key."""
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(doc, dict):
-            raise ValueError("a synth config is a JSON object")
-        try:
-            return cls(**doc)
-        except TypeError as e:  # an unknown or a missing key, named in e
-            raise ValueError(f"bad synth config: {e}") from None
+        return cls(**check_record(cls, json.loads(Path(path).read_text(encoding="utf-8")), "synth config"))
 
 
 def _zipf_weights(n: int, exponent: float) -> list[float]:
@@ -251,9 +235,8 @@ def synth_kb(config: SynthConfig) -> tuple[KnowledgeBase, AxiomSet, list[QueryTe
     }
     clauses: list[HornClause] = []
     if config.rules > 0:
+        # validate leaves a level-1 predicate, so every root is eligible
         eligible = [p for p in predicates if higher_pool[level_of[p]]]
-        if not eligible:
-            raise InfeasibleConfigError("no predicate has a higher level to draw rule bodies from")
         ranked = list(eligible)
         rng.shuffle(ranked)
         weights = _zipf_weights(len(ranked), config.rule_skew)

@@ -24,7 +24,7 @@ from . import metrics
 from .engine import Query, QueryTemplate, SnapshotCache, depth_profile
 from .graph import AndOrGraph, GoalSchema, average_degree, build_graph
 from .growth import ablate_grow
-from .kb import Atom, KnowledgeBase, Variable, parse_kb
+from .kb import Atom, KnowledgeBase, Variable, check_record, has_type, parse_kb
 from .sampling import _numeral, cell_params, greedy_degree_pairs, param_tag, sample
 
 log = logging.getLogger(__name__)
@@ -43,18 +43,11 @@ class SweepCellError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def template_schema(template: QueryTemplate) -> GoalSchema:
-    mask = [False, False]
-    mask[template.bound_position - 1] = True
-    return GoalSchema(template.predicate, 2, tuple(mask))
-
-
 def root_schemas(templates: Sequence[QueryTemplate]) -> list[GoalSchema]:
-    """Deduplicated goal schemas for the graph roots, in template order."""
-    seen: dict[GoalSchema, None] = {}
-    for t in templates:
-        seen.setdefault(template_schema(t))
-    return list(seen)
+    """Deduplicated goal schemas for the graph roots, in template order: each
+    template's binary predicate with its bound position bound."""
+    masks = {1: (True, False), 2: (False, True)}
+    return list(dict.fromkeys(GoalSchema(t.predicate, 2, masks[t.bound_position]) for t in templates))
 
 
 def expand_templates(kb: KnowledgeBase, templates: Sequence[QueryTemplate]) -> tuple[Query, ...]:
@@ -90,18 +83,8 @@ def load_templates(path: "str | Path") -> list[QueryTemplate]:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, list):
         raise ValueError("a templates file is a JSON list of template objects")
-    types = {f.name: int if f.type == "int" else str for f in fields(QueryTemplate)}
-    for i, t in enumerate(doc):
-        if not isinstance(t, dict):
-            raise ValueError(f"template entry {i} must be a JSON object, got {t!r}")
-        odd = sorted(t.keys() ^ types.keys())
-        if odd:
-            raise ValueError(f"template entry {i}: {'missing' if odd[0] in types else 'unknown'} field {odd[0]!r}")
-        for name, kind in types.items():
-            if not isinstance(t[name], kind) or isinstance(t[name], bool):
-                expected = "an integer" if kind is int else "a string"
-                raise ValueError(f"template entry {i}: field {name!r} must be {expected}, got {t[name]!r}")
-    return [QueryTemplate(**t) for t in doc]
+    entries = (check_record(QueryTemplate, t, f"template entry {i}", "field") for i, t in enumerate(doc))
+    return [QueryTemplate(**t) for t in entries]
 
 
 def save_templates(templates: Sequence[QueryTemplate], path: "str | Path") -> None:
@@ -135,11 +118,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         """Check every key's type and range, whether the config was loaded or
         built in Python; a bad value raises ValueError naming its key."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            valid, expected = _CONFIG_CHECKS[f.name]
+        check_record(ExperimentConfig, vars(self), "sweep config")
+        for name, (valid, expected) in _CONFIG_CHECKS.items():
+            value = getattr(self, name)
             if not valid(value):
-                raise ValueError(f"config key {f.name!r} must be {expected}, got {value!r}")
+                raise ValueError(f"config key {name!r} must be {expected}, got {value!r}")
         self.model1_k = tuple(self.model1_k)
         self.model2_beta = tuple(self.model2_beta)
         if self.snapshot_sizes is not None:
@@ -150,32 +133,11 @@ class ExperimentConfig:
         """Load a config file with paths relative to it; an unknown key or a
         bad value raises ValueError naming the key."""
         path = Path(path)
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(doc, dict):
-            raise ValueError("a sweep config is a JSON object")
-        unknown = doc.keys() - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            cfg = cls(**doc)
-        except TypeError as e:  # a required key is missing
-            raise ValueError(f"bad sweep config: {e}") from None
+        cfg = cls(**check_record(cls, json.loads(path.read_text(encoding="utf-8")), "sweep config"))
         base = path.parent
         cfg.kb = str((base / cfg.kb).resolve())
         cfg.templates = str((base / cfg.templates).resolve())
         return cfg
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_path(v) -> bool:
-    return isinstance(v, str)
 
 
 def _is_list(v) -> bool:
@@ -187,33 +149,28 @@ def _distinct(v) -> bool:
     return len(set(map(_numeral, v))) == len(v)
 
 
-# config key -> (check on its value, what the value must be); a list is a
+# the range and list checks of config keys, after check_record's type
+# checks: key -> (check on its value, what the value must be); a list is a
 # JSON list or a Python tuple
 _CONFIG_CHECKS = {
-    "kb": (_is_path, "a path"),
-    "templates": (_is_path, "a path"),
     "snapshot_sizes": (
-        lambda v: v is None or _is_list(v) and len(v) > 0 and all(map(_is_int, v)),
+        lambda v: v is None or _is_list(v) and len(v) > 0 and all(has_type(n, "int") for n in v),
         "a nonempty list of integers",
     ),
-    "snapshot_seed": (_is_int, "an integer"),
     "snapshot_order": (lambda v: v in ("uniform", "stratified"), '"uniform" or "stratified"'),
     "model1_k": (
-        lambda v: _is_list(v) and all(_is_int(k) and k >= 1 for k in v) and _distinct(v),
+        lambda v: _is_list(v) and all(has_type(k, "int") and k >= 1 for k in v) and _distinct(v),
         "a list of distinct integers >= 1",
     ),
     "model2_beta": (
-        lambda v: _is_list(v) and all(_is_number(b) and 0 < b <= 100 for b in v) and _distinct(v),
+        lambda v: _is_list(v) and all(has_type(b, "float") and 0 < b <= 100 for b in v) and _distinct(v),
         "a list of distinct numbers in (0, 100]",
     ),
-    "replicates": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "master_seed": (_is_int, "an integer"),
-    "depth_bound": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "depth_limit": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "genlpreds": (lambda v: isinstance(v, bool), "true or false"),
-    "threshold": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
-    "compare_tolerance": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
-    "continue_on_error": (lambda v: isinstance(v, bool), "true or false"),
+    "replicates": (lambda v: v >= 1, "an integer >= 1"),
+    "depth_bound": (lambda v: v >= 0, "an integer >= 0"),
+    "depth_limit": (lambda v: v >= 0, "an integer >= 0"),
+    "threshold": (lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+    "compare_tolerance": (lambda v: v >= 0, "a number >= 0"),
 }
 
 
@@ -606,14 +563,16 @@ _ROW_PARSERS["k_or_beta"] = _parse_param  # an int k or a float beta
 
 def parse_rows(path: "str | Path") -> list[SweepRow]:
     """Read a sweep CSV back into rows (the round trip of format_table); a
-    cell its column's type cannot parse raises ValueError naming the line
-    and the column."""
+    row with other than one cell per column, or a cell its column's type
+    cannot parse, raises ValueError naming the line (and the column)."""
     rows = []
     with Path(path).open(encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != SWEEP_COLUMNS:
             raise ValueError(f"unexpected sweep columns in {path}: {reader.fieldnames}")
         for rec in reader:
+            if None in rec or None in rec.values():  # DictReader's fill for a long or a short row
+                raise ValueError(f"{path}, line {reader.line_num}: not {len(SWEEP_COLUMNS)} fields")
             kwargs = {}
             for col in SWEEP_COLUMNS:
                 raw = rec[col]

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import re
 import sys
-from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import MISSING, dataclass, field, fields
+from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 RESERVED_PREDICATES = ("isa", "genls", "genlPreds", "argIsa")
@@ -43,6 +44,41 @@ class ArityConflictError(KbError):
 class KbValidationError(KbError):
     """Structurally valid input violating a KB invariant (non-ground fact,
     unrestricted rule variable, cyclic hierarchy, bad argIsa position)."""
+
+
+# the JSON types a dataclass field annotated int, float, str or bool takes, and
+# how a message names them; a boolean is no number
+_JSON_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "bool": ((bool,), "true or false"),
+}
+
+
+def has_type(value: object, annotation: str) -> bool:
+    """Whether a JSON value suits a field annotated int, float, str or bool."""
+    return type(value) in _JSON_TYPES[annotation][0]
+
+
+def check_record(cls: type, values: object, record: str, noun: str = "key") -> dict:
+    """``values``, if it is a dict (a JSON object) with no key but the fields
+    of the dataclass ``cls``, each field without a default, and a value of
+    its type for each int, float, str or bool field; ValueError naming
+    ``record`` and the key otherwise."""
+    if not isinstance(values, dict):
+        raise ValueError(f"{record} must be a JSON object, got {values!r}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(values.keys() - known.keys())
+    if unknown:
+        raise ValueError(f"{record}: unknown {noun} {unknown[0]!r}")
+    for name, f in known.items():
+        if name not in values:
+            if f.default is MISSING:
+                raise ValueError(f"{record}: missing {noun} {name!r}")
+        elif f.type in _JSON_TYPES and not has_type(values[name], f.type):
+            raise ValueError(f"{record}: {noun} {name!r} must be {_JSON_TYPES[f.type][1]}, got {values[name]!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -263,45 +299,21 @@ class KnowledgeBase:
         return f"KnowledgeBase({self.fact_count} facts, {len(self._rows)} predicates)"
 
 
-def _topo_order(nodes: Iterable[str], edges: Sequence[tuple[str, ...]], key: Optional[Callable] = None) -> list[str]:
-    """Kahn's topological order of an edge list: sources first, the initial
-    sources in ``key`` order, each node's successors in edge order.  Shorter
-    than the node set iff the edges contain a cycle."""
-    nodes = set(nodes)
-    for a, b in edges:
-        nodes.update((a, b))
-    in_deg = {n: 0 for n in nodes}
-    succ: dict[str, list[str]] = defaultdict(list)
-    for a, b in edges:
-        in_deg[b] += 1
-        succ[a].append(b)
-    queue = deque(sorted((n for n in nodes if in_deg[n] == 0), key=key))
-    order = []
-    while queue:
-        n = queue.popleft()
-        order.append(n)
-        for m in succ[n]:
-            in_deg[m] -= 1
-            if in_deg[m] == 0:
-                queue.append(m)
-    return order
-
-
 def _closure(
     name: str, edges: Sequence[tuple[str, ...]], base: Callable[[str], Iterable[str]], nodes: Iterable[str]
 ) -> dict[str, frozenset[str]]:
     """For each of ``nodes`` and each end of the (sub, super) ``edges``: its
     ``base`` members plus those of every node below it.  Raises
     :class:`KbValidationError` naming the hierarchy if the edges hold a cycle."""
-    nodes = set(nodes).union(*edges)
-    subs: dict[str, list[str]] = defaultdict(list)  # super -> direct subs
+    subs: dict[str, list[str]] = {n: [] for n in set(nodes).union(*edges)}  # super -> direct subs
     for sub, sup in edges:
         subs[sup].append(sub)
     closed: dict[str, frozenset[str]] = {}
-    for n in _topo_order(nodes, edges):  # subs before supers
-        closed[n] = frozenset(base(n)).union(*[closed[sub] for sub in subs[n]])
-    if len(closed) != len(nodes):
-        raise KbValidationError(f"{name} hierarchy contains a cycle")
+    try:
+        for n in TopologicalSorter(subs).static_order():  # subs before supers
+            closed[n] = frozenset(base(n)).union(*[closed[sub] for sub in subs[n]])
+    except CycleError:
+        raise KbValidationError(f"{name} hierarchy contains a cycle") from None
     return closed
 
 

@@ -14,6 +14,7 @@ import pytest
 import percolog as P
 from percolog.cli import _HANDLERS, _build_parser, main
 
+from conftest import run_python
 from test_cli import SYNTH_CONFIG
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +35,22 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(code, "README.md", "exec"), {})
     alpha, fraction, hit = capsys.readouterr().out.split()
     assert float(alpha) >= 0 and 0 <= float(fraction) <= 1 and hit in ("True", "False")
+
+
+def test_imports_only_the_standard_library():
+    """pyproject.toml declares no dependencies: importing the package and its
+    CLI loads no top-level module from outside the standard library (the
+    interpreter's start-up, site hooks included, is not counted)."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import percolog, percolog.cli\n"
+        "names = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(names - set(sys.stdlib_module_names) - {'percolog'})))"
+    )
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 def _walkthrough_commands() -> list[list[str]]:

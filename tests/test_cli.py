@@ -211,6 +211,7 @@ def test_sweep_detect_compare(workspace, capsys):
         "depth,count\n0,1,2\n",
         "depth,count\n0\n",
         "depth,count\nx,5\n",
+        "depth,n\n0,5\n",
     ):
         profile.write_text(text, encoding="utf-8")
         assert main(["detect", "--rows", str(ws / "out" / "sweep.csv")]) == 2
@@ -227,6 +228,18 @@ def test_sweep_detect_compare(workspace, capsys):
         assert main([command, "--rows", str(sweep_csv)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {sweep_csv}, line 2, column threshold_hit: 'garbage' is not true or false\n"
+
+    # a row of fewer or more fields than the header, and another header
+    for text, named in (
+        (f"{lines[0]}\n{lines[2]}\nmodel1,2,0,1,kb0,10\n", f"{sweep_csv}, line 3: not 16 fields"),
+        (f"{lines[0]}\n{lines[2]},extra\n", f"{sweep_csv}, line 2: not 16 fields"),
+        ("model,k_or_beta\nmodel1,2\n", f"unexpected sweep columns in {sweep_csv}"),
+    ):
+        sweep_csv.write_text(text, encoding="utf-8")
+        for command in ("compare", "detect"):
+            assert main([command, "--rows", str(sweep_csv)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
 
 
 def test_smaller_sweep_into_the_same_out_leaves_no_stale_profiles(workspace, capsys):
@@ -311,6 +324,23 @@ def test_bad_sweep_config_is_input_error(workspace, capsys, key, value):
 
 
 @pytest.mark.parametrize(
+    "doc, named",
+    [
+        ([BASE_SWEEP], "sweep config must be a JSON object, got ["),
+        ({k: v for k, v in BASE_SWEEP.items() if k != "templates"}, "sweep config: missing key 'templates'"),
+        (dict(BASE_SWEEP, bogus=1), "sweep config: unknown key 'bogus'"),
+    ],
+    ids=["not-object", "missing", "unknown"],
+)
+def test_sweep_config_of_another_shape_is_input_error(workspace, capsys, doc, named):
+    (workspace / "sweep.json").write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(workspace / "sweep.json"), "--out", str(workspace / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
     "key, doc",
     [
         ("predicates", dict(SYNTH_CONFIG, predicates="48")),
@@ -338,6 +368,37 @@ def test_bad_synth_config_is_input_error(tmp_path, capsys, key, doc):
     assert not (tmp_path / "kb.kb").exists() and not (tmp_path / "t.json").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"predicates": 0}, "predicates must be >= 1, got 0"),
+        ({"rules": -1}, "rules and genls_depth must be >= 0"),
+        ({"fact_skew": -1}, "skew exponents must be >= 0"),
+        ({"root_fact_weight": -0.5}, "root_fact_weight must be >= 0"),
+        ({"body_min": 3}, "need 1 <= body_min <= body_max"),
+        ({"genls_depth": 3}, "genls_depth 3 needs more than 3 collections"),
+        ({"root_predicates": 11}, "root_predicates exceeds predicates"),
+        ({"predicates": 4}, "not enough predicates to populate every level"),
+        ({"facts": 10_000}, "cannot place 10000 distinct facts"),
+        ({"rules": 0, "levels": 1, "root_predicates": 10, "root_fact_weight": 0}, "all fact-density weights are zero"),
+        (
+            {"predicates": 2, "root_predicates": 1, "levels": 2, "rules": 0, "root_fact_weight": 0,
+             "entities": 2, "collections": 1, "genls_depth": 0, "facts": 5},
+            "fact sampling stalled",
+        ),
+    ],
+)
+def test_infeasible_synth_config_is_three(tmp_path, capsys, overrides, named):
+    """A well-typed config the generator cannot satisfy exits 3 with a
+    one-line error saying why."""
+    (tmp_path / "synth.json").write_text(json.dumps(dict(SYNTH_CONFIG, **overrides)), encoding="utf-8")
+    capsys.readouterr()
+    argv = ["synth", "--config", str(tmp_path / "synth.json"), "--out-kb", str(tmp_path / "kb.kb")]
+    assert main(argv + ["--out-templates", str(tmp_path / "t.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("tolerance", ["-0.5", "nan"])
 def test_negative_compare_tolerance_is_input_error(workspace, capsys, tolerance):
     ws = workspace
@@ -356,6 +417,13 @@ GRAPH = {
     "or_nodes": [OR_NODE], "and_nodes": [], "clauses": {},
 }
 SPACE = {"format": "percolog-space@1", "or_nodes": ["o0"], "and_nodes": [], "axiom_ids": []}
+AND_NODE = {"id": "a0", "clause": "r0", "parent": "o0", "children": ["o1"]}
+AND_GRAPH = dict(  # o0 -a0-> o1, a graph the readers accept
+    GRAPH,
+    or_nodes=[dict(OR_NODE, children=["a0"]), dict(OR_NODE, id="o1", pred="q", depth=1)],
+    and_nodes=[AND_NODE],
+    clauses={"r0": "(<= (p ?x ?y) (q ?x ?y))"},
+)
 MALFORMED_ARGV = {
     "build-graph": ["build-graph", "--axioms", "kb.kb", "--templates", "bad.json", "--out", "out.json"],
     "sweep": ["sweep", "--config", "sweep.json", "--out", "out"],
@@ -363,6 +431,13 @@ MALFORMED_ARGV = {
     "alpha": ["alpha", "--graph", "graph.json", "--space", "bad.json", "--kb", "kb.kb", "--templates", "t.json"],
     "ask": ["ask", "--kb", "kb.kb", "--space", "bad.json", "--templates", "t.json"],
 }
+
+
+def test_the_malformed_graphs_base_is_accepted(tmp_path):
+    (tmp_path / "graph.json").write_text(json.dumps(AND_GRAPH), encoding="utf-8")
+    argv = ["sample", "--graph", str(tmp_path / "graph.json"), "--model", "1", "--k", "2", "--replicates", "1"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "model1_k2_rep0.json").read_text())["and_nodes"] == ["a0"]
 
 
 @pytest.mark.parametrize(
@@ -402,6 +477,20 @@ MALFORMED_ARGV = {
         ("sample", dict(GRAPH, depth_bound="x"), "the graph's 'depth_bound' must be an integer >= 0"),
         ("sample", dict(GRAPH, depth_bound=True), "the graph's 'depth_bound' must be an integer >= 0"),
         ("sample", dict(GRAPH, genlpreds=1), "the graph's 'genlpreds' must be true or false"),
+        ("sample", dict(GRAPH, format="percolog-graph@2"), "not a percolog graph file (format='percolog-graph@2')"),
+        ("sample", {k: v for k, v in GRAPH.items() if k != "depth_bound"}, "the graph's 'depth_bound' must be"),
+        ("sample", dict(GRAPH, or_nodes=[{k: v for k, v in OR_NODE.items() if k != "depth"}]), "the depth of OR node"),
+        ("sample", dict(GRAPH, or_nodes=[dict(OR_NODE, id=0)]), "the id of OR node entry 0 must be a string"),
+        ("sample", dict(GRAPH, or_nodes=[dict(OR_NODE, pred=5)]), "the pred of OR node o0 must be a string"),
+        ("sample", dict(GRAPH, roots=["o999"]), "the graph's roots refers to 'o999', which the graph lacks"),
+        ("sample", dict(GRAPH, or_nodes=[dict(OR_NODE, children=["a9"])]), "OR node o0 refers to 'a9'"),
+        ("sample", dict(AND_GRAPH, and_nodes=[dict(AND_NODE, clause="r9999")]), "AND node a0 refers to 'r9999'"),
+        ("sample", dict(AND_GRAPH, and_nodes=[dict(AND_NODE, clause=["r0"])]), "the clause of AND node a0 must be a"),
+        ("sample", dict(AND_GRAPH, and_nodes=[dict(AND_NODE, parent=0)]), "the parent of AND node a0 must be a string"),
+        ("sample", dict(AND_GRAPH, and_nodes=[dict(AND_NODE, children=["o999"])]), "AND node a0 refers to 'o999'"),
+        ("sample", dict(AND_GRAPH, and_nodes=[dict(AND_NODE, children=["o0"])]), "the graph has a cycle through OR"),
+        ("alpha", {k: v for k, v in SPACE.items() if k != "or_nodes"}, "the space's 'or_nodes' must be a list"),
+        ("ask", {k: v for k, v in SPACE.items() if k != "axiom_ids"}, "the space's 'axiom_ids' must be a list"),
     ],
     ids=[
         "templates-entry-not-object", "templates-not-list", "string-position", "string-position-in-sweep",
@@ -411,6 +500,10 @@ MALFORMED_ARGV = {
         "graph-clause-not-a-rule", "graph-clauses-not-object", "graph-or-nodes-not-list", "graph-and-node-not-object",
         "graph-mask-not-string", "graph-mask-too-long", "graph-mask-bad-character", "graph-arity-string",
         "graph-depth-negative", "graph-depth-bound-string", "graph-depth-bound-bool", "graph-genlpreds-not-bool",
+        "graph-other-format", "graph-no-depth-bound", "graph-or-node-no-depth", "graph-or-id-not-string",
+        "graph-pred-not-string", "graph-unknown-root", "graph-unknown-and-child", "graph-unknown-clause",
+        "graph-clause-not-string", "graph-parent-not-string", "graph-unknown-or-child", "graph-cycle",
+        "space-no-or-nodes", "ask-space-no-axiom-ids",
     ],
 )
 def test_malformed_input_file_is_input_error(tmp_path, monkeypatch, capsys, command, doc, named):
@@ -456,6 +549,14 @@ class TestExitCodes:
             ]
         )
         assert rc == 1
+        argv = ["sample", "--graph", str(ws / "graph.json"), "--model", "2", "--k", "3", "--out", str(ws / "x")]
+        assert main(argv) == 1
+
+    def test_non_integer_ablation_size_is_usage(self, workspace, capsys):
+        argv = ["ablate", "--kb", str(workspace / "kb.kb"), "--sizes", "600,x", "--out", str(workspace / "snaps")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --sizes must be comma-separated integers, got '600,x'\n"
 
     def test_parse_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.kb"

@@ -10,10 +10,12 @@ from percolog import (
     induced_space,
     or_out_degrees,
 )
+from percolog.cli import main
 from percolog.graph import PROVENANCE_KEYS, AndOrGraph, GraphCycleError, SearchSpace
 from percolog.growth import SynthConfig, synth_kb
 from percolog.harness import root_schemas
-from percolog.kb import parse_kb
+from percolog.kb import KbError, parse_kb
+from percolog.sampling import SampleParams, sample
 
 ROOT = GoalSchema("root", 2, (True, False))
 
@@ -69,6 +71,11 @@ class TestBuildGraph:
         assert g.or_count == 2
         assert len(g.and_nodes) == 1
         induced_space(g, g.or_nodes).reverse_topological_or_order()
+
+    def test_negative_depth_bound_rejected(self):
+        kb, axioms = parse_kb("(<= (root ?x ?y) (p ?x ?y))")
+        with pytest.raises(ValueError, match="depth_bound must be >= 0"):
+            build_graph(axioms, [ROOT], -1, kb=kb)
 
     def test_depth_bound_limits_expansion(self):
         chain = "\n".join(f"(<= (p{i} ?x ?y) (p{i+1} ?x ?y))" for i in range(12))
@@ -183,6 +190,11 @@ class TestInducedSpace:
         with pytest.raises(ValueError):
             induced_space(g, ["o999"])
 
+    def test_and_member_outside_the_member_set_rejected(self):
+        _, _, g = graph_of("(<= (root ?x ?y) (p ?x ?y))")
+        with pytest.raises(ValueError, match="AND node a0 is not fully inside the member set"):
+            SearchSpace(g, ["o0"], ["a0"])
+
 
 class TestSerialization:
     def test_json_round_trip(self):
@@ -230,10 +242,35 @@ class TestSpaceOrdering:
             for child in a.children:
                 assert pos[child] < pos[a.parent]
 
-    def test_cycle_detection_guard(self):
+    def test_cycle_detection_guard(self, tmp_path, capsys):
+        # a graph file edited into a cycle is refused when it is read
         _, _, g = graph_of("(<= (root ?x ?y) (p ?x ?y))")
-        # corrupt the graph into a cycle to prove the check trips
-        g.and_nodes["a1"] = type(g.and_nodes["a0"])("a1", "r0", "o1", ("o0",))
-        g.or_nodes["o1"].children = ("a1",)
-        with pytest.raises(GraphCycleError):
-            induced_space(g, g.or_nodes).reverse_topological_or_order()
+        doc = json.loads(g.to_json())
+        doc["and_nodes"].append({"id": "a1", "clause": "r0", "parent": "o1", "children": ["o0"]})
+        doc["or_nodes"][1]["children"] = ["a1"]
+        with pytest.raises(GraphCycleError, match="the graph has a cycle through OR node o"):
+            AndOrGraph.from_json(json.dumps(doc))
+        assert issubclass(GraphCycleError, KbError)
+        (tmp_path / "graph.json").write_text(json.dumps(doc), encoding="utf-8")
+        (tmp_path / "space.json").write_text(induced_space(g, g.roots).to_json(), encoding="utf-8")
+        (tmp_path / "kb.kb").write_text("(isa a Thing)\n(root a b)\n", encoding="utf-8")
+        template = {"id": "t0", "predicate": "root", "bound_position": 1, "param_collection": "Thing"}
+        (tmp_path / "t.json").write_text(json.dumps([dict(template, open_position=2)]), encoding="utf-8")
+        capsys.readouterr()
+        graph = str(tmp_path / "graph.json")
+        assert main(["sample", "--graph", graph, "--model", "1", "--k", "2", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: the graph has a cycle through OR node o")
+        space, kb, templates = (str(tmp_path / name) for name in ("space.json", "kb.kb", "t.json"))
+        assert main(["alpha", "--graph", graph, "--space", space, "--kb", kb, "--templates", templates]) == 2
+        assert capsys.readouterr().err.startswith("error: the graph has a cycle through OR node o")
+
+    def test_sub_spaces_inherit_the_graph_order(self):
+        _, _, g = skewed_fixture()
+        full = induced_space(g, g.or_nodes).reverse_topological_or_order()
+        for seed in range(20):
+            space = sample(g, SampleParams("model2", beta=50, seed=seed))
+            order = space.reverse_topological_or_order()
+            assert order == [oid for oid in full if oid in space.or_members]
+            pos = {oid: i for i, oid in enumerate(order)}
+            for aid in space.and_members:
+                assert all(pos[c] < pos[g.and_nodes[aid].parent] for c in g.and_nodes[aid].children)

@@ -1,7 +1,7 @@
 import hashlib
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -13,7 +13,7 @@ from percolog import (
     parse_kb,
     serialize_kb,
 )
-from percolog.growth import InfeasibleConfigError, SynthConfig, ablate_grow, synth_kb
+from percolog.growth import InfeasibleConfigError, SynthConfig, _stratified_order, ablate_grow, synth_kb
 from percolog.harness import expand_templates, root_schemas
 from percolog.metrics import answered_fraction
 
@@ -25,6 +25,27 @@ def flat_kb(n_content, n_hierarchy=20, preds=("obs", "rel", "seen")):
         p = preds[i % len(preds)]
         facts.append(Fact(p, (consts[i % 1200], consts[(i * 7 + i // 1200) % 1200])))
     return KnowledgeBase(facts)
+
+
+def greedy_stratified_order(content, rng):
+    """The stratified re-add order as a greedy rule: after the same
+    per-predicate shuffles, the next fact comes from the predicate with the
+    lowest (taken / total, name)."""
+    groups = defaultdict(list)
+    for f in content:
+        groups[f.predicate].append(f)
+    for facts in groups.values():
+        rng.shuffle(facts)
+    taken = dict.fromkeys(groups, 0)
+    out = []
+    remaining = sorted(groups)
+    while remaining:
+        p = min(remaining, key=lambda p: (taken[p] / len(groups[p]), p))
+        out.append(groups[p][taken[p]])
+        taken[p] += 1
+        if taken[p] == len(groups[p]):
+            remaining.remove(p)
+    return out
 
 
 class TestAblateGrow:
@@ -80,6 +101,17 @@ class TestAblateGrow:
         q = 100 / 300
         for pred, total in totals.items():
             assert abs(counts.get(pred, 0) - total * q) <= 2
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_stratified_order_is_the_greedy_rule(self, seed):
+        rng = random.Random(seed)
+        sizes = [rng.choice((1, 2, 3, 5, 7, 12, 30)) for _ in range(rng.randint(1, 8))]
+        sizes += rng.sample(sizes, rng.randint(1, len(sizes)))  # predicates of equal size
+        content = [Fact(f"p{i}", (f"E{j}",)) for i, n in enumerate(sizes) for j in range(n)]
+        rng.shuffle(content)
+        ordered = _stratified_order(list(content), random.Random(seed))
+        assert ordered == greedy_stratified_order(list(content), random.Random(seed))
+        assert sorted(ordered) == sorted(content)
 
     # sha256 of serialize_kb(snapshot) for ablate_grow(synth_kb(small_cfg(3)),
     # [45, 60, 80], Random(11)): pins the re-add order of both orders

@@ -54,6 +54,7 @@ _READER_ERRORS = [
     ("(p a #b)", KbSyntaxError, 1, 6, "unexpected character '#'"),
     ("(<=)", KbSyntaxError, 1, 4, "expected '(', got ')'"),
     ("(<= p)", KbSyntaxError, 1, 5, "expected '(', got 'p'"),
+    ("(<=", KbSyntaxError, 1, 2, "unexpected end of line"),
     ("(p a b)\n(p a)", ArityConflictError, 2, None, "predicate 'p' used with arity 1 but fixed at 2"),
     # "<=" is a token only right after the line's opening parenthesis
     ("(p a<=b)", KbSyntaxError, 1, 5, "unexpected character '<'"),
@@ -130,6 +131,8 @@ class TestParsing:
             parse_kb("(argIsa mother zero Animal)")
         with pytest.raises(KbValidationError):
             parse_kb("(argIsa mother 0 Animal)")
+        with pytest.raises(KbValidationError, match="argIsa position 3 exceeds arity 2 of 'mother'"):
+            parse_kb("(mother Ann Bob)\n(argIsa mother 3 Animal)")
 
     def test_variable_predicate_rejected(self):
         with pytest.raises(KbSyntaxError):
@@ -162,6 +165,13 @@ class TestTypes:
     def test_clause_requires_body(self):
         with pytest.raises(KbValidationError):
             HornClause(A("p", "a"), (), id="r0")
+
+    def test_axiom_set_needs_one_id_per_clause(self):
+        rule = HornClause(A("p", "?x"), (A("q", "?x"),), id="r0")
+        with pytest.raises(ValueError, match="has no id"):
+            AxiomSet([HornClause(rule.head, rule.body)])
+        with pytest.raises(ValueError, match="duplicate clause id 'r0'"):
+            AxiomSet([rule, HornClause(A("p", "?x"), (A("s", "?x"),), id="r0")])
 
 
 class TestRetrieve:

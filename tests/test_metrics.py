@@ -73,6 +73,12 @@ class TestAlphaFixtures:
         with pytest.raises(ValueError):
             alpha(space, (), kb)
 
+    def test_graph_without_or_nodes_rejected(self):
+        kb = kb_of(("p", "a", "b"))
+        g = build_graph(AxiomSet([]), [], 10, kb=kb)
+        with pytest.raises(ValueError, match="at least one OR node"):
+            alpha(induced_space(g, []), queries("p", ["a"]), kb)
+
 
 def synth_setup(seed):
     cfg = SynthConfig(
@@ -139,6 +145,12 @@ class TestAnsweredFraction:
         qa = answered_fraction(space, kb, queries("p", ["e1", "e2"]), 10)
         assert qa.fraction == 0.0
         assert qa.total_answers == 0
+
+    def test_empty_query_set_rejected(self):
+        kb = kb_of(("p", "a", "b"))
+        g = build_graph(AxiomSet([]), [GoalSchema("p", 2, (True, False))], 10, kb=kb)
+        with pytest.raises(ValueError, match="nonempty query set"):
+            answered_fraction(induced_space(g, g.or_nodes), kb, (), 10)
 
     def test_two_rule_chain_closes_three_of_five(self):
         kb, axioms = parse_kb(
