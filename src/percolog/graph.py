@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .kb import Atom, AxiomSet, HornClause, KbError, KnowledgeBase, Variable, has_type, parse_kb
+from .kb import JSON_KINDS, Atom, AxiomSet, HornClause, KbError, KnowledgeBase, Variable, parse_kb
 
 
 class GraphCycleError(KbError):
@@ -71,20 +71,9 @@ def _read_doc(text: str, kind: str) -> dict:
     return doc
 
 
-# what a field of a graph or space file must be: its check and its wording
-_SHAPES = {
-    "ids": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of id strings"),
-    "objects": (lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v), "a list of objects"),
-    "clauses": (lambda v: isinstance(v, dict), "an object of rule texts by id"),
-    "count": (lambda v: has_type(v, "int") and v >= 0, "an integer >= 0"),
-    "str": (lambda v: has_type(v, "str"), "a string"),
-    "bool": (lambda v: has_type(v, "bool"), "true or false"),
-}
-
-
-def _field(value: object, shape: str, what: str):
-    """``value`` if it has the named shape; KbError naming the field otherwise."""
-    valid, expected = _SHAPES[shape]
+def _field(value: object, kind: str, what: str):
+    """``value`` if it is of the ``JSON_KINDS`` kind; KbError naming the field otherwise."""
+    valid, expected = JSON_KINDS[kind]
     if not valid(value):
         raise KbError(f"{what} must be {expected}")
     return value
@@ -97,10 +86,6 @@ def _known(ids: Iterable[str], known: Mapping, what: str) -> None:
         raise KbError(f"{what} refers to {unknown[0]!r}, which the graph lacks")
 
 
-def _id_key(node_id: str) -> int:
-    return int(node_id[1:])
-
-
 # the sampling cell a space file records, in both JSON directions
 PROVENANCE_KEYS = ("model", "k", "beta", "seed", "replicate")
 
@@ -109,7 +94,7 @@ class AndOrGraph:
     """The full query graph G.  ``|N|`` (the alpha denominator) counts OR
     nodes only; AND nodes are rule applications between them.  A graph is not
     changed once ``build_graph`` has built it or ``from_json`` has read it:
-    both fix its children-first OR order then, which every space inherits."""
+    both fix its node order and its children-first OR order, which views follow."""
 
     def __init__(self, axioms: AxiomSet, depth_bound: int, genlpreds_mode: bool = True):
         self.axioms = axioms
@@ -169,11 +154,11 @@ class AndOrGraph:
                     "depth": n.depth,
                     "children": list(n.children),
                 }
-                for n in sorted(self.or_nodes.values(), key=lambda n: _id_key(n.id))
+                for n in self.or_nodes.values()
             ],
             "and_nodes": [
                 {"id": n.id, "clause": n.clause_id, "parent": n.parent, "children": list(n.children)}
-                for n in sorted(self.and_nodes.values(), key=lambda n: _id_key(n.id))
+                for n in self.and_nodes.values()
             ],
             "clauses": {c.id: str(c) for c in self.axioms},
         }
@@ -182,8 +167,8 @@ class AndOrGraph:
     @classmethod
     def from_json(cls, text: str) -> "AndOrGraph":
         """Read a graph file; KbError unless every id it refers to names a
-        node or clause of the file and no rule application leads back to
-        its OR node."""
+        node or clause of the file, each node is listed once, each AND node by
+        its parent only, and no rule application leads back to its OR node."""
         doc = _read_doc(text, "graph")
         clause_texts = _field(doc.get("clauses"), "clauses", "the graph's 'clauses'")
         clauses = []
@@ -203,7 +188,10 @@ class AndOrGraph:
             children = _field(n.get("children"), "ids", f"the children of OR node {oid}")
             depth = _field(n.get("depth"), "count", f"the depth of OR node {oid}")
             schema = GoalSchema(pred, arity, tuple(ch == "b" for ch in mask))
+            if oid in g.or_nodes:
+                raise KbError(f"OR node {oid} is listed twice")
             g.or_nodes[oid] = OrNode(oid, schema, depth, tuple(children))
+        owned: dict[str, list[str]] = {oid: [] for oid in g.or_nodes}  # OR id -> the AND nodes naming it parent
         for i, n in enumerate(_field(doc.get("and_nodes"), "objects", "the graph's 'and_nodes'")):
             aid = _field(n.get("id"), "str", f"the id of AND node entry {i}")
             clause = _field(n.get("clause"), "str", f"the clause of AND node {aid}")
@@ -211,27 +199,31 @@ class AndOrGraph:
             children = _field(n.get("children"), "ids", f"the children of AND node {aid}")
             _known([clause], clause_texts, f"AND node {aid}")
             _known([parent, *children], g.or_nodes, f"AND node {aid}")
+            if aid in g.and_nodes:
+                raise KbError(f"AND node {aid} is listed twice")
             g.and_nodes[aid] = AndNode(aid, clause, parent, tuple(children))
+            owned[parent].append(aid)
         for n in g.or_nodes.values():
             _known(n.children, g.and_nodes, f"OR node {n.id}")
+            if sorted(n.children) != sorted(owned[n.id]):
+                raise KbError(
+                    f"OR node {n.id} lists AND nodes {list(n.children)}, but {owned[n.id]} name it as their parent"
+                )
         g.roots = list(_field(doc.get("roots"), "ids", "the graph's roots"))
         _known(g.roots, g.or_nodes, "the graph's roots")
+        # the node order build_graph gives its o<n> and a<n> ids, for any ids
+        g.or_nodes = {i: g.or_nodes[i] for i in sorted(g.or_nodes, key=lambda i: (len(i), i))}
+        g.and_nodes = {i: g.and_nodes[i] for i in sorted(g.and_nodes, key=lambda i: (len(i), i))}
         return g._seal()
 
     def edge_list(self) -> str:
         """Debug/visualization export; masks are intentionally omitted, use
         JSON for a lossless round trip."""
-        lines = []
-        for n in sorted(self.or_nodes.values(), key=lambda n: _id_key(n.id)):
-            lines.append(f"OR {n.id} {n.predicate}/{n.arity} depth={n.depth}")
-        for n in sorted(self.and_nodes.values(), key=lambda n: _id_key(n.id)):
-            lines.append(f"AND {n.id} clause={n.clause_id}")
-        for n in sorted(self.or_nodes.values(), key=lambda n: _id_key(n.id)):
-            for and_id in n.children:
-                lines.append(f"EDGE {n.id} {and_id}")
-        for n in sorted(self.and_nodes.values(), key=lambda n: _id_key(n.id)):
-            for or_id in n.children:
-                lines.append(f"EDGE {n.id} {or_id}")
+        lines = [f"OR {n.id} {n.predicate}/{n.arity} depth={n.depth}" for n in self.or_nodes.values()]
+        lines += [f"AND {n.id} clause={n.clause_id}" for n in self.and_nodes.values()]
+        for n in (*self.or_nodes.values(), *self.and_nodes.values()):
+            for child in n.children:
+                lines.append(f"EDGE {n.id} {child}")
         return "\n".join(lines) + "\n"
 
 
@@ -387,7 +379,8 @@ class SearchSpace:
         return tuple(a for a in self.graph.or_nodes[or_id].children if a in self.and_members)
 
     def sorted_or_members(self) -> list[str]:
-        return sorted(self.or_members, key=_id_key)
+        """Member OR ids in the graph's node order (alpha's summation order)."""
+        return [oid for oid in self.graph.or_nodes if oid in self.or_members]
 
     def reverse_topological_or_order(self) -> list[str]:
         """Member OR ids with children before parents (the bottom-up
@@ -402,8 +395,8 @@ class SearchSpace:
             "axiom_ids": sorted(self.retained_axiom_ids()),
             "avg_degree": average_degree(self) if self.or_members else None,
             "node_count": self.node_count,
-            "or_nodes": sorted(self.or_members, key=_id_key),
-            "and_nodes": sorted(self.and_members, key=_id_key),
+            "or_nodes": self.sorted_or_members(),
+            "and_nodes": [aid for aid in self.graph.and_nodes if aid in self.and_members],
         }
         return json.dumps(doc, indent=1, sort_keys=True)
 

@@ -24,7 +24,7 @@ from . import metrics
 from .engine import Query, QueryTemplate, SnapshotCache, depth_profile
 from .graph import AndOrGraph, GoalSchema, average_degree, build_graph
 from .growth import ablate_grow
-from .kb import Atom, KnowledgeBase, Variable, check_record, has_type, parse_kb
+from .kb import JSON_KINDS, Atom, KnowledgeBase, Variable, check_record, has_type, parse_kb
 from .sampling import _numeral, cell_params, greedy_degree_pairs, param_tag, sample
 
 log = logging.getLogger(__name__)
@@ -167,8 +167,8 @@ _CONFIG_CHECKS = {
         "a list of distinct numbers in (0, 100]",
     ),
     "replicates": (lambda v: v >= 1, "an integer >= 1"),
-    "depth_bound": (lambda v: v >= 0, "an integer >= 0"),
-    "depth_limit": (lambda v: v >= 0, "an integer >= 0"),
+    "depth_bound": JSON_KINDS["count"],
+    "depth_limit": JSON_KINDS["count"],
     "threshold": (lambda v: 0 <= v <= 1, "a number in [0, 1]"),
     "compare_tolerance": (lambda v: v >= 0, "a number >= 0"),
 }
@@ -562,25 +562,28 @@ _ROW_PARSERS["k_or_beta"] = _parse_param  # an int k or a float beta
 
 
 def parse_rows(path: "str | Path") -> list[SweepRow]:
-    """Read a sweep CSV back into rows (the round trip of format_table); a
-    row with other than one cell per column, or a cell its column's type
-    cannot parse, raises ValueError naming the line (and the column)."""
+    """Read a sweep CSV back into rows (the round trip of format_table); a row
+    of other than one cell per column, a cell its column's type cannot parse
+    or an oversized field raises ValueError naming the line (and the column)."""
     rows = []
     with Path(path).open(encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != SWEEP_COLUMNS:
-            raise ValueError(f"unexpected sweep columns in {path}: {reader.fieldnames}")
-        for rec in reader:
-            if None in rec or None in rec.values():  # DictReader's fill for a long or a short row
-                raise ValueError(f"{path}, line {reader.line_num}: not {len(SWEEP_COLUMNS)} fields")
-            kwargs = {}
-            for col in SWEEP_COLUMNS:
-                raw = rec[col]
-                try:
-                    kwargs[col] = None if raw == "" else _ROW_PARSERS[col](raw)
-                except ValueError as e:
-                    raise ValueError(f"{path}, line {reader.line_num}, column {col}: {e}") from None
-            rows.append(SweepRow(**kwargs))
+        try:
+            if reader.fieldnames is None or tuple(reader.fieldnames) != SWEEP_COLUMNS:
+                raise ValueError(f"unexpected sweep columns in {path}: {reader.fieldnames}")
+            for rec in reader:
+                if None in rec or None in rec.values():  # DictReader's fill for a long or a short row
+                    raise ValueError(f"{path}, line {reader.line_num}: not {len(SWEEP_COLUMNS)} fields")
+                kwargs = {}
+                for col in SWEEP_COLUMNS:
+                    raw = rec[col]
+                    try:
+                        kwargs[col] = None if raw == "" else _ROW_PARSERS[col](raw)
+                    except ValueError as e:
+                        raise ValueError(f"{path}, line {reader.line_num}, column {col}: {e}") from None
+                rows.append(SweepRow(**kwargs))
+        except csv.Error as e:  # a field over the size limit, on the line the reader last read
+            raise ValueError(f"{path}, line {reader.reader.line_num}: {e}") from None
     return rows
 
 

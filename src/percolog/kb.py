@@ -46,19 +46,23 @@ class KbValidationError(KbError):
     unrestricted rule variable, cyclic hierarchy, bad argIsa position)."""
 
 
-# the JSON types a dataclass field annotated int, float, str or bool takes, and
-# how a message names them; a boolean is no number
-_JSON_TYPES = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "str": ((str,), "a string"),
-    "bool": ((bool,), "true or false"),
+# each kind of JSON value a record or file field takes: its check and how a
+# message names it; a dataclass annotation is a kind (a boolean is no number)
+JSON_KINDS: dict[str, tuple[Callable[[object], bool], str]] = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) in (int, float), "a number"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "count": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "ids": (lambda v: isinstance(v, list) and all(type(x) is str for x in v), "a list of id strings"),
+    "objects": (lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v), "a list of objects"),
+    "clauses": (lambda v: isinstance(v, dict), "an object of rule texts by id"),
 }
 
 
-def has_type(value: object, annotation: str) -> bool:
-    """Whether a JSON value suits a field annotated int, float, str or bool."""
-    return type(value) in _JSON_TYPES[annotation][0]
+def has_type(value: object, kind: str) -> bool:
+    """Whether a JSON value is of the ``JSON_KINDS`` kind, e.g. int for a field annotated int."""
+    return JSON_KINDS[kind][0](value)
 
 
 def check_record(cls: type, values: object, record: str, noun: str = "key") -> dict:
@@ -76,8 +80,8 @@ def check_record(cls: type, values: object, record: str, noun: str = "key") -> d
         if name not in values:
             if f.default is MISSING:
                 raise ValueError(f"{record}: missing {noun} {name!r}")
-        elif f.type in _JSON_TYPES and not has_type(values[name], f.type):
-            raise ValueError(f"{record}: {noun} {name!r} must be {_JSON_TYPES[f.type][1]}, got {values[name]!r}")
+        elif f.type in JSON_KINDS and not has_type(values[name], f.type):
+            raise ValueError(f"{record}: {noun} {name!r} must be {JSON_KINDS[f.type][1]}, got {values[name]!r}")
     return values
 
 

@@ -5,8 +5,8 @@ alpha = (1/|N|) * sum over member nodes m of Solutions(m) / (|Q| * (depth(m)+1))
 
 where |N| counts the OR nodes of the full parent graph, the sum ranges over
 the sampled member set only, Solutions(m) is the node's own retrieval count,
-and depth(m) comes from the parent graph.  Terms are accumulated in sorted
-node-id order so the headline value is reproducible bit-for-bit.
+and depth(m) comes from the parent graph.  Terms are accumulated in the
+graph's node order so the headline value is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -79,15 +79,15 @@ def answered_fraction(
 ) -> QaResult:
     """Answer every query with the space's retained axioms and report
     coverage plus the total distinct answers (the model-comparison metric).
-    With a cache, each query whose cone is free of recursion reads the
-    store's relation of its predicate, shared with the snapshot's other
-    spaces and their depth profiles; the other queries, and every query
-    without a cache, are backchained.  Both give the same answers.
-    A genlpreds_mode other than the graph's raises ValueError."""
+    Each query whose cone is free of recursion reads the store's relation of
+    its predicate: the cache's, shared with the snapshot's other spaces and
+    their depth profiles, or without one a private store's.  Queries with a
+    recursive cone are backchained.  A genlpreds_mode other than the graph's
+    raises ValueError."""
     if len(queries) == 0:
         raise ValueError("answered_fraction needs a nonempty query set")
     axioms = space.graph.axioms.restrict(space.retained_axiom_ids())
-    ev = Evaluator(kb, axioms, genlpreds_mode, cache)
+    ev = Evaluator(kb, axioms, genlpreds_mode, cache or SnapshotCache(kb, genlpreds_mode))
     if genlpreds_mode != space.graph.genlpreds_mode:
         raise ValueError(f"genlPreds mode {genlpreds_mode} differs from the space's graph's")
     per_query = []

@@ -229,10 +229,12 @@ def test_sweep_detect_compare(workspace, capsys):
         err = capsys.readouterr().err
         assert err == f"error: {sweep_csv}, line 2, column threshold_hit: 'garbage' is not true or false\n"
 
-    # a row of fewer or more fields than the header, and another header
+    # a row of fewer or more fields than the header, a field over the csv
+    # module's size limit, and another header
     for text, named in (
         (f"{lines[0]}\n{lines[2]}\nmodel1,2,0,1,kb0,10\n", f"{sweep_csv}, line 3: not 16 fields"),
         (f"{lines[0]}\n{lines[2]},extra\n", f"{sweep_csv}, line 2: not 16 fields"),
+        (f"{lines[0]}\n{lines[2]}\nmodel1,{'2' * 200_000}\n", f"{sweep_csv}, line 3: field larger than field limit"),
         ("model,k_or_beta\nmodel1,2\n", f"unexpected sweep columns in {sweep_csv}"),
     ):
         sweep_csv.write_text(text, encoding="utf-8")
@@ -489,6 +491,23 @@ def test_the_malformed_graphs_base_is_accepted(tmp_path):
         ("sample", dict(AND_GRAPH, and_nodes=[dict(AND_NODE, parent=0)]), "the parent of AND node a0 must be a string"),
         ("sample", dict(AND_GRAPH, and_nodes=[dict(AND_NODE, children=["o999"])]), "AND node a0 refers to 'o999'"),
         ("sample", dict(AND_GRAPH, and_nodes=[dict(AND_NODE, children=["o0"])]), "the graph has a cycle through OR"),
+        ("sample", dict(GRAPH, or_nodes=[OR_NODE, dict(OR_NODE, pred="zzz")]), "OR node o0 is listed twice"),
+        ("sample", dict(AND_GRAPH, and_nodes=[AND_NODE, dict(AND_NODE, clause="r0")]), "AND node a0 is listed twice"),
+        (
+            "sample",
+            dict(AND_GRAPH, and_nodes=[dict(AND_NODE, parent="o1")]),
+            "OR node o0 lists AND nodes ['a0'], but [] name it as their parent",
+        ),
+        (
+            "sample",
+            dict(AND_GRAPH, or_nodes=[OR_NODE, AND_GRAPH["or_nodes"][1]]),
+            "OR node o0 lists AND nodes [], but ['a0'] name it as their parent",
+        ),
+        (
+            "sample",
+            dict(AND_GRAPH, or_nodes=[dict(OR_NODE, children=["a0", "a0"]), AND_GRAPH["or_nodes"][1]]),
+            "OR node o0 lists AND nodes ['a0', 'a0'], but ['a0'] name it as their parent",
+        ),
         ("alpha", {k: v for k, v in SPACE.items() if k != "or_nodes"}, "the space's 'or_nodes' must be a list"),
         ("ask", {k: v for k, v in SPACE.items() if k != "axiom_ids"}, "the space's 'axiom_ids' must be a list"),
     ],
@@ -503,6 +522,8 @@ def test_the_malformed_graphs_base_is_accepted(tmp_path):
         "graph-other-format", "graph-no-depth-bound", "graph-or-node-no-depth", "graph-or-id-not-string",
         "graph-pred-not-string", "graph-unknown-root", "graph-unknown-and-child", "graph-unknown-clause",
         "graph-clause-not-string", "graph-parent-not-string", "graph-unknown-or-child", "graph-cycle",
+        "graph-or-id-twice", "graph-and-id-twice", "graph-and-parent-not-its-lister", "graph-and-node-unlisted",
+        "graph-and-node-listed-twice",
         "space-no-or-nodes", "ask-space-no-axiom-ids",
     ],
 )

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -11,11 +12,13 @@ from percolog import (
     or_out_degrees,
 )
 from percolog.cli import main
+from percolog.engine import Query
 from percolog.graph import PROVENANCE_KEYS, AndOrGraph, GraphCycleError, SearchSpace
 from percolog.growth import SynthConfig, synth_kb
-from percolog.harness import root_schemas
-from percolog.kb import KbError, parse_kb
-from percolog.sampling import SampleParams, sample
+from percolog.harness import expand_templates, root_schemas
+from percolog.kb import Atom, KbError, Variable, parse_kb
+from percolog.metrics import alpha
+from percolog.sampling import SampleParams, cell_params, sample
 
 ROOT = GoalSchema("root", 2, (True, False))
 
@@ -221,6 +224,54 @@ class TestSerialization:
         space = SearchSpace(g, g.or_nodes, (), prov)
         assert {k: v for k, v in json.loads(space.to_json()).items() if k in PROVENANCE_KEYS} == prov
         assert SearchSpace.from_json(space.to_json(), g).provenance == prov
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_entries_read_as_the_file(self, seed):
+        # a graph fixes its node order when read, whatever the order of the
+        # file's entries; ids o10 and up sort after o9
+        cfg = SynthConfig(
+            predicates=12, entities=15, collections=3, genls_depth=1, rules=30,
+            body_min=1, body_max=3, rule_skew=1.2, facts=80, fact_skew=0.8,
+            levels=4, root_predicates=3, seed=seed,
+        )
+        kb, axioms, templates = synth_kb(cfg)
+        g = build_graph(axioms, root_schemas(templates), 10, kb=kb)
+        assert len(g.or_nodes) > 10 and len(g.and_nodes) > 10
+        doc = json.loads(g.to_json())
+        rng = random.Random(seed)
+        rng.shuffle(doc["or_nodes"])
+        rng.shuffle(doc["and_nodes"])
+        shuffled = AndOrGraph.from_json(json.dumps(doc))
+        assert list(shuffled.or_nodes) == list(g.or_nodes) and list(shuffled.and_nodes) == list(g.and_nodes)
+        assert shuffled.to_json() == g.to_json()
+        assert shuffled.edge_list() == g.edge_list()
+        queries = expand_templates(kb, templates)
+        for model, value in (("model1", 2), ("model2", 50)):
+            params = cell_params(model, value, 0, seed)
+            space, space_read = sample(g, params), sample(shuffled, params)
+            assert space_read.to_json() == space.to_json()
+            assert alpha(space_read, queries, kb) == alpha(space, queries, kb)  # every term, bit for bit
+
+    def test_ids_of_any_string_round_trip_and_sample(self, tmp_path):
+        _, _, g = graph_of("(<= (root ?x ?y) (p ?x ?y))\n(<= (root ?x ?y) (q ?x ?y))")
+        text = g.to_json()
+        for old, new in (("o0", "root"), ("o1", "left"), ("o2", "right"), ("a0", "via-left"), ("a1", "via-right")):
+            text = text.replace(f'"{old}"', f'"{new}"')
+        read = AndOrGraph.from_json(text)
+        assert list(read.or_nodes) == ["left", "root", "right"]  # shorter ids first, then by string
+        assert list(read.and_nodes) == ["via-left", "via-right"]
+        assert AndOrGraph.from_json(read.to_json()).to_json() == read.to_json()
+        assert read.edge_list().splitlines()[-4:] == [
+            "EDGE root via-left", "EDGE root via-right", "EDGE via-left left", "EDGE via-right right",
+        ]
+        (tmp_path / "graph.json").write_text(text, encoding="utf-8")
+        argv = ["sample", "--graph", str(tmp_path / "graph.json"), "--model", "1", "--k", "2", "--replicates", "1"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        space = SearchSpace.from_json((tmp_path / "out" / "model1_k2_rep0.json").read_text(), read)
+        assert json.loads(space.to_json())["or_nodes"] == ["left", "root", "right"]
+        kb, _ = parse_kb("(root a b)\n(p a c)\n(p a d)")
+        report = alpha(space, [Query(Atom("root", ("a", Variable("y"))), "t0")], kb)
+        assert [t[:2] for t in report.terms] == [("left", 2), ("root", 1), ("right", 0)]
 
     def test_edge_list_format(self):
         _, _, g = graph_of("(<= (root ?x ?y) (p ?x ?y))")
