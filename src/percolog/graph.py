@@ -12,7 +12,7 @@ ancestor schema is dropped, which keeps the graph acyclic.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Optional, Sequence
@@ -387,14 +387,20 @@ class SearchSpace:
         evaluation order): the graph's order, which a sub-space inherits."""
         return [oid for oid in self.graph._order if oid in self.or_members]
 
+    def _derived(self) -> dict[str, object]:
+        """The fields of a space file that its members determine."""
+        return {
+            "axiom_ids": sorted(self.retained_axiom_ids()),
+            "avg_degree": average_degree(self) if self.or_members else None,
+            "node_count": self.node_count,
+        }
+
     def to_json(self) -> str:
         prov = self.provenance or {}
         doc = {
             "format": "percolog-space@1",
             **{key: prov.get(key) for key in PROVENANCE_KEYS},
-            "axiom_ids": sorted(self.retained_axiom_ids()),
-            "avg_degree": average_degree(self) if self.or_members else None,
-            "node_count": self.node_count,
+            **self._derived(),
             "or_nodes": self.sorted_or_members(),
             "and_nodes": [aid for aid in self.graph.and_nodes if aid in self.and_members],
         }
@@ -402,10 +408,21 @@ class SearchSpace:
 
     @classmethod
     def from_json(cls, text: str, graph: AndOrGraph) -> "SearchSpace":
+        """Read a space file; ValueError for a member listed twice, or for a
+        recorded ``axiom_ids``, ``node_count`` or ``avg_degree`` that
+        disagrees with the value its members give."""
         doc = _read_doc(text, "space")
         prov = {key: doc[key] for key in PROVENANCE_KEYS if doc.get(key) is not None}
         members = [_field(doc.get(key), "ids", f"the space's {key!r}") for key in ("or_nodes", "and_nodes")]
-        return cls(graph, *members, prov or None)
+        for key, ids in zip(("or_nodes", "and_nodes"), members):
+            twice = [i for i, n in Counter(ids).items() if n > 1]
+            if twice:
+                raise ValueError(f"the space's {key!r} lists {twice[0]!r} twice")
+        space = cls(graph, *members, prov or None)
+        for key, value in space._derived().items():
+            if key in doc and doc[key] != value:
+                raise ValueError(f"the space's {key!r} is {doc[key]!r}, but its members give {value!r}")
+        return space
 
 
 def induced_space(graph: AndOrGraph, member_or_nodes: Iterable[str]) -> SearchSpace:

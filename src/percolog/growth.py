@@ -10,6 +10,7 @@ import json
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress, islice
 from pathlib import Path
 from typing import Sequence
 
@@ -35,19 +36,20 @@ class InfeasibleConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _stratified_order(content: list[Fact], rng: random.Random) -> list[Fact]:
-    """Re-add order holding per-predicate proportions roughly constant: after
-    a shuffle per predicate, the k-th of a predicate's n facts sorts at
-    (k / n, predicate), so each prefix takes the predicate that is currently
-    most under-represented."""
-    groups: dict[str, list[Fact]] = defaultdict(list)
-    for f in content:
-        groups[f.predicate].append(f)
+def _stratified_order(predicates: list[str], rng: random.Random) -> list[int]:
+    """Re-add order of the facts whose predicates these are, as their indices,
+    holding per-predicate proportions roughly constant: after a shuffle per
+    predicate, the k-th of a predicate's n facts sorts at (k / n, predicate),
+    so each prefix takes the predicate that is currently most
+    under-represented."""
+    groups: dict[str, list[int]] = defaultdict(list)
+    for i, p in enumerate(predicates):
+        groups[p].append(i)
     keyed = []
-    for facts in groups.values():
-        rng.shuffle(facts)
-        keyed.extend((k / len(facts), f.predicate, f) for k, f in enumerate(facts))
-    return [f for *_, f in sorted(keyed)]
+    for p, indices in groups.items():
+        rng.shuffle(indices)
+        keyed.extend((k / len(indices), p, i) for k, i in enumerate(indices))
+    return [i for *_, i in sorted(keyed)]
 
 
 def ablate_grow(
@@ -68,26 +70,35 @@ def ablate_grow(
         raise ValueError("at least one snapshot size is required")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"sizes must be strictly increasing, got {list(sizes)}")
-    # one pass over the full KB's rows: every snapshot shares its row tuples
-    facts = kb_full.sorted_facts()
-    hierarchy = [f for f in facts if f.predicate in RESERVED_PREDICATES]
-    content = [f for f in facts if f.predicate not in RESERVED_PREDICATES]
+    full = kb_full._rows
+    # the predicate of each content fact, in sorted fact order
+    content = [p for p, rows in full.items() if p not in RESERVED_PREDICATES for _ in rows]
+    n_hierarchy = kb_full.fact_count - len(content)
     if max(sizes) > kb_full.fact_count:
         raise ValueError(f"size {max(sizes)} exceeds the KB's {kb_full.fact_count} facts")
-    if min(sizes) < len(hierarchy):
+    if min(sizes) < n_hierarchy:
         raise ValueError(
-            f"size {min(sizes)} is below the {len(hierarchy)} ablation-exempt hierarchy facts"
+            f"size {min(sizes)} is below the {n_hierarchy} ablation-exempt hierarchy facts"
         )
     if order == "uniform":
-        ordered = list(content)
-        rng.shuffle(ordered)
+        ordered = list(range(len(content)))
+        rng.shuffle(ordered)  # the same permutation as shuffling the facts: it depends only on the length
     elif order == "stratified":
         ordered = _stratified_order(content, rng)
     else:
         raise ValueError(f"unknown ablation order {order!r}")
-    return [
-        (f"s{i}_{size}", KnowledgeBase(hierarchy + ordered[: size - len(hierarchy)])) for i, size in enumerate(sizes)
-    ]
+    rank = [0] * len(content)  # each content fact's place in the re-add order
+    for r, i in enumerate(ordered):
+        rank[i] = r
+    ranks = iter(rank)
+    content_ranks = {p: list(islice(ranks, len(rows))) for p, rows in full.items() if p not in RESERVED_PREDICATES}
+    snapshots = []
+    for i, size in enumerate(sizes):
+        cut = size - n_hierarchy  # a snapshot keeps the content facts ranked below the cut
+        rows = {p: tuple(compress(r, map(cut.__gt__, content_ranks[p]))) if p in content_ranks else r
+                for p, r in full.items()}
+        snapshots.append((f"s{i}_{size}", kb_full._subset(rows)))
+    return snapshots
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,17 @@ class KnowledgeBase:
         self._instances = _closure("genls", self.rows("genls"), lambda c: direct.get(c, ()), direct)
         self._specs = _closure("genlPreds", self.rows("genlPreds"), lambda p: (p,), ())
 
+    def _subset(self, rows: dict[str, tuple[tuple[str, ...], ...]]) -> "KnowledgeBase":
+        """The KB of ``rows``: for each of this KB's predicates in its order,
+        a sorted subset of its rows, keeping every hierarchy fact.  Such a
+        subset passes every check this KB passed and has the same closures,
+        so nothing is re-sorted, re-checked or recomputed."""
+        kb = object.__new__(KnowledgeBase)
+        kb._rows = {p: r for p, r in rows.items() if r}
+        kb._arity = {**_RESERVED_ARITY, **{p: self._arity[p] for p in kb._rows}}
+        kb._arg_isa, kb._instances, kb._specs = self._arg_isa, self._instances, self._specs
+        return kb
+
     # -- construction helpers -------------------------------------------------
 
     def _collect_arg_isa(self) -> dict[str, tuple[tuple[int, str], ...]]:
@@ -334,6 +345,9 @@ def _closure(
 
 _CONST_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.+-]*")
 _VAR_RE = re.compile(r"\?[A-Za-z0-9_][A-Za-z0-9_-]*")
+# a plain fact line, (pred c1 ... cn) with spaces or tabs between the
+# constants, in one match; group 1 is the predicate and its arguments
+_FACT_LINE_RE = re.compile(r"[ \t]*\([ \t]*({c}(?:[ \t]+{c})+)[ \t]*\)[ \t]*".format(c=_CONST_RE.pattern))
 
 
 def _tokenize_line(line: str, lineno: int) -> list[tuple[str, str, int]]:
@@ -444,7 +458,14 @@ def parse_kb(text: str) -> tuple[KnowledgeBase, AxiomSet]:
         if known != n:
             raise ArityConflictError(f"predicate {predicate!r} used with arity {n} but fixed at {known}", lineno)
 
+    fact_line = _FACT_LINE_RE.fullmatch
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        m = fact_line(raw)
+        if m:  # every other line, and every error, goes through the tokenizer
+            predicate, *args = map(sys.intern, m.group(1).split())
+            register(predicate, len(args), lineno)
+            facts.append(Fact(predicate, tuple(args)))
+            continue
         toks = _tokenize_line(raw, lineno)
         if not toks:
             continue

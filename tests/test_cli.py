@@ -510,6 +510,14 @@ def test_the_malformed_graphs_base_is_accepted(tmp_path):
         ),
         ("alpha", {k: v for k, v in SPACE.items() if k != "or_nodes"}, "the space's 'or_nodes' must be a list"),
         ("ask", {k: v for k, v in SPACE.items() if k != "axiom_ids"}, "the space's 'axiom_ids' must be a list"),
+        ("alpha", dict(SPACE, or_nodes=["o0", "o0"]), "the space's 'or_nodes' lists 'o0' twice"),
+        (
+            "alpha",
+            dict(SPACE, axiom_ids=["r0"], node_count=999, avg_degree=7.5),
+            "the space's 'axiom_ids' is ['r0'], but its members give []",
+        ),
+        ("alpha", dict(SPACE, node_count=999), "the space's 'node_count' is 999, but its members give 1"),
+        ("alpha", dict(SPACE, avg_degree=7.5), "the space's 'avg_degree' is 7.5, but its members give 0.0"),
     ],
     ids=[
         "templates-entry-not-object", "templates-not-list", "string-position", "string-position-in-sweep",
@@ -524,7 +532,8 @@ def test_the_malformed_graphs_base_is_accepted(tmp_path):
         "graph-clause-not-string", "graph-parent-not-string", "graph-unknown-or-child", "graph-cycle",
         "graph-or-id-twice", "graph-and-id-twice", "graph-and-parent-not-its-lister", "graph-and-node-unlisted",
         "graph-and-node-listed-twice",
-        "space-no-or-nodes", "ask-space-no-axiom-ids",
+        "space-no-or-nodes", "ask-space-no-axiom-ids", "space-or-id-twice", "space-derived-fields-edited",
+        "space-node-count-edited", "space-avg-degree-edited",
     ],
 )
 def test_malformed_input_file_is_input_error(tmp_path, monkeypatch, capsys, command, doc, named):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -217,6 +218,24 @@ class TestSerialization:
         space2 = SearchSpace.from_json(space.to_json(), g)
         assert space2.or_members == space.or_members
         assert space2.and_members == space.and_members
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda d: d["and_nodes"].append(d["and_nodes"][0]), "the space's 'and_nodes' lists 'a0' twice"),
+            (lambda d: d["or_nodes"].append(d["or_nodes"][-1]), "the space's 'or_nodes' lists"),
+            (lambda d: d["axiom_ids"].pop(), "the space's 'axiom_ids' is"),
+            (lambda d: d.update(node_count=d["node_count"] + 1), "the space's 'node_count' is"),
+            (lambda d: d.update(avg_degree=None), "the space's 'avg_degree' is None, but its members give"),
+        ],
+        ids=["and-member-twice", "or-member-twice", "axiom-id-missing", "node-count-off", "avg-degree-null"],
+    )
+    def test_space_file_must_agree_with_its_members(self, edit, named):
+        _, _, g = skewed_fixture()
+        doc = json.loads(induced_space(g, g.or_nodes.keys()).to_json())
+        edit(doc)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            SearchSpace.from_json(json.dumps(doc), g)
 
     def test_space_provenance_round_trip(self):
         _, _, g = skewed_fixture()

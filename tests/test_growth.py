@@ -4,10 +4,14 @@ import random
 from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from percolog import (
+    Atom,
     Fact,
     KnowledgeBase,
+    Variable,
     build_graph,
     induced_space,
     parse_kb,
@@ -15,6 +19,7 @@ from percolog import (
 )
 from percolog.growth import InfeasibleConfigError, SynthConfig, _stratified_order, ablate_grow, synth_kb
 from percolog.harness import expand_templates, root_schemas
+from percolog.kb import RESERVED_PREDICATES
 from percolog.metrics import answered_fraction
 
 
@@ -109,7 +114,7 @@ class TestAblateGrow:
         sizes += rng.sample(sizes, rng.randint(1, len(sizes)))  # predicates of equal size
         content = [Fact(f"p{i}", (f"E{j}",)) for i, n in enumerate(sizes) for j in range(n)]
         rng.shuffle(content)
-        ordered = _stratified_order(list(content), random.Random(seed))
+        ordered = [content[i] for i in _stratified_order([f.predicate for f in content], random.Random(seed))]
         assert ordered == greedy_stratified_order(list(content), random.Random(seed))
         assert sorted(ordered) == sorted(content)
 
@@ -151,6 +156,49 @@ def small_cfg(seed, **overrides):
     )
     base.update(overrides)
     return SynthConfig(**base)
+
+
+class TestSnapshotViews:
+    """Each snapshot is cut from the full KB's sorted rows and shares its
+    closures; it must equal the KB rebuilt from the hierarchy and the prefix
+    of the re-add order."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**16), st.sampled_from(["uniform", "stratified"]), st.data())
+    def test_snapshots_equal_the_rebuilt_kbs(self, seed, order, data):
+        synthetic, _, _ = synth_kb(small_cfg(seed, genls_depth=2, facts=data.draw(st.integers(1, 80))))
+        # a genlPreds chain, so that the shared predicate closure is not empty
+        chain = [Fact("genlPreds", ("p1", "p0")), Fact("genlPreds", ("p2", "p1"))]
+        kb = KnowledgeBase([*synthetic.sorted_facts(), *chain])
+        facts = kb.sorted_facts()
+        hierarchy = [f for f in facts if f.predicate in RESERVED_PREDICATES]
+        content = [f for f in facts if f.predicate not in RESERVED_PREDICATES]
+        sizes = sorted(data.draw(st.sets(st.integers(len(hierarchy), len(facts)), min_size=1, max_size=5)))
+        snapshots = ablate_grow(kb, sizes, random.Random(seed), order=order)
+        rng = random.Random(seed)
+        if order == "uniform":
+            ordered = list(content)
+            rng.shuffle(ordered)
+        else:
+            ordered = greedy_stratified_order(content, rng)
+        constrained = sorted({row[0] for row in kb.rows("argIsa")})
+        predicates = {*(f.predicate for f in facts), *constrained, "absent"}
+        collections = [*{c for f in kb.facts_for("isa") for c in f.args[1:]}, "Nothing"]
+        entities = sorted({f.args[0] for f in kb.facts_for("isa")})
+        atoms = [Atom(p, (a, b)) for p in constrained[:6] for a, b in zip(entities, [Variable("y"), *entities[3:]])]
+        assert [sid for sid, _ in snapshots] == [f"s{i}_{size}" for i, size in enumerate(sizes)]
+        for (_, snap), size in zip(snapshots, sizes):
+            rebuilt = KnowledgeBase(hierarchy + ordered[: size - len(hierarchy)])
+            assert snap.sorted_facts() == rebuilt.sorted_facts()
+            assert snap.fact_count == rebuilt.fact_count == size
+            assert repr(snap) == repr(rebuilt)  # no predicate without rows
+            for p in predicates:
+                assert snap.rows(p) == rebuilt.rows(p)
+                assert snap.arity(p) == rebuilt.arity(p)
+                assert snap.spec_preds(p) == rebuilt.spec_preds(p)
+            for c in collections:
+                assert snap.instances_of(c) == rebuilt.instances_of(c)
+            assert [snap.well_formed(a) for a in atoms] == [rebuilt.well_formed(a) for a in atoms]
 
 
 class TestSynthKb:

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -20,6 +21,7 @@ from percolog import (
     parse_kb,
     serialize_kb,
 )
+from percolog import kb as kb_module
 from percolog.engine import Evaluator
 from percolog.growth import SynthConfig, synth_kb
 
@@ -150,6 +152,101 @@ class TestParsing:
         assert (err.value.line, err.value.column) == (line, column)
         where = f"line {line}" + (f", column {column}" if column is not None else "")
         assert str(err.value) == f"{where}: {message}"
+
+
+def _outcome(text):
+    """What the reader makes of ``text``: its facts and (id, clause) pairs,
+    or the class, message, line and column of its error."""
+    try:
+        kb, axioms = parse_kb(text)
+    except KbError as e:
+        return type(e), str(e), e.line, e.column
+    return kb.sorted_facts(), [(c.id, str(c)) for c in axioms]
+
+
+# padding and the gaps between tokens: mostly what the fast path reads, at
+# times whitespace it leaves to the tokenizer ("\x0b" also ends a line)
+_PADS = ("", " ", "\t", "\x0b", "\u3000"), (30, 3, 3, 1, 1)
+_GAPS = (" ", "\t", " \t", "  ", "\x0b", "\u3000", ""), (30, 4, 2, 2, 1, 1, 1)
+_SYMBOLS = ("p", "q", "r", "isa", "genls", "a", "b", "Dog", "x1", "c.d", "e-f", "g+h", "_", "1")
+_VARS = ("?x", "?y", "?z-1")
+# tokens of malformed text: parentheses, "<=", variables, bad characters, comments
+_JUNK = ("(", ")", "<=", "?", "?x", "#", "é", "<", "=", ";", "; note", "-a", ".b")
+
+
+def _random_kb_text(rng):
+    """A KB text of fact, rule, comment, blank and malformed lines."""
+
+    # half the texts take the first option of every choice but the line's
+    # kind: well formed but for arity conflicts and the rule checks
+    noisy = rng.random() < 0.5
+
+    def pick(options):
+        values, weights = options
+        return rng.choices(values, weights)[0] if noisy else values[0]
+
+    # most atoms keep their predicate's arity, so that many texts parse
+    arity = {s: 2 if s in ("isa", "genls") else rng.randint(1, 3) for s in _SYMBOLS}
+
+    def atom(arg, low=1):
+        predicate = rng.choice(_SYMBOLS)
+        n = arity[predicate] if low and rng.random() < 0.9 else rng.randint(low, 3)
+        parts = [predicate] + [arg() for _ in range(n)]
+        return "(" + "".join(pick(_GAPS) + part for part in parts) + pick(_PADS) + ")"
+
+    def fact_arg():  # mostly a constant, at times a variable or a nested term
+        return pick(((rng.choice(_SYMBOLS), rng.choice(_VARS), atom(lambda: rng.choice(_SYMBOLS))), (20, 1, 1)))
+
+    def rule_arg():
+        return rng.choice(_SYMBOLS + _VARS)
+
+    lines = []
+    for _ in range(rng.randint(0, 10)):
+        kinds = ("fact", "rule", "comment", "blank", "junk", "atoms", "no-args")
+        kind = rng.choices(kinds, (60, 15, 3, 3, 2, 1, 1) if noisy else (60, 15, 3, 3, 0, 0, 0))[0]
+        if kind == "fact":
+            line = atom(fact_arg)
+        elif kind == "rule":
+            body = "".join(pick(_GAPS) + atom(rule_arg) for _ in range(rng.randint(0, 3)))
+            line = "(" + pick(_PADS) + "<=" + pick(_GAPS) + atom(rule_arg) + body + pick(_PADS) + ")"
+        elif kind == "comment":
+            line = ";" + "".join(rng.choice(_SYMBOLS + _JUNK + (" ",)) for _ in range(rng.randint(0, 4)))
+        elif kind == "blank":
+            line = ""
+        elif kind == "junk":
+            line = "".join(pick(_GAPS) + rng.choice(_JUNK + _SYMBOLS) for _ in range(rng.randint(1, 6)))
+        elif kind == "atoms":  # several atoms on one line: trailing tokens
+            line = " ".join(atom(fact_arg) for _ in range(rng.randint(2, 3)))
+        else:
+            line = atom(fact_arg, low=0)
+        tail = pick((("", " ; c", " x", ")", "#", "?"), (60, 2, 1, 1, 1, 1)))
+        lines.append(pick(_PADS) + line + pick(_PADS) + tail)
+    return "\n".join(lines)
+
+
+class TestFactLineFastPath:
+    """Plain fact lines are read in one match; every other line, and every
+    error, goes through the tokenizer."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_same_outcome_as_the_tokenizer(self, seed):
+        text = _random_kb_text(random.Random(seed))
+        fast = _outcome(text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kb_module, "_FACT_LINE_RE", re.compile(r"(?!)"))  # matches no line
+            assert _outcome(text) == fast
+
+    def test_plain_fact_lines_skip_the_tokenizer(self, monkeypatch):
+        def no_tokenizer(line, lineno):
+            raise AssertionError(f"line {lineno} went through the tokenizer")
+
+        monkeypatch.setattr(kb_module, "_tokenize_line", no_tokenizer)
+        kb, _ = parse_kb("(p a b)\n\t( q  c.d\t1 )  \n(isa a Dog)")
+        assert kb.sorted_facts() == (F("isa", "a", "Dog"), F("p", "a", "b"), F("q", "c.d", "1"))
+        with pytest.raises(ArityConflictError) as err:
+            parse_kb("(p a b)\n(p a)")  # the arity check keeps its line
+        assert (err.value.line, err.value.column) == (2, None)
 
 
 class TestTypes:
