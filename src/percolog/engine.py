@@ -1,16 +1,16 @@
 """Depth-limited evaluation of queries and bottom-up evaluation of search spaces.
 
-Both engines read a snapshot's facts through one store, the
-:class:`SnapshotCache`: the KB rows (symbol tuples) answering each goal
-predicate and arity, and their index on an argument position; a constant is
-its symbol string in rows, goals, atoms and answers alike.  Both engines run
-a rule through the same compiled plan (``_rule_plan``), built once per clause
-and goal shape: the head match as checks on the goal's constants, then the
-body in ``greedy_body_order``, each atom's arguments read from a symbol, a
-column of the partial solutions or a fresh variable, with the columns still
-needed kept after each atom.  The body is joined set-at-a-time (``_join``):
-top-down solves each distinct subgoal once per rule application, bottom-up
-hash-joins the child relations' row sets.
+Both engines read a snapshot through one store, the :class:`SnapshotCache`,
+whose base relation of a predicate and arity holds the KB rows (symbol
+tuples) answering its goals; a constant is its symbol string in rows, goals,
+atoms and answers alike.  Both engines run a rule through the same compiled
+plan (``_rule_plan``), built once per clause and goal shape: the head match
+as checks on the goal's constants, then the body in ``greedy_body_order``,
+each atom's arguments read from a symbol, a column of the partial solutions
+or a fresh variable, with the columns still needed kept after each atom.
+The body is joined set-at-a-time (``_join``): top-down solves each distinct
+subgoal once per rule application, bottom-up hash-joins the child
+relations' row sets.
 
 Depth accounting: applying a rule costs one depth unit, ground retrieval is
 free, so depth_limit 0 answers by retrieval only.  The answers at limit d are
@@ -31,12 +31,14 @@ binding masks and both metrics.
 
 A query whose cone is recursive, and every query of an :class:`Evaluator`
 without a shared cache, backchains instead: subgoals are solved with one
-unit less, memoized per canonical goal and remaining depth.  It derives only
-what a query needs, which a one-off ask prefers, and a recursive cone needs
-no relation per height.
+unit less, memoized per canonical goal and remaining depth, over the base
+relations.  It derives only what a query needs, which a one-off ask prefers,
+and a recursive cone needs no relation per height.
 
-With ``genlpreds_mode`` on (the default), a goal additionally matches facts
-and rule heads whose predicate implies the goal's predicate via genlPreds.
+Which facts and rule heads answer a goal is decided once for both engines
+and the graph: ``KnowledgeBase.answering_preds`` (with ``genlpreds_mode``
+on, the default, also every predicate implying the goal's via genlPreds) and
+``AxiomSet.answering``.
 """
 
 from __future__ import annotations
@@ -340,22 +342,21 @@ class SnapshotCache:
     mode, and the work shared by every evaluation on it; drop it when the
     sweep moves to the next snapshot.
 
-    Facts: per (predicate, arity), the base rows of every predicate in
-    ``preds``, indexed per argument position on first use.  Relations are
-    hash-consed: ``relation`` gives each (predicate, arity, rule
-    applications) one id, where a rule application is a clause, keyed by its
-    content, and the ids of its body atoms' relations.  Equal ids mean equal
-    rows, whichever space, binding mask, depth or metric built them, so the
-    head rows of each rule application are kept once, each distinct row as
-    one tuple.  A relation's own rows are rebuilt per evaluation (``rows``),
-    in a memo the caller drops.
+    Relations are hash-consed: ``relation`` gives each (predicate, arity,
+    rule applications) one id, where a rule application is a clause, keyed by
+    its content, and the ids of its body atoms' relations.  With no
+    applications it is the base relation: the facts answering goals of the
+    predicate and arity (``base_rows``), which every relation includes.
+    Equal ids mean equal rows, whichever space, binding mask, depth or
+    metric built them, so the head rows of each rule application are kept
+    once, each distinct row as one tuple.  A relation's own rows are rebuilt
+    per evaluation (``rows``), in a memo the caller drops.
     """
 
     def __init__(self, kb: KnowledgeBase, genlpreds_mode: bool = True):
         self.kb = kb
         self.mode = genlpreds_mode
         self._base: dict[tuple[str, int], frozenset[tuple]] = {}  # (predicate, arity) -> KB rows
-        self._indexes: dict[tuple[str, int, int], dict[str, list]] = {}  # (predicate, arity, position) -> rows by symbol
         self._ids: dict[tuple, int] = {}  # (predicate, arity, rule applications) -> relation id
         self._relations: list[tuple] = []  # relation id -> (predicate, arity, rule applications)
         self._fired: dict[tuple, tuple] = {}  # (clause, body relation ids) -> head rows
@@ -368,29 +369,16 @@ class SnapshotCache:
         if kb is not self.kb or genlpreds_mode != self.mode:
             raise ValueError("a SnapshotCache serves one KB snapshot and genlPreds mode")
 
-    def preds(self, predicate: str) -> frozenset[str]:
-        """The predicates whose facts and rule heads answer goals of the
-        predicate: every predicate specializing it via genlPreds, itself
-        included, with the mode on; just itself with the mode off."""
-        return self.kb.spec_preds(predicate) if self.mode else frozenset((predicate,))
-
     def base_rows(self, predicate: str, arity: int) -> frozenset[tuple]:
-        """The KB rows of the predicates in ``preds`` at the arity."""
+        """The KB rows at the arity of the predicates answering goals of the
+        predicate (``KnowledgeBase.answering_preds``), built on first use."""
         rows = self._base.get((predicate, arity))
         if rows is None:
             kb = self.kb
             rows = self._base[(predicate, arity)] = frozenset().union(
-                *(kb.rows(p) for p in self.preds(predicate) if kb.arity(p) == arity)
+                *(kb.rows(p) for p in kb.answering_preds(predicate, self.mode) if kb.arity(p) == arity)
             )
         return rows
-
-    def base_index(self, predicate: str, arity: int, position: int) -> dict[str, list]:
-        """The base rows by their symbol at the 0-based position, built on
-        first use."""
-        index = self._indexes.get((predicate, arity, position))
-        if index is None:
-            index = self._indexes[(predicate, arity, position)] = _index(self.base_rows(predicate, arity), position)
-        return index
 
     def relation(self, predicate: str, arity: int, applied: frozenset = frozenset()) -> int:
         """The id of the relation of the predicate and arity with these rule
@@ -435,110 +423,36 @@ class SnapshotCache:
         )
 
 
-class _Heads(dict):
-    """Per (predicate, arity), the retained clauses whose heads can answer
-    its goals, found on first use."""
-
-    def __init__(self, axioms: AxiomSet, cache: SnapshotCache):
-        self.axioms, self.cache = axioms, cache
-
-    def __missing__(self, key: tuple[str, int]) -> list[HornClause]:
-        predicate, arity = key
-        preds = self.cache.preds(predicate)
-        heads = self[key] = [c for c in self.axioms if c.head.predicate in preds and c.head.arity == arity]
-        return heads
-
-
-class _Relations:
-    """An :class:`Evaluator`'s reads of a shared cache's relations.
-
-    A query reads the store's relation of its predicate (``relation``): the
-    base rows plus the heads of every retained clause answering it, fired
-    over its body atoms' relations one height below, with the height capped
-    where the relation stops growing (``height``), at one id per (predicate,
-    arity, depth).  Only predicates whose cone under the retained clauses is
-    free of recursion are read so.  A recursive one would need a relation
-    per height up to the depth limit, each nesting Python calls, so it would
-    refuse depth limits that backchaining answers, such as a right-recursive
-    rule's over a chain.  A goal reads the relation's index on its first
-    constant, built per evaluator and dropped with it.
-    """
-
-    def __init__(self, cache: SnapshotCache, heads: _Heads):
-        self.cache = cache
-        self._heads = heads
-        self._heights: dict[tuple[str, int], float] = {}  # (predicate, arity) -> see height
-        self._ids: dict[tuple[str, int, int], int] = {}  # (predicate, arity, depth) -> relation id
-        self._derived: dict[int, frozenset[tuple]] = {}  # relation id -> rows, for this evaluator's asks
-        self._indexes: dict[tuple[int, int], dict[str, list]] = {}  # (relation id, position) -> see _source
-
-    def answers(self, predicate: str, parts: tuple, depth: int) -> Optional[frozenset[str]]:
-        """The goal's answers (it has one slot) by proofs of height at most
-        ``depth``, or None when its predicate's cone is recursive."""
-        arity = len(parts)
-        if self.height(predicate, arity) == math.inf:
-            return None
-        rid = self.relation(predicate, arity, depth)
-        shape = tuple([None if isinstance(p, str) else p for p in parts])
-        bound_at, checks, same, (open_at,) = _retrieval(shape)
-        rows = _matching(self._source(rid, bound_at), parts, bound_at, checks, same)
-        return frozenset(map(itemgetter(open_at), rows))
-
-    def _source(self, rid: int, bound_at: Optional[int]):
-        """The relation's rows, or with a 0-based position, the rows by their
-        symbol there, built on first use: the source ``_matching`` reads."""
-        if bound_at is None:
-            return self.cache.rows(rid, self._derived)
-        index = self._indexes.get((rid, bound_at))
-        if index is None:
-            index = self._indexes[(rid, bound_at)] = _index(self.cache.rows(rid, self._derived), bound_at)
-        return index
-
-    def height(self, predicate: str, arity: int) -> float:
-        """The height from which the relation of the predicate and arity
-        stops growing under the retained clauses: 0 with none answering it,
-        else one more than the tallest of their body atoms', and infinite for
-        a relation that reaches a recursive clause (one met again while its
-        own height is being found)."""
-        height = self._heights.get((predicate, arity))
-        if height is None:
-            self._heights[(predicate, arity)] = math.inf
-            height = self._heights[(predicate, arity)] = max(
-                (1 + self.height(a.predicate, a.arity) for c in self._heads[(predicate, arity)] for a in c.body),
-                default=0,
-            )
-        return height
-
-    def relation(self, predicate: str, arity: int, depth: int) -> int:
-        """The store's id of the relation that answers goals of the predicate
-        and arity by proofs of height at most ``depth``; the predicate's
-        height must be finite."""
-        rid = self._ids.get((predicate, arity, depth))
-        if rid is None:
-            height = min(depth, self.height(predicate, arity))
-            applied = frozenset([
-                (c, tuple([self.relation(a.predicate, a.arity, height - 1) for a in c.body]))
-                for c in self._heads[(predicate, arity)]
-            ]) if height else frozenset()
-            rid = self._ids[(predicate, arity, depth)] = self.cache.relation(predicate, arity, applied)
-        return rid
-
-
 class Evaluator:
     """Answers queries over a fixed (kb, axioms, mode) triple: the constants
     that fill a query's open variable by a proof of height at most the depth
     limit.  Evaluators are not shared between threads; create one per worker.
 
     Queries backchain, except those that ``__init__`` routes to a shared
-    cache's relations.  Goals are canonical pairs ``(predicate, parts)``: each
-    part is a constant symbol or the int slot of a goal variable, numbered by
-    first occurrence.  A rule application runs the clause's plan for the
-    goal's shape (``_rule_plan``): it checks the goal's constants against the
-    head, then joins the body set-at-a-time, solving each distinct subgoal
-    once per body atom, one depth unit below the goal.  The depth limit alone
-    ends the search, at up to one memo entry per (goal, depth).  Sharing one
-    evaluator across a query set amortizes the goal memo and the per-shape
-    tables of retained clause plans.
+    cache's relations.  Either way the evaluator reads the store's relations
+    through one memo of rows and one of indexes per (relation id, position)
+    (``_source``), built on first use and dropped with it; backchaining reads
+    the base relations, the facts.
+
+    A query routed to the relations reads the store's relation of its
+    predicate (``_relation``): the base rows plus the heads of every retained
+    clause answering it, fired over its body atoms' relations one height
+    below, with the height capped where the relation stops growing
+    (``_height``), at one id per (predicate, arity, depth).  Only predicates
+    whose cone under the retained clauses is free of recursion are read so.
+    A recursive one would need a relation per height up to the depth limit,
+    each nesting Python calls, so it would refuse depth limits that
+    backchaining answers, such as a right-recursive rule's over a chain.
+
+    Backchained goals are canonical pairs ``(predicate, parts)``: each part is
+    a constant symbol or the int slot of a goal variable, numbered by first
+    occurrence.  A rule application runs the clause's plan for the goal's
+    shape (``_rule_plan``): it checks the goal's constants against the head,
+    then joins the body set-at-a-time, solving each distinct subgoal once per
+    body atom, one depth unit below the goal.  The depth limit alone ends the
+    search, at up to one memo entry per (goal, depth).  Sharing one evaluator
+    across a query set amortizes the goal memo and the per-shape tables of
+    retained clause plans.
     """
 
     def __init__(
@@ -552,16 +466,18 @@ class Evaluator:
         and every query backchains.  Passing a cache (a sweep's, shared by a
         snapshot's spaces) also selects the algorithm: a query whose
         predicate's cone under ``axioms`` is free of recursion reads the
-        store's bottom-up relations (:class:`_Relations`), shared with the
-        snapshot's other evaluators and depth profiles; a recursive one
-        backchains.  Reading a relation derives all of it, which pays when
-        other cells of the snapshot derive it too; a one-off ask should pass
-        no cache."""
+        store's bottom-up relations, shared with the snapshot's other
+        evaluators and depth profiles; a recursive one backchains.  Reading
+        a relation derives all of it, which pays when other cells of the
+        snapshot derive it too; a one-off ask should pass no cache."""
         self.axioms = axioms
+        self._shared = cache is not None
         self.cache = cache or SnapshotCache(kb, genlpreds_mode)
         self.cache.check(kb, genlpreds_mode)
-        self._heads = _Heads(axioms, self.cache)
-        self._relations = _Relations(cache, self._heads) if cache is not None else None
+        self._heights: dict[tuple[str, int], float] = {}  # (predicate, arity) -> see _height
+        self._ids: dict[tuple[str, int, int], int] = {}  # (predicate, arity, depth) -> relation id
+        self._rows: dict[int, frozenset[tuple]] = {}  # relation id -> rows, for this evaluator's reads
+        self._indexes: dict[tuple[int, int], dict[str, list]] = {}  # (relation id, position) -> see _source
         self._memo: dict = {}  # (predicate, *parts, depth) -> answers
         self._shapes: dict[tuple, tuple] = {}
 
@@ -574,28 +490,77 @@ class Evaluator:
             raise ValueError("depth_limit must be >= 0")
         predicate, parts = goal = query.goal
         try:
-            if self._relations is not None:
-                answers = self._relations.answers(predicate, parts, depth_limit)
-                if answers is not None:
-                    return answers
+            if self._shared and self._height(predicate, len(parts)) != math.inf:
+                return self._answers(predicate, parts, depth_limit)
             return frozenset([t[0] for t in self._solve(goal, depth_limit)])
         except RecursionError:
             raise ValueError(
                 f"depth limit {depth_limit} is too deep for {query.text}: the search exceeds Python's recursion limit"
             ) from None
 
+    def _heads(self, predicate: str, arity: int) -> tuple[HornClause, ...]:
+        """The retained clauses whose heads answer goals of the predicate and arity."""
+        return self.axioms.answering(self.cache.kb.answering_preds(predicate, self.cache.mode), arity)
+
+    def _source(self, rid: int, bound_at: Optional[int]):
+        """The relation's rows, or with a 0-based position, the rows by their
+        symbol there, built on first use: the source ``_matching`` reads."""
+        if bound_at is None:
+            return self.cache.rows(rid, self._rows)
+        index = self._indexes.get((rid, bound_at))
+        if index is None:
+            index = self._indexes[(rid, bound_at)] = _index(self.cache.rows(rid, self._rows), bound_at)
+        return index
+
+    def _answers(self, predicate: str, parts: tuple, depth: int) -> frozenset[str]:
+        """The answers of a goal with one slot by proofs of height at most
+        ``depth``, read from its predicate's relation; the predicate's
+        height must be finite."""
+        rid = self._relation(predicate, len(parts), depth)
+        shape = tuple([None if isinstance(p, str) else p for p in parts])
+        bound_at, checks, same, (open_at,) = _retrieval(shape)
+        rows = _matching(self._source(rid, bound_at), parts, bound_at, checks, same)
+        return frozenset(map(itemgetter(open_at), rows))
+
+    def _height(self, predicate: str, arity: int) -> float:
+        """The height from which the relation of the predicate and arity
+        stops growing under the retained clauses: 0 with none answering it,
+        else one more than the tallest of their body atoms', and infinite for
+        a relation that reaches a recursive clause (one met again while its
+        own height is being found)."""
+        height = self._heights.get((predicate, arity))
+        if height is None:
+            self._heights[(predicate, arity)] = math.inf
+            height = self._heights[(predicate, arity)] = max(
+                (1 + self._height(a.predicate, a.arity) for c in self._heads(predicate, arity) for a in c.body),
+                default=0,
+            )
+        return height
+
+    def _relation(self, predicate: str, arity: int, depth: int) -> int:
+        """The store's id of the relation that answers goals of the predicate
+        and arity by proofs of height at most ``depth``; the predicate's
+        height must be finite."""
+        rid = self._ids.get((predicate, arity, depth))
+        if rid is None:
+            height = min(depth, self._height(predicate, arity))
+            applied = frozenset([
+                (c, tuple([self._relation(a.predicate, a.arity, height - 1) for a in c.body]))
+                for c in self._heads(predicate, arity)
+            ]) if height else frozenset()
+            rid = self._ids[(predicate, arity, depth)] = self.cache.relation(predicate, arity, applied)
+        return rid
+
     def _shape_table(self, predicate: str, shape: tuple) -> tuple:
-        """Build the table for goals of the predicate and shape: the cache's
-        base rows answering them (or their index on the first bound
-        position), the retrieval of ``_retrieval`` with the projection to
-        the slots, and the plans of the retained clauses whose heads can
-        answer them."""
+        """Build the table for goals of the predicate and shape: the base
+        relation's rows (or their index on the first bound position), the
+        retrieval of ``_retrieval`` with the projection to the slots, and
+        the plans of the retained clauses whose heads can answer them."""
         arity = len(shape)
         bound_at, checks, same, first = _retrieval(shape)
-        plans = (_rule_plan(c, shape) for c in self._heads[(predicate, arity)])
-        cache = self.cache
+        plans = (_rule_plan(c, shape) for c in self._heads(predicate, arity))
         table = self._shapes[(predicate, shape)] = (
-            cache.base_rows(predicate, arity) if bound_at is None else cache.base_index(predicate, arity, bound_at),
+            self._source(self.cache.relation(predicate, arity), bound_at),
             bound_at,
             checks,
             same,
@@ -639,10 +604,8 @@ class Evaluator:
 def solutions(node_goal: GoalSchema, kb: KnowledgeBase, genlpreds_mode: bool = True) -> int:
     """Answers a node returns on its own: distinct ground facts matching the
     schema's predicate (through the genlPreds closure when the mode is on)."""
-    preds = kb.spec_preds(node_goal.predicate) if genlpreds_mode else (node_goal.predicate,)
-    return sum(
-        len(kb.rows(p)) for p in preds if kb.arity(p) == node_goal.arity
-    )
+    preds = kb.answering_preds(node_goal.predicate, genlpreds_mode)
+    return sum(len(kb.rows(p)) for p in preds if kb.arity(p) == node_goal.arity)
 
 
 def _fire_clause(clause: HornClause, child_sets: Sequence[frozenset[tuple]]) -> set[tuple]:

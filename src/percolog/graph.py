@@ -168,7 +168,10 @@ class AndOrGraph:
     def from_json(cls, text: str) -> "AndOrGraph":
         """Read a graph file; KbError unless every id it refers to names a
         node or clause of the file, each node is listed once, each AND node by
-        its parent only, and no rule application leads back to its OR node."""
+        its parent only, no rule application leads back to its OR node, and
+        each OR node's depth is its distance from the roots.  An OR node's
+        children are read in the graph's AND-node order, whatever their
+        order in the file."""
         doc = _read_doc(text, "graph")
         clause_texts = _field(doc.get("clauses"), "clauses", "the graph's 'clauses'")
         clauses = []
@@ -214,7 +217,20 @@ class AndOrGraph:
         # the node order build_graph gives its o<n> and a<n> ids, for any ids
         g.or_nodes = {i: g.or_nodes[i] for i in sorted(g.or_nodes, key=lambda i: (len(i), i))}
         g.and_nodes = {i: g.and_nodes[i] for i in sorted(g.and_nodes, key=lambda i: (len(i), i))}
-        return g._seal()
+        rank = {aid: r for r, aid in enumerate(g.and_nodes)}
+        for n in g.or_nodes.values():  # sample picks children by index: give them the graph's order
+            n.children = tuple(sorted(n.children, key=rank.__getitem__))
+        g._seal()
+        dist = dict.fromkeys(g.roots, 0)  # alpha divides by depth + 1, so it must be build_graph's
+        for oid in reversed(g._order):  # parents first: each distance is final when read
+            n = g.or_nodes[oid]
+            if oid not in dist:
+                raise KbError(f"OR node {oid} is not reached from the graph's roots")
+            if n.depth != dist[oid]:
+                raise KbError(f"OR node {oid} records depth {n.depth}, but its distance from the roots is {dist[oid]}")
+            for child in (c for a in n.children for c in g.and_nodes[a].children):
+                dist[child] = min(dist.get(child, n.depth + 1), n.depth + 1)
+        return g
 
     def edge_list(self) -> str:
         """Debug/visualization export; masks are intentionally omitted, use
@@ -275,8 +291,8 @@ def build_graph(
 ) -> AndOrGraph:
     """Breadth-first AND/OR expansion from the root schemas.
 
-    An OR node's children are every clause whose head predicate matches the
-    goal (via the KB's genlPreds closure when the mode is on).
+    An OR node's children are the clauses whose heads answer its goal
+    (``AxiomSet.answering`` over ``KnowledgeBase.answering_preds``).
     Back edges to ancestor schemas are dropped together with their rule
     application, and nodes at ``depth_bound`` are left unexpanded, so the
     result is always an acyclic graph of depth <= depth_bound.
@@ -306,11 +322,8 @@ def build_graph(
         u = g.or_nodes[uid]
         if u.depth >= depth_bound:
             continue
-        cand = kb.spec_preds(u.predicate) if genlpreds_mode else (u.predicate,)
         and_children: list[str] = []
-        for clause in axioms:
-            if clause.head.predicate not in cand or clause.head.arity != u.arity:
-                continue
+        for clause in axioms.answering(kb.answering_preds(u.predicate, genlpreds_mode), u.arity):
             body_schemas = _adorn_body(clause, u.schema)
             # resolve children; a single back edge invalidates the whole
             # rule application (a clause cannot fire with a missing body slot)

@@ -181,6 +181,7 @@ class AxiomSet:
             if c.id in self._by_id:
                 raise ValueError(f"duplicate clause id {c.id!r}")
             self._by_id[c.id] = c
+        self._answering: dict[tuple[frozenset[str], int], tuple[HornClause, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -190,6 +191,16 @@ class AxiomSet:
 
     def clause(self, clause_id: str) -> HornClause:
         return self._by_id[clause_id]
+
+    def answering(self, preds: frozenset[str], arity: int) -> tuple[HornClause, ...]:
+        """The clauses whose heads answer goals of the arity over ``preds``
+        (``KnowledgeBase.answering_preds``): head predicate among them, same
+        arity, in axiom order; found once per set."""
+        heads = self._answering.get((preds, arity))
+        if heads is None:
+            heads = tuple(c for c in self.clauses if c.head.predicate in preds and c.head.arity == arity)
+            self._answering[(preds, arity)] = heads
+        return heads
 
     def restrict(self, ids: Iterable[str]) -> "AxiomSet":
         """The clauses with these ids; an id naming none raises ValueError."""
@@ -213,7 +224,7 @@ class KnowledgeBase:
     argIsa constraints are precomputed, so reads never mutate state.
     """
 
-    def __init__(self, facts: Iterable[Fact]):
+    def __init__(self, facts: Iterable[tuple[str, tuple[str, ...]]]):
         arity: dict[str, int] = dict(_RESERVED_ARITY)
         grouped: dict[str, set[tuple[str, ...]]] = defaultdict(set)
         for pred, args in facts:
@@ -292,6 +303,12 @@ class KnowledgeBase:
         """All predicates that imply ``predicate`` via genlPreds chains,
         including ``predicate`` itself."""
         return self._specs.get(predicate, frozenset((predicate,)))
+
+    def answering_preds(self, predicate: str, genlpreds_mode: bool) -> frozenset[str]:
+        """The predicates whose facts and rule heads answer goals of
+        ``predicate``: its ``spec_preds`` with the genlPreds mode on, just
+        itself with the mode off."""
+        return self.spec_preds(predicate) if genlpreds_mode else frozenset((predicate,))
 
     def well_formed(self, atom: Atom) -> bool:
         """True iff every argIsa constraint on a ground argument position is
@@ -449,7 +466,7 @@ def parse_kb(text: str) -> tuple[KnowledgeBase, AxiomSet]:
     :class:`KbValidationError` for non-ground facts, non-range-restricted
     rules, bad argIsa positions, or cyclic genls/genlPreds hierarchies.
     """
-    facts: list[Fact] = []
+    facts: list[tuple[str, tuple[str, ...]]] = []  # (predicate, argument symbols)
     clauses: list[HornClause] = []
     arity: dict[str, int] = dict(_RESERVED_ARITY)
 
@@ -464,7 +481,7 @@ def parse_kb(text: str) -> tuple[KnowledgeBase, AxiomSet]:
         if m:  # every other line, and every error, goes through the tokenizer
             predicate, *args = map(sys.intern, m.group(1).split())
             register(predicate, len(args), lineno)
-            facts.append(Fact(predicate, tuple(args)))
+            facts.append((predicate, tuple(args)))
             continue
         toks = _tokenize_line(raw, lineno)
         if not toks:
@@ -491,7 +508,7 @@ def parse_kb(text: str) -> tuple[KnowledgeBase, AxiomSet]:
         first_var = next((col for kind, _, col in args if kind == "var"), None)
         if first_var is not None:
             raise KbValidationError(f"fact {_atom(toks, 0, end)} is not ground", lineno, first_var)
-        facts.append(Fact(toks[1][1], tuple([t for _, t, _ in args])))
+        facts.append((toks[1][1], tuple([t for _, t, _ in args])))
 
     return KnowledgeBase(facts), AxiomSet(clauses)
 

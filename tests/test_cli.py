@@ -508,6 +508,21 @@ def test_the_malformed_graphs_base_is_accepted(tmp_path):
             dict(AND_GRAPH, or_nodes=[dict(OR_NODE, children=["a0", "a0"]), AND_GRAPH["or_nodes"][1]]),
             "OR node o0 lists AND nodes ['a0', 'a0'], but ['a0'] name it as their parent",
         ),
+        (
+            "sample",
+            dict(AND_GRAPH, or_nodes=[dict(n, depth=0) for n in AND_GRAPH["or_nodes"]]),
+            "OR node o1 records depth 0, but its distance from the roots is 1",
+        ),
+        (
+            "sample",
+            dict(AND_GRAPH, or_nodes=[AND_GRAPH["or_nodes"][0], dict(AND_GRAPH["or_nodes"][1], depth=2)]),
+            "OR node o1 records depth 2, but its distance from the roots is 1",
+        ),
+        (
+            "sample",
+            dict(AND_GRAPH, or_nodes=[*AND_GRAPH["or_nodes"], dict(OR_NODE, id="o2", depth=1)]),
+            "OR node o2 is not reached from the graph's roots",
+        ),
         ("alpha", {k: v for k, v in SPACE.items() if k != "or_nodes"}, "the space's 'or_nodes' must be a list"),
         ("ask", {k: v for k, v in SPACE.items() if k != "axiom_ids"}, "the space's 'axiom_ids' must be a list"),
         ("alpha", dict(SPACE, or_nodes=["o0", "o0"]), "the space's 'or_nodes' lists 'o0' twice"),
@@ -531,7 +546,7 @@ def test_the_malformed_graphs_base_is_accepted(tmp_path):
         "graph-pred-not-string", "graph-unknown-root", "graph-unknown-and-child", "graph-unknown-clause",
         "graph-clause-not-string", "graph-parent-not-string", "graph-unknown-or-child", "graph-cycle",
         "graph-or-id-twice", "graph-and-id-twice", "graph-and-parent-not-its-lister", "graph-and-node-unlisted",
-        "graph-and-node-listed-twice",
+        "graph-and-node-listed-twice", "graph-depths-all-zero", "graph-depth-off-by-one", "graph-or-node-unreached",
         "space-no-or-nodes", "ask-space-no-axiom-ids", "space-or-id-twice", "space-derived-fields-edited",
         "space-node-count-edited", "space-avg-degree-edited",
     ],

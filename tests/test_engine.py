@@ -271,13 +271,17 @@ class TestBackchain:
     def test_shared_cache_keeps_each_memo_bounded_by_goals_and_depths(self):
         # two evaluators on one cache each fill their own memo, with the same
         # bound, and get the same answers: a recursive cone backchains even
-        # on a shared cache, so the store derives no relation for it
+        # on a shared cache, over the base relations, so the store fires no
+        # rule application for it
         kb, axioms = chain_closure("(anc ?x ?z) (anc ?z ?y)")
         cache = SnapshotCache(kb)
         evs = [Evaluator(kb, axioms, cache=cache) for _ in range(2)]
         assert {len(ev.ask(Q("anc", "N0", "?x"), 40)) for ev in evs} == {39}
         assert all(0 < len(ev._memo) <= 2 * 40 * 41 for ev in evs)
-        assert cache._relations == []
+        assert cache._fired == {}
+        assert sorted((p, n, applied) for p, n, applied in cache._relations) == [
+            ("anc", 2, frozenset()), ("par", 2, frozenset())
+        ]
 
     @pytest.mark.parametrize("shared", [False, True], ids=["no-cache", "shared-cache"])
     def test_three_predicate_cycle_at_every_depth(self, shared):
@@ -458,7 +462,9 @@ class TestSharedRelations:
     def test_only_recursive_cones_backchain(self):
         # gp's cone is free of recursion, so it reads the store's relation at
         # its height 1 whatever the depth limit; anc's is right-recursive,
-        # so it backchains, and depth 400 answers as without a cache
+        # so it backchains over the base relations, firing no rule
+        # application into the store, and depth 400 answers as without a
+        # cache
         lines = [f"(par N{i} N{i + 1})" for i in range(39)]
         lines += ["(<= (gp ?x ?z) (par ?x ?y) (par ?y ?z))", "(<= (anc ?x ?y) (par ?x ?y))",
                   "(<= (anc ?x ?y) (par ?x ?z) (anc ?z ?y))"]
@@ -467,8 +473,11 @@ class TestSharedRelations:
         ev = Evaluator(kb, axioms, cache=cache)
         assert ev.ask(Q("gp", "N0", "?x"), 400) == {"N2"} and ev._memo == {}
         assert {p for p, _, _ in cache._relations} == {"gp", "par"}
+        fired = dict(cache._fired)
         assert len(ev.ask(Q("anc", "N0", "?x"), 400)) == 39 and ev._memo
-        assert {p for p, _, _ in cache._relations} == {"gp", "par"}
+        assert cache._fired == fired
+        assert {p for p, _, applied in cache._relations if applied} == {"gp"}
+        assert ("anc", 2, frozenset()) in cache._relations
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(

@@ -1,8 +1,12 @@
+import hashlib
 import json
 import random
 import re
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from percolog import (
     AxiomSet,
@@ -21,12 +25,40 @@ from percolog.kb import Atom, KbError, Variable, parse_kb
 from percolog.metrics import alpha
 from percolog.sampling import SampleParams, cell_params, sample
 
+from conftest import random_domain
+
 ROOT = GoalSchema("root", 2, (True, False))
 
 
 def graph_of(text, roots=(ROOT,), depth=10):
     kb, axioms = parse_kb(text)
     return kb, axioms, build_graph(axioms, list(roots), depth, kb=kb)
+
+
+def distances(g):
+    """Each OR node's breadth-first distance from the graph's roots, for the
+    nodes they reach."""
+    dist = dict.fromkeys(g.roots, 0)
+    queue = deque(dist)
+    while queue:
+        oid = queue.popleft()
+        for child in (c for a in g.or_nodes[oid].children for c in g.and_nodes[a].children):
+            if child not in dist:
+                dist[child] = dist[oid] + 1
+                queue.append(child)
+    return dist
+
+
+def synth_graph(seed):
+    """A synthesized KB, its templates and its depth-10 graph, with more than
+    ten OR and AND nodes."""
+    cfg = SynthConfig(
+        predicates=12, entities=15, collections=3, genls_depth=1, rules=30,
+        body_min=1, body_max=3, rule_skew=1.2, facts=80, fact_skew=0.8,
+        levels=4, root_predicates=3, seed=seed,
+    )
+    kb, axioms, templates = synth_kb(cfg)
+    return kb, templates, build_graph(axioms, root_schemas(templates), 10, kb=kb)
 
 
 def skewed_fixture():
@@ -145,6 +177,39 @@ class TestBuildGraph:
             for rid in g.roots:
                 assert g.or_nodes[rid].depth == 0
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(["stratified", "genlpreds", "recursive"]), st.integers(0, 10_000), st.booleans())
+    def test_depths_are_breadth_first_distances(self, flavor, seed, genlpreds):
+        # every OR node is reached from the roots, at its recorded depth
+        dom = random_domain(seed, flavor == "genlpreds", flavor == "recursive")
+        g = build_graph(dom.axioms, root_schemas(dom.templates), 6, kb=dom.kb, genlpreds_mode=genlpreds)
+        assert distances(g) == {oid: n.depth for oid, n in g.or_nodes.items()}
+
+    # sha256 of build_graph(...).to_json() with genlPreds on and off, pinned
+    # before the clause filter moved to AxiomSet.answering
+    @pytest.mark.parametrize(
+        "seed, recursive, on, off",
+        [
+            (4, False, "9c494bb77bd4c5920fcb26324c1cea92585a5de9d21bb04638c9cd98ec0d1b46",
+             "276b640e16351608a27dc6b8a2f5af2c527b381944fd20944774cd40cfd77328"),
+            (7, False, "e6306f218fc47af3545d6d3e7b3bce90eed6ac77f6c174d857b2b9ed42288af2",
+             "4f11e30a6f34a910b8f8524004ea2081167309ed0f9a389ae87925fd63f3f804"),
+            (8, True, "bb323509c837368709c409b6c05ac91850326ad3e882be1e20d7c6fe3ea9af0c",
+             "0d09184e8e4a993e773161285825cbed5ae0e37f3eb753206aa6fbc71d0c6523"),
+            (11, True, "324fe6bc5b3fda98763195a4265bff3ead98120548f21db9b133714d6b8242f7",
+             "ef87e836355a65aeb1bf27fbf8da937f5894ac0c3c2cff629c2ceee4d23bfd8c"),
+        ],
+    )
+    def test_graphs_with_genlpreds_facts_are_pinned(self, seed, recursive, on, off):
+        # on these domains genlPreds adds rule applications, so the pins
+        # cover which clauses answer a node in either mode
+        dom = random_domain(seed, with_genlpreds=True, recursive=recursive)
+        got = []
+        for mode in (True, False):
+            g = build_graph(dom.axioms, root_schemas(dom.templates), 6, kb=dom.kb, genlpreds_mode=mode)
+            got.append(hashlib.sha256(g.to_json().encode()).hexdigest())
+        assert got == [on, off]
+
 
 class TestDegrees:
     def test_roots_only_all_zero(self):
@@ -248,13 +313,7 @@ class TestSerialization:
     def test_shuffled_entries_read_as_the_file(self, seed):
         # a graph fixes its node order when read, whatever the order of the
         # file's entries; ids o10 and up sort after o9
-        cfg = SynthConfig(
-            predicates=12, entities=15, collections=3, genls_depth=1, rules=30,
-            body_min=1, body_max=3, rule_skew=1.2, facts=80, fact_skew=0.8,
-            levels=4, root_predicates=3, seed=seed,
-        )
-        kb, axioms, templates = synth_kb(cfg)
-        g = build_graph(axioms, root_schemas(templates), 10, kb=kb)
+        kb, templates, g = synth_graph(seed)
         assert len(g.or_nodes) > 10 and len(g.and_nodes) > 10
         doc = json.loads(g.to_json())
         rng = random.Random(seed)
@@ -270,6 +329,44 @@ class TestSerialization:
             space, space_read = sample(g, params), sample(shuffled, params)
             assert space_read.to_json() == space.to_json()
             assert alpha(space_read, queries, kb) == alpha(space, queries, kb)  # every term, bit for bit
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_permuted_children_sample_as_the_file(self, seed, tmp_path):
+        # sample picks an OR node's children by index, so the reader puts
+        # them in the graph's AND-node order, whatever the file's order
+        _, _, g = synth_graph(seed)
+        doc = json.loads(g.to_json())
+        permuted = [n for n in doc["or_nodes"] if len(n["children"]) >= 2]
+        assert permuted
+        for n in permuted:
+            n["children"].reverse()
+        assert AndOrGraph.from_json(json.dumps(doc)).to_json() == g.to_json()
+        outputs = []
+        for name, text in (("graph", g.to_json()), ("permuted", json.dumps(doc))):
+            (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+            out = tmp_path / f"{name}-out"
+            argv = ["sample", "--graph", str(tmp_path / f"{name}.json"), "--model", "2", "--beta", "40"]
+            assert main(argv + ["--replicates", "2", "--seed", "1", "--out", str(out)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1] and len(outputs[0]) == 2
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda d: [n.update(depth=0) for n in d["or_nodes"]], "records depth 0, but its distance from the roots is 1"),
+            (lambda d: d["or_nodes"][-1].update(depth=d["or_nodes"][-1]["depth"] + 1), "but its distance from the roots is"),
+            (lambda d: d["or_nodes"].append(dict(d["or_nodes"][-1], id="o999", children=[])),
+             "OR node o999 is not reached from the graph's roots"),
+        ],
+        ids=["all-depths-zero", "one-depth-off-by-one", "node-no-root-reaches"],
+    )
+    def test_recorded_depth_must_be_the_distance_from_the_roots(self, edit, named):
+        # alpha divides each node's term by its depth + 1
+        _, _, g = synth_graph(0)
+        doc = json.loads(g.to_json())
+        edit(doc)
+        with pytest.raises(KbError, match=re.escape(named)):
+            AndOrGraph.from_json(json.dumps(doc))
 
     def test_ids_of_any_string_round_trip_and_sample(self, tmp_path):
         _, _, g = graph_of("(<= (root ?x ?y) (p ?x ?y))\n(<= (root ?x ?y) (q ?x ?y))")
