@@ -10,7 +10,12 @@ each atom's arguments read from a symbol, a column of the partial solutions
 or a fresh variable, with the columns still needed kept after each atom.
 The body is joined set-at-a-time (``_join``): top-down solves each distinct
 subgoal once per rule application, bottom-up hash-joins the child
-relations' row sets.
+relations' row sets.  Bottom-up (``_fire_clause``) orders the body by its
+inputs' sizes instead: the atom with the smallest row set first, then the
+smallest sharing a variable with those joined.  The first atom's rows,
+projected to their kept columns, are the first partials; each later atom
+indexes only the rows whose key some partial probes, a semi-join filter
+scanned in C.
 
 Depth accounting: applying a rule costs one depth unit, ground retrieval is
 free, so depth_limit 0 answers by retrieval only.  The answers at limit d are
@@ -27,7 +32,10 @@ from every retained clause to height d (capped at the height where the
 relation stops growing).  The cells of a sweep sample many spaces from one
 snapshot, and their relations overlap, so one :class:`SnapshotCache` passed
 to all of them shares each rule application's head rows between cells,
-binding masks and both metrics.
+binding masks and both metrics.  An evaluator keeps one read plan per
+(predicate, goal shape, depth) for goals with one constant and no repeated
+slot: the relation's index on the constant's position and the getter of the
+open column, so a second goal of the shape is one index lookup.
 
 A query whose cone is recursive, and every query of an :class:`Evaluator`
 without a shared cache, backchains instead: subgoals are solved with one
@@ -47,6 +55,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -113,6 +122,13 @@ class Query:
         parts = tuple(t if isinstance(t, str) else slots.setdefault(t, len(slots)) for t in self.atom.args)
         return (self.atom.predicate, parts)
 
+    @cached_property
+    def _shape(self) -> tuple:
+        """The goal's predicate and shape: its parts with each constant
+        masked as None (see ``_rule_plan``)."""
+        predicate, parts = self.goal
+        return (predicate, tuple([None if isinstance(p, str) else p for p in parts]))
+
 
 # ---------------------------------------------------------------------------
 # Backward chaining
@@ -172,12 +188,14 @@ class _Plan(NamedTuple):
 
 
 @lru_cache(maxsize=4096)
-def _rule_plan(clause: HornClause, shape: tuple) -> Optional[_Plan]:
+def _rule_plan(clause: HornClause, shape: tuple, order: Optional[tuple] = None) -> Optional[_Plan]:
     """Compile the clause for goals of ``shape``: the goal's parts with each
     constant masked as None, each variable kept as its first-occurrence slot.
-    Returns None when no goal of the shape unifies with the head.  The plan
-    depends only on the clause's content and the shape, so it is shared by
-    every evaluator; ``_fire_clause`` uses the all-slots shape."""
+    The body is joined in ``order`` (body positions), by default in
+    ``greedy_body_order``.  Returns None when no goal of the shape unifies
+    with the head.  The plan depends only on the clause's content, the shape
+    and the order, so it is shared by every evaluator; ``_fire_clause`` uses
+    the all-slots shape in the order of its inputs' sizes."""
     parent: dict = {}
 
     def find(x):
@@ -218,9 +236,10 @@ def _rule_plan(clause: HornClause, shape: tuple) -> Optional[_Plan]:
 
     body = clause.body
     from_goal = {root for _, root in start}
-    order = greedy_body_order(body, {
-        v for a in body for v in a.variables() if isinstance(c := resolve(v), str) or c in from_goal
-    })
+    if order is None:
+        order = greedy_body_order(body, {
+            v for a in body for v in a.variables() if isinstance(c := resolve(v), str) or c in from_goal
+        })
     out = [value[find(("slot", s))] for s in range(len({g for g in shape if g is not None}))]
     # classes each rank must still carry: those read by later atoms or the answer
     needed: list[set] = [set() for _ in order]
@@ -363,6 +382,7 @@ class SnapshotCache:
         self._rows: dict[tuple, tuple] = {}  # head row -> its one cached tuple
         self.fired_hits = 0
         self.relation_hits = 0
+        self.join_rows = [0, 0]  # child rows the rule firings scanned, rows their semi-join filters kept
 
     def check(self, kb: KnowledgeBase, genlpreds_mode: bool) -> None:
         """Raise ValueError unless the cache serves this snapshot and mode."""
@@ -407,7 +427,7 @@ class SnapshotCache:
                 if heads is None:
                     clause, body = app
                     intern = self._rows.setdefault
-                    fired = _fire_clause(clause, [self.rows(b, memo) for b in body])
+                    fired = _fire_clause(clause, [self.rows(b, memo) for b in body], counts=self.join_rows)
                     heads = self._fired[app] = tuple([intern(row, row) for row in fired])
                 else:
                     self.fired_hits += 1
@@ -416,10 +436,12 @@ class SnapshotCache:
         return rows
 
     def stats(self) -> str:
-        """The store's size and hits, for the sweep's debug log."""
+        """The store's size, hits and join rows, for the sweep's debug log."""
+        scanned, kept = self.join_rows
         return (
             f"{len(self._relations)} relations derived, {self.relation_hits} relation hits, "
-            f"{len(self._fired)} cached rule applications, {self.fired_hits} rule-application hits"
+            f"{len(self._fired)} cached rule applications, {self.fired_hits} rule-application hits, "
+            f"{scanned} child rows scanned, {kept} kept by semi-joins"
         )
 
 
@@ -438,7 +460,8 @@ class Evaluator:
     predicate (``_relation``): the base rows plus the heads of every retained
     clause answering it, fired over its body atoms' relations one height
     below, with the height capped where the relation stops growing
-    (``_height``), at one id per (predicate, arity, depth).  Only predicates
+    (``_height``), at one id per (predicate, arity, depth), and through one
+    read plan per (predicate, shape, depth) (``_answers``).  Only predicates
     whose cone under the retained clauses is free of recursion are read so.
     A recursive one would need a relation per height up to the depth limit,
     each nesting Python calls, so it would refuse depth limits that
@@ -480,18 +503,23 @@ class Evaluator:
         self._indexes: dict[tuple[int, int], dict[str, list]] = {}  # (relation id, position) -> see _source
         self._memo: dict = {}  # (predicate, *parts, depth) -> answers
         self._shapes: dict[tuple, tuple] = {}
+        self._reads: dict[tuple, tuple] = {}  # ((predicate, shape), depth) -> read plan, see _answers
 
     def ask(self, query: Query, depth_limit: int) -> frozenset[str]:
         """The constants that answer the query's open variable by a proof of
         height at most ``depth_limit``.  Raises ValueError when the search
         nests deeper than Python's recursion limit, as recursive rules do at
         depth limits in the hundreds."""
+        read = self._reads.get((query._shape, depth_limit))
+        if read is not None:
+            index, bound_at, pick = read
+            return frozenset(map(pick, index.get(query.goal[1][bound_at], ())))
         if depth_limit < 0:
             raise ValueError("depth_limit must be >= 0")
         predicate, parts = goal = query.goal
         try:
             if self._shared and self._height(predicate, len(parts)) != math.inf:
-                return self._answers(predicate, parts, depth_limit)
+                return self._answers(query, depth_limit)
             return frozenset([t[0] for t in self._solve(goal, depth_limit)])
         except RecursionError:
             raise ValueError(
@@ -512,14 +540,20 @@ class Evaluator:
             index = self._indexes[(rid, bound_at)] = _index(self.cache.rows(rid, self._rows), bound_at)
         return index
 
-    def _answers(self, predicate: str, parts: tuple, depth: int) -> frozenset[str]:
-        """The answers of a goal with one slot by proofs of height at most
-        ``depth``, read from its predicate's relation; the predicate's
-        height must be finite."""
+    def _answers(self, query: Query, depth: int) -> frozenset[str]:
+        """The query's answers by proofs of height at most ``depth``, read
+        from its predicate's relation; the predicate's height must be
+        finite.  A goal with one constant and no repeated slot leaves the
+        read plan ``ask`` follows for later goals of its shape and depth:
+        the relation's index on the constant's position, that position and
+        the getter of the open column."""
+        (predicate, shape), parts = query._shape, query.goal[1]
         rid = self._relation(predicate, len(parts), depth)
-        shape = tuple([None if isinstance(p, str) else p for p in parts])
         bound_at, checks, same, (open_at,) = _retrieval(shape)
-        rows = _matching(self._source(rid, bound_at), parts, bound_at, checks, same)
+        source = self._source(rid, bound_at)
+        if bound_at is not None and checks is None and not same:
+            self._reads[(query._shape, depth)] = (source, bound_at, itemgetter(open_at))
+        rows = _matching(source, parts, bound_at, checks, same)
         return frozenset(map(itemgetter(open_at), rows))
 
     def _height(self, predicate: str, arity: int) -> float:
@@ -608,25 +642,62 @@ def solutions(node_goal: GoalSchema, kb: KnowledgeBase, genlpreds_mode: bool = T
     return sum(len(kb.rows(p)) for p in preds if kb.arity(p) == node_goal.arity)
 
 
-def _fire_clause(clause: HornClause, child_sets: Sequence[frozenset[tuple]]) -> set[tuple]:
+def _size_order(clause: HornClause, sizes: Sequence[int]) -> tuple[int, ...]:
+    """The body positions in join order for inputs of these sizes: the atom
+    with the smallest input first, then the smallest among the atoms sharing
+    a variable with those already joined (any atom when none does); ties go
+    by body position."""
+    variables = [set(a.variables()) for a in clause.body]
+    left = list(range(len(variables)))
+    order: list[int] = []
+    joined: set = set()
+    while left:
+        i = min([j for j in left if variables[j] & joined] or left, key=sizes.__getitem__)
+        order.append(i)
+        left.remove(i)
+        joined |= variables[i]
+    return tuple(order)
+
+
+def _fire_clause(
+    clause: HornClause,
+    child_sets: Sequence[frozenset[tuple]],
+    order: Optional[tuple] = None,
+    counts: Optional[list] = None,
+) -> set[tuple]:
     """Hash-join the clause body against its body relations' row sets through
-    the clause's all-slots plan and emit the instantiated head rows.  Each
-    join keeps only the columns still needed downstream, which keeps
-    intermediate results bounded on fact-rich KBs."""
-    plan = _rule_plan(clause, tuple(range(clause.head.arity)))
+    the clause's all-slots plan in ``order`` (body positions; by default
+    ``_size_order``) and emit the instantiated head rows.  The first atom's
+    kept columns are the first partials; each later atom indexes only the
+    rows whose key some partial probes (a semi-join filter, scanned in C).
+    ``counts``, when given, gains per atom the child rows scanned and the
+    rows the filter kept (all of the first atom's)."""
+    if order is None:
+        order = _size_order(clause, [len(rows) for rows in child_sets])
+    plan = _rule_plan(clause, tuple(range(clause.head.arity)), order)
     partials: set[tuple] = {()}
-    for step in plan.steps:
+    for rank, step in enumerate(plan.steps):
         rows = child_sets[step.index]
+        scanned = len(rows)
+        if rank:
+            wanted = set(map(step.key, partials))
+            rows = list(compress(rows, map(wanted.__contains__, map(step.row_key, rows))))
+        if counts is not None:
+            counts[0] += scanned
+            counts[1] += len(rows)
         if step.consts:
             at, want = step.consts
             rows = [r for r in rows if at(r) == want]
         if step.same:
             rows = [r for r in rows if all(r[i] == r[j] for i, j in step.same)]
-        index: dict[tuple, set[tuple]] = defaultdict(set)
-        row_key, row_new = step.row_key, step.row_new
-        for row in rows:
-            index[row_key(row)].add(row_new(row))
-        partials = _join(partials, step, index.get)
+        if rank:
+            index: dict[tuple, set[tuple]] = defaultdict(set)
+            row_key, row_new = step.row_key, step.row_new
+            for row in rows:
+                index[row_key(row)].add(row_new(row))
+            partials = _join(partials, step, index.get)
+        else:
+            partials = set(map(step.row_new, rows))
         if not partials:
             return set()
     return set(map(plan.emit, partials))

@@ -169,9 +169,9 @@ class AndOrGraph:
         """Read a graph file; KbError unless every id it refers to names a
         node or clause of the file, each node is listed once, each AND node by
         its parent only, no rule application leads back to its OR node, and
-        each OR node's depth is its distance from the roots.  An OR node's
-        children are read in the graph's AND-node order, whatever their
-        order in the file."""
+        each OR node's depth is its distance from the roots.  The roots and
+        each OR node's children are read in the graph's node order, whatever
+        their order in the file."""
         doc = _read_doc(text, "graph")
         clause_texts = _field(doc.get("clauses"), "clauses", "the graph's 'clauses'")
         clauses = []
@@ -212,10 +212,14 @@ class AndOrGraph:
                 raise KbError(
                     f"OR node {n.id} lists AND nodes {list(n.children)}, but {owned[n.id]} name it as their parent"
                 )
-        g.roots = list(_field(doc.get("roots"), "ids", "the graph's roots"))
-        _known(g.roots, g.or_nodes, "the graph's roots")
+        roots = _field(doc.get("roots"), "ids", "the graph's roots")
+        _known(roots, g.or_nodes, "the graph's roots")
+        listed = set(roots)
+        if len(listed) != len(roots):
+            raise KbError(f"root {next(r for i, r in enumerate(roots) if r in roots[:i])} is listed twice")
         # the node order build_graph gives its o<n> and a<n> ids, for any ids
         g.or_nodes = {i: g.or_nodes[i] for i in sorted(g.or_nodes, key=lambda i: (len(i), i))}
+        g.roots = [oid for oid in g.or_nodes if oid in listed]  # sample walks from the roots in this order
         g.and_nodes = {i: g.and_nodes[i] for i in sorted(g.and_nodes, key=lambda i: (len(i), i))}
         rank = {aid: r for r, aid in enumerate(g.and_nodes)}
         for n in g.or_nodes.values():  # sample picks children by index: give them the graph's order

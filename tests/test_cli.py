@@ -485,6 +485,7 @@ def test_the_malformed_graphs_base_is_accepted(tmp_path):
         ("sample", dict(GRAPH, or_nodes=[dict(OR_NODE, id=0)]), "the id of OR node entry 0 must be a string"),
         ("sample", dict(GRAPH, or_nodes=[dict(OR_NODE, pred=5)]), "the pred of OR node o0 must be a string"),
         ("sample", dict(GRAPH, roots=["o999"]), "the graph's roots refers to 'o999', which the graph lacks"),
+        ("sample", dict(GRAPH, roots=["o0", "o0"]), "root o0 is listed twice"),
         ("sample", dict(GRAPH, or_nodes=[dict(OR_NODE, children=["a9"])]), "OR node o0 refers to 'a9'"),
         ("sample", dict(AND_GRAPH, and_nodes=[dict(AND_NODE, clause="r9999")]), "AND node a0 refers to 'r9999'"),
         ("sample", dict(AND_GRAPH, and_nodes=[dict(AND_NODE, clause=["r0"])]), "the clause of AND node a0 must be a"),
@@ -543,7 +544,7 @@ def test_the_malformed_graphs_base_is_accepted(tmp_path):
         "graph-mask-not-string", "graph-mask-too-long", "graph-mask-bad-character", "graph-arity-string",
         "graph-depth-negative", "graph-depth-bound-string", "graph-depth-bound-bool", "graph-genlpreds-not-bool",
         "graph-other-format", "graph-no-depth-bound", "graph-or-node-no-depth", "graph-or-id-not-string",
-        "graph-pred-not-string", "graph-unknown-root", "graph-unknown-and-child", "graph-unknown-clause",
+        "graph-pred-not-string", "graph-unknown-root", "graph-root-twice", "graph-unknown-and-child", "graph-unknown-clause",
         "graph-clause-not-string", "graph-parent-not-string", "graph-unknown-or-child", "graph-cycle",
         "graph-or-id-twice", "graph-and-id-twice", "graph-and-parent-not-its-lister", "graph-and-node-unlisted",
         "graph-and-node-listed-twice", "graph-depths-all-zero", "graph-depth-off-by-one", "graph-or-node-unreached",

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -16,7 +18,7 @@ from percolog import (
     induced_space,
     solutions,
 )
-from percolog.engine import Evaluator, SnapshotCache, _join, _rule_plan
+from percolog.engine import Evaluator, SnapshotCache, _fire_clause, _join, _rule_plan
 from percolog.harness import expand_templates, root_schemas
 from percolog.kb import Atom, HornClause, parse_kb
 from percolog.metrics import answered_fraction
@@ -452,6 +454,78 @@ class TestSnapshotCache:
         assert len(cache._fired) == 2
 
 
+_SYMBOLS = ("c0", "c1", "c2", "d0", "d1")
+_VARIABLES = tuple(Variable(n) for n in "uvwx")
+
+
+@st.composite
+def _firings(draw):
+    """A clause of one to three body atoms, each over its own row set, with
+    body and head constants and repeated variables; the row sets may be
+    empty or drawn from disjoint symbols."""
+    term = st.one_of(st.sampled_from(_VARIABLES), st.sampled_from(_SYMBOLS[:3]))
+    body = tuple(
+        Atom(f"b{i}", tuple(draw(st.lists(term, min_size=n, max_size=n))))
+        for i, n in enumerate(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    )
+    bound = sorted({v for a in body for v in a.variables()}, key=lambda v: v.name)
+    head = Atom("h", tuple(draw(st.lists(st.sampled_from([*bound, "c0", "k"]), min_size=1, max_size=3))))
+    sets = []
+    for a in body:
+        symbols = draw(st.sampled_from([_SYMBOLS[:3], _SYMBOLS[3:], _SYMBOLS]))
+        sets.append(frozenset(draw(st.lists(st.tuples(*[st.sampled_from(symbols)] * a.arity), max_size=12))))
+    return HornClause(head, body, id="r"), sets
+
+
+def nested_loop_fire(clause, sets):
+    """The head rows of every combination of one row per body atom that
+    agrees with the atoms' constants and binds each variable once."""
+    out = set()
+    for rows in itertools.product(*sets):
+        binding = {}
+        if all(
+            t == v if isinstance(t, str) else binding.setdefault(t, v) == v
+            for atom, row in zip(clause.body, rows)
+            for t, v in zip(atom.args, row)
+        ):
+            out.add(tuple(t if isinstance(t, str) else binding[t] for t in clause.head.args))
+    return out
+
+
+class TestFireKernel:
+    """The bottom-up join returns a rule's head rows whatever order it joins
+    the body in, and filters each later atom's rows by the partials' keys."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_firings())
+    def test_every_body_order_equals_the_nested_loop_join(self, firing):
+        clause, sets = firing
+        want = nested_loop_fire(clause, sets)
+        counts = [0, 0]
+        assert _fire_clause(clause, sets, counts=counts) == want
+        assert 0 <= counts[1] <= counts[0] <= sum(map(len, sets))
+        for order in itertools.permutations(range(len(clause.body))):
+            assert _fire_clause(clause, sets, order) == want, f"order={order}"
+
+    def test_smallest_input_first_and_semi_join_filter(self):
+        # b (2 rows) is joined first; a's 10 rows are filtered to the 3 whose
+        # ?y some b row binds, so 12 rows are scanned and 5 kept
+        (clause,) = parse_kb("(<= (r ?x ?z) (a ?x ?y) (b ?y ?z))")[1]
+        a = frozenset([(f"x{i}", "y0" if i < 3 else f"y{i}") for i in range(10)])
+        b = frozenset([("y0", "z0"), ("y1", "z1")])
+        counts = [0, 0]
+        assert _fire_clause(clause, [a, b], counts=counts) == {("x0", "z0"), ("x1", "z0"), ("x2", "z0")}
+        assert counts == [12, 5]
+        assert _fire_clause(clause, [a, b], (0, 1)) == _fire_clause(clause, [a, b], (1, 0))
+
+    def test_store_reports_join_rows(self):
+        kb, axioms = parse_kb("(a x0 y0)\n(a x1 y1)\n(a x2 y9)\n(b y0 z0)\n(<= (r ?x ?z) (a ?x ?y) (b ?y ?z))")
+        cache = SnapshotCache(kb)
+        assert Evaluator(kb, axioms, cache=cache).ask(Q("r", "x0", "?z"), 1) == {"z0"}
+        assert cache.join_rows == [4, 2]
+        assert cache.stats().endswith("4 child rows scanned, 2 kept by semi-joins")
+
+
 class TestSharedRelations:
     """An evaluator on a shared cache answers a query whose cone is free of
     recursion from the store's relations and backchains the rest, one
@@ -497,6 +571,50 @@ class TestSharedRelations:
                 want = oracle_bindings(rounds[min(depth, len(rounds) - 1)], q.atom)
                 got = shared.ask(q, depth)
                 assert got == private.ask(q, depth) == want, f"depth={depth} query={q.atom}"
+
+
+_READ_RULES = (
+    "(<= (p ?x ?y) (a ?x ?z) (b ?z ?y))",
+    "(<= (p ?x ?y) (t ?x ?y ?z))",
+    "(<= (t ?x ?y ?z) (a ?x ?y) (b ?y ?z))",
+    "(<= (q ?x ?y) (p ?x ?y) (a ?y ?x))",
+    "(<= (q ?x ?x) (b ?x ?y))",
+    "(<= (p ?x e0) (a ?x ?x))",
+    "(<= (r ?x ?y) (a ?x ?y))",
+    "(<= (r ?x ?y) (a ?x ?z) (r ?z ?y))",
+)
+
+
+class TestReadPlan:
+    """An evaluator on a shared cache reads goals with one constant and no
+    repeated slot through one read plan per (predicate, shape, depth), and
+    answers every goal as an evaluator without a cache, which backchains."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.sampled_from("abt"), *[st.sampled_from(("e0", "e1", "e2", "e3"))] * 3), max_size=25),
+        st.integers(0, 2 ** len(_READ_RULES) - 1),
+        st.integers(0, 4),
+    )
+    def test_shared_reads_equal_backchaining(self, facts, mask, limit):
+        lines = [f"({p} {x} {y} {z})" if p == "t" else f"({p} {x} {y})" for p, x, y, z in facts]
+        kb, rules = parse_kb("\n".join(["(a e0 e0)", "(b e0 e0)", "(t e0 e0 e0)", *lines, *_READ_RULES]))
+        axioms = AxiomSet(c for i, c in enumerate(rules) if mask >> i & 1)
+        shared, alone = Evaluator(kb, axioms, cache=SnapshotCache(kb)), Evaluator(kb, axioms)
+        goals = [
+            args for c in ("e0", "e1") for args in (("p", c, "?x"), ("p", "?x", c), ("q", c, "?x"), ("r", c, "?x"))
+        ]
+        goals += [("p", "?x", "?x"), ("q", "?x", "?x"), ("t", "e0", "?x", "e1"), ("t", "?x", "e0", "?x"),
+                  ("t", "e1", "?x", "?x"), ("t", "?x", "e2", "e0")]
+        for depth in range(limit + 1):
+            for _ in range(2):  # the second ask follows the read plan the first one left
+                for pred, *args in goals:
+                    q = Q(pred, *args)
+                    assert shared.ask(q, depth) == alone.ask(q, depth), f"depth={depth} query={q.text}"
+        plain = {("p", (None, 0)), ("p", (0, None)), ("q", (None, 0)), ("r", (None, 0))}
+        finite = {k for k in plain if shared._height(k[0], 2) != math.inf}
+        assert {k for k, _ in shared._reads} == finite
+        assert len(shared._reads) == len(finite) * (limit + 1)
 
 
 class TestOracleEquivalence:

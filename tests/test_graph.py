@@ -350,6 +350,24 @@ class TestSerialization:
             outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert outputs[0] == outputs[1] and len(outputs[0]) == 2
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reversed_roots_sample_as_the_file(self, seed, tmp_path):
+        # sample walks breadth-first from the roots in their order, so the
+        # reader puts them in the graph's node order, whatever the file's order
+        _, _, g = synth_graph(seed)
+        doc = json.loads(g.to_json())
+        assert len(doc["roots"]) >= 2
+        doc["roots"].reverse()
+        assert AndOrGraph.from_json(json.dumps(doc)).to_json() == g.to_json()
+        outputs = []
+        for name, text in (("graph", g.to_json()), ("reversed", json.dumps(doc))):
+            (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+            out = tmp_path / f"{name}-out"
+            argv = ["sample", "--graph", str(tmp_path / f"{name}.json"), "--model", "2", "--beta", "40"]
+            assert main(argv + ["--replicates", "2", "--seed", "1", "--out", str(out)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1] and len(outputs[0]) == 2
+
     @pytest.mark.parametrize(
         "edit, named",
         [
