@@ -15,7 +15,8 @@ inputs' sizes instead: the atom with the smallest row set first, then the
 smallest sharing a variable with those joined.  The first atom's rows,
 projected to their kept columns, are the first partials; each later atom
 indexes only the rows whose key some partial probes, a semi-join filter
-scanned in C.
+scanned in C, and an atom left with no rows after its filters ends the
+firing with no heads.
 
 Depth accounting: applying a rule costs one depth unit, ground retrieval is
 free, so depth_limit 0 answers by retrieval only.  The answers at limit d are
@@ -24,8 +25,16 @@ recursive ones included.
 
 The store hash-conses relations: a relation is a predicate and arity with a
 set of rule applications, each a clause (by content) over the relations of
-its body atoms, and its rows are the base rows plus every application's head
-rows.  A space's member OR node is the relation of its retained AND nodes.
+its body atoms, and its rows are the base rows followed by every
+application's head rows, concatenated.  So a row may repeat, once per part
+that derives it, and every reader counts rows through a set.  An
+application fires once per content key: its clause over the canonical ids
+of its body relations, where a relation's canonical id leaves out its
+applications with no heads, so inputs of equal content share one firing.
+Each relation's distinct-row count is kept once per snapshot, so a depth
+profile unions rows only where one depth holds several relations of a
+predicate.  A space's member OR node is the relation of its retained AND
+nodes.
 On a shared cache, a query whose predicate's cone under the retained clauses
 is free of recursion reads, at depth d, the relation of its predicate built
 from every retained clause to height d (capped at the height where the
@@ -55,9 +64,9 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, NamedTuple, Optional, Sequence
 
 from .graph import GoalSchema, SearchSpace, greedy_body_order
 from .kb import Atom, AxiomSet, HornClause, KnowledgeBase, Variable
@@ -368,8 +377,18 @@ class SnapshotCache:
     predicate and arity (``base_rows``), which every relation includes.
     Equal ids mean equal rows, whichever space, binding mask, depth or
     metric built them, so the head rows of each rule application are kept
-    once, each distinct row as one tuple.  A relation's own rows are rebuilt
-    per evaluation (``rows``), in a memo the caller drops.
+    once, each distinct row as one tuple.
+
+    Rule applications are also keyed by what their inputs derive.  A
+    relation first evaluated records its canonical id (``_canonical``): the
+    relation of its predicate and arity whose applications are the content
+    keys of its own applications with non-empty heads, and an application's
+    content key is its clause over its body relations' canonical ids.
+    Equal canonical ids mean equal rows, so an application whose content key
+    was fired before reuses those heads instead of firing again.  Each
+    relation's distinct-row count is kept once (``_size``).  A relation's
+    own rows are rebuilt per evaluation (``rows``), in a memo the caller
+    drops; the store keeps heads, keys and counts, no row set.
     """
 
     def __init__(self, kb: KnowledgeBase, genlpreds_mode: bool = True):
@@ -379,8 +398,14 @@ class SnapshotCache:
         self._ids: dict[tuple, int] = {}  # (predicate, arity, rule applications) -> relation id
         self._relations: list[tuple] = []  # relation id -> (predicate, arity, rule applications)
         self._fired: dict[tuple, tuple] = {}  # (clause, body relation ids) -> head rows
+        self._keys: dict[tuple, tuple] = {}  # (clause, body relation ids) -> its content key
+        self._content: dict[tuple, tuple] = {}  # (clause, canonical body ids) -> head rows
+        self._canon: dict[int, int] = {}  # relation id -> canonical relation id
+        self._sizes: dict[int, int] = {}  # relation id -> its distinct rows
         self._rows: dict[tuple, tuple] = {}  # head row -> its one cached tuple
         self.fired_hits = 0
+        self.content_hits = 0
+        self.size_hits = 0
         self.relation_hits = 0
         self.join_rows = [0, 0]  # child rows the rule firings scanned, rows their semi-join filters kept
 
@@ -413,27 +438,58 @@ class SnapshotCache:
             self.relation_hits += 1
         return rid
 
-    def rows(self, rid: int, memo: dict[int, frozenset[tuple]]) -> frozenset[tuple]:
-        """The relation's rows: its base rows and every rule application's
-        head rows, firing each application not yet cached over its body
-        relations' rows; ``memo`` keeps the rows built for the caller."""
+    def rows(self, rid: int, memo: dict[int, Collection[tuple]]) -> Collection[tuple]:
+        """The relation's rows: its base rows followed by every rule
+        application's head rows (``_heads``); ``memo`` keeps the rows built
+        for the caller.  A relation without heads is its base frozenset.
+        Otherwise the rows are a bag, each part's rows once, so a row may
+        repeat up to once per part: count them through a set."""
         rows = memo.get(rid)
         if rows is None:
             predicate, arity, applied = self._relations[rid]
             base = self.base_rows(predicate, arity)
-            derived = []
-            for app in applied:
-                heads = self._fired.get(app)
-                if heads is None:
-                    clause, body = app
-                    intern = self._rows.setdefault
-                    fired = _fire_clause(clause, [self.rows(b, memo) for b in body], counts=self.join_rows)
-                    heads = self._fired[app] = tuple([intern(row, row) for row in fired])
-                else:
-                    self.fired_hits += 1
-                derived.append(heads)
-            rows = memo[rid] = base.union(*derived) if derived else base
+            heads = [h for app in applied if (h := self._heads(app, memo))]
+            rows = memo[rid] = tuple(chain(base, *heads)) if heads else base
         return rows
+
+    def _heads(self, app: tuple, memo: dict[int, Collection[tuple]]) -> tuple:
+        """The head rows of a rule application: those of its content key,
+        fired over its body relations' rows when the key is new."""
+        heads = self._fired.get(app)
+        if heads is not None:
+            self.fired_hits += 1
+            return heads
+        clause, body = app
+        key = self._keys[app] = (clause, tuple([self._canonical(b, memo) for b in body]))
+        heads = self._content.get(key)
+        if heads is None:
+            fired = _fire_clause(clause, [self.rows(b, memo) for b in body], counts=self.join_rows)
+            heads = self._content[key] = tuple(map(self._rows.setdefault, fired, fired))
+        else:
+            self.content_hits += 1
+        self._fired[app] = heads
+        return heads
+
+    def _canonical(self, rid: int, memo: dict[int, Collection[tuple]]) -> int:
+        """The relation's canonical id, recorded when first asked for: the
+        relation of its predicate and arity with the content keys of its
+        applications whose heads are not empty."""
+        canon = self._canon.get(rid)
+        if canon is None:
+            predicate, arity, applied = self._relations[rid]
+            keys = frozenset([self._keys[app] for app in applied if self._heads(app, memo)])
+            canon = self._canon[rid] = self.relation(predicate, arity, keys)
+        return canon
+
+    def _size(self, rid: int, memo: dict[int, Collection[tuple]]) -> int:
+        """The relation's distinct rows, counted once per snapshot."""
+        size = self._sizes.get(rid)
+        if size is None:
+            rows = self.rows(rid, memo)
+            size = self._sizes[rid] = len(rows) if isinstance(rows, frozenset) else len(set(rows))
+        else:
+            self.size_hits += 1
+        return size
 
     def stats(self) -> str:
         """The store's size, hits and join rows, for the sweep's debug log."""
@@ -441,6 +497,8 @@ class SnapshotCache:
         return (
             f"{len(self._relations)} relations derived, {self.relation_hits} relation hits, "
             f"{len(self._fired)} cached rule applications, {self.fired_hits} rule-application hits, "
+            f"{len(self._content)} rule firings, {self.content_hits} content-key hits, "
+            f"{self.size_hits} cached-size hits, "
             f"{scanned} child rows scanned, {kept} kept by semi-joins"
         )
 
@@ -499,7 +557,7 @@ class Evaluator:
         self.cache.check(kb, genlpreds_mode)
         self._heights: dict[tuple[str, int], float] = {}  # (predicate, arity) -> see _height
         self._ids: dict[tuple[str, int, int], int] = {}  # (predicate, arity, depth) -> relation id
-        self._rows: dict[int, frozenset[tuple]] = {}  # relation id -> rows, for this evaluator's reads
+        self._rows: dict[int, Collection[tuple]] = {}  # relation id -> rows, for this evaluator's reads
         self._indexes: dict[tuple[int, int], dict[str, list]] = {}  # (relation id, position) -> see _source
         self._memo: dict = {}  # (predicate, *parts, depth) -> answers
         self._shapes: dict[tuple, tuple] = {}
@@ -642,15 +700,21 @@ def solutions(node_goal: GoalSchema, kb: KnowledgeBase, genlpreds_mode: bool = T
     return sum(len(kb.rows(p)) for p in preds if kb.arity(p) == node_goal.arity)
 
 
+@lru_cache(maxsize=4096)
+def _body_variables(clause: HornClause) -> tuple[frozenset, ...]:
+    """The variables of each body atom of the clause."""
+    return tuple(frozenset(a.variables()) for a in clause.body)
+
+
 def _size_order(clause: HornClause, sizes: Sequence[int]) -> tuple[int, ...]:
     """The body positions in join order for inputs of these sizes: the atom
     with the smallest input first, then the smallest among the atoms sharing
     a variable with those already joined (any atom when none does); ties go
     by body position."""
-    variables = [set(a.variables()) for a in clause.body]
+    variables = _body_variables(clause)
     left = list(range(len(variables)))
     order: list[int] = []
-    joined: set = set()
+    joined: frozenset = frozenset()
     while left:
         i = min([j for j in left if variables[j] & joined] or left, key=sizes.__getitem__)
         order.append(i)
@@ -661,15 +725,18 @@ def _size_order(clause: HornClause, sizes: Sequence[int]) -> tuple[int, ...]:
 
 def _fire_clause(
     clause: HornClause,
-    child_sets: Sequence[frozenset[tuple]],
+    child_sets: Sequence[Collection[tuple]],
     order: Optional[tuple] = None,
     counts: Optional[list] = None,
 ) -> set[tuple]:
-    """Hash-join the clause body against its body relations' row sets through
+    """Hash-join the clause body against its body relations' rows through
     the clause's all-slots plan in ``order`` (body positions; by default
-    ``_size_order``) and emit the instantiated head rows.  The first atom's
-    kept columns are the first partials; each later atom indexes only the
-    rows whose key some partial probes (a semi-join filter, scanned in C).
+    ``_size_order``) and emit the instantiated head rows.  The inputs may be
+    bags, as ``SnapshotCache.rows`` builds them: a repeated row joins as one,
+    since the partials and the output are sets.  The first atom's kept
+    columns are the first partials; each later atom indexes only the rows
+    whose key some partial probes (a semi-join filter, scanned in C).  A
+    step left with no rows after its filters ends the join with no heads.
     ``counts``, when given, gains per atom the child rows scanned and the
     rows the filter kept (all of the first atom's)."""
     if order is None:
@@ -690,6 +757,8 @@ def _fire_clause(
             rows = [r for r in rows if at(r) == want]
         if step.same:
             rows = [r for r in rows if all(r[i] == r[j] for i, j in step.same)]
+        if not rows:
+            return set()
         if rank:
             index: dict[tuple, set[tuple]] = defaultdict(set)
             row_key, row_new = step.row_key, step.row_new
@@ -703,13 +772,12 @@ def _fire_clause(
     return set(map(plan.emit, partials))
 
 
-def _node_rows(
-    space: SearchSpace, kb: KnowledgeBase, genlpreds_mode: bool, cache: Optional[SnapshotCache] = None
-) -> dict[str, frozenset[tuple]]:
-    """Derived rows per member OR node: the rows of the store's relation of
-    its predicate and arity with its retained AND nodes' rule applications,
-    each over its children's relations."""
-    cache = cache or SnapshotCache(kb, genlpreds_mode)
+def _node_relations(
+    space: SearchSpace, kb: KnowledgeBase, genlpreds_mode: bool, cache: SnapshotCache
+) -> dict[str, int]:
+    """The store's relation id per member OR node: the relation of its
+    predicate and arity with its retained AND nodes' rule applications, each
+    over its children's relations."""
     graph = space.graph
     cache.check(kb, genlpreds_mode)
     if genlpreds_mode != graph.genlpreds_mode:
@@ -723,8 +791,7 @@ def _node_rows(
             for anode in map(and_nodes.__getitem__, space.member_and_children(oid))
         ])
         rids[oid] = cache.relation(node.predicate, node.arity, applied)
-    memo: dict[int, frozenset[tuple]] = {}
-    return {oid: cache.rows(rid, memo) for oid, rid in rids.items()}
+    return rids
 
 
 def bottom_up_eval(
@@ -737,10 +804,12 @@ def bottom_up_eval(
     child sets, each atom under the node's own predicate; a genlpreds_mode
     other than the graph's raises ValueError.
     """
+    cache = SnapshotCache(kb, genlpreds_mode)
     or_nodes = space.graph.or_nodes
+    memo: dict[int, Collection[tuple]] = {}
     return {
-        oid: frozenset(Atom(or_nodes[oid].predicate, row) for row in rows)
-        for oid, rows in _node_rows(space, kb, genlpreds_mode).items()
+        oid: frozenset([Atom(or_nodes[oid].predicate, row) for row in cache.rows(rid, memo)])
+        for oid, rid in _node_relations(space, kb, genlpreds_mode, cache).items()
     }
 
 
@@ -748,14 +817,24 @@ def depth_profile(
     space: SearchSpace, kb: KnowledgeBase, genlpreds_mode: bool = True, cache: Optional[SnapshotCache] = None
 ) -> dict[int, int]:
     """Distinct derived atoms per depth (union across the OR nodes of that
-    depth), the percolation profile from the leaves toward the roots.  A
-    cache shares relations and rule applications with the snapshot's other
-    spaces and with their Q/A."""
-    sets = _node_rows(space, kb, genlpreds_mode, cache)
-    by_depth: dict[int, dict[str, frozenset[tuple]]] = defaultdict(dict)
+    depth), the percolation profile from the leaves toward the roots.  The
+    member nodes are grouped by (depth, predicate), an atom being a
+    predicate and a row: a group of one relation reads its cached size, only
+    a group of several unions their rows.  A cache shares relations, rule
+    applications and sizes with the snapshot's other spaces and with their
+    Q/A."""
+    cache = cache or SnapshotCache(kb, genlpreds_mode)
+    rids = _node_relations(space, kb, genlpreds_mode, cache)
+    or_nodes = space.graph.or_nodes
+    groups: dict[int, dict[str, set[int]]] = defaultdict(lambda: defaultdict(set))
     for oid in space.or_members:
-        node = space.graph.or_nodes[oid]
-        rows = by_depth[node.depth]  # an atom is a (predicate, row) pair
-        prev = rows.get(node.predicate)
-        rows[node.predicate] = sets[oid] if prev is None else prev | sets[oid]
-    return {d: sum(map(len, rows.values())) for d, rows in sorted(by_depth.items())}
+        node = or_nodes[oid]
+        groups[node.depth][node.predicate].add(rids[oid])
+    memo: dict[int, Collection[tuple]] = {}
+
+    def atoms(group: set[int]) -> int:
+        if len(group) == 1:
+            return cache._size(next(iter(group)), memo)
+        return len(set().union(*[cache.rows(rid, memo) for rid in group]))
+
+    return {d: sum(map(atoms, by_pred.values())) for d, by_pred in sorted(groups.items())}

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from percolog import (
     induced_space,
     solutions,
 )
+from percolog import engine
 from percolog.engine import Evaluator, SnapshotCache, _fire_clause, _join, _rule_plan
 from percolog.harness import expand_templates, root_schemas
 from percolog.kb import Atom, HornClause, parse_kb
@@ -385,9 +387,15 @@ class TestSnapshotCache:
             assert shared.per_query == alone, f"depth={depth} axioms={sorted(space.retained_axiom_ids())}"
             assert answered_fraction(space, dom.kb, queries, depth).per_query == alone
             assert depth_profile(space, dom.kb, True, cache) == depth_profile(space, dom.kb)
-        # both engines read the cache's rows, and each space runs twice, so
-        # every cached rule application is hit (some graphs have none)
-        assert cache._base and cache.fired_hits >= len(cache._fired)
+        # both engines share the cache's rule applications: evaluated again,
+        # the cells fire no rule and add no cached application (some graphs
+        # have none)
+        assert cache._base
+        fired, firings = dict(cache._fired), len(cache._content)
+        for space, depth in cells:
+            answered_fraction(space, dom.kb, queries, depth, True, cache)
+            depth_profile(space, dom.kb, True, cache)
+        assert (cache._fired, len(cache._content)) == (fired, firings)
         return cache
 
     @pytest.mark.parametrize("seed", range(12))
@@ -415,10 +423,11 @@ class TestSnapshotCache:
         space = induced_space(graph, graph.or_nodes)
         cache = SnapshotCache(dom.kb)
         first = depth_profile(space, dom.kb, True, cache)
-        cached = len(cache._fired)
-        assert cached > 0 and cache.fired_hits == 0
+        cached, firings = len(cache._fired), len(cache._content)
+        assert cached > 0 and firings > 0
+        # the second profile fires no rule and adds no cached application
         assert depth_profile(space, dom.kb, True, cache) == first
-        assert (len(cache._fired), cache.fired_hits) == (cached, cached)
+        assert (len(cache._fired), len(cache._content)) == (cached, firings)
 
     def test_another_snapshot_or_mode_is_refused(self):
         dom = random_domain(3)
@@ -452,6 +461,89 @@ class TestSnapshotCache:
             for query in (Q("p", "A", "?x"), Q("p", "?x", "A")):
                 assert Evaluator(kb, axioms, cache=cache).ask(query, 1) == Evaluator(kb, axioms).ask(query, 1)
         assert len(cache._fired) == 2
+
+    def test_an_application_fires_once_per_content_key(self, monkeypatch):
+        # the e clause derives nothing, so q's relation with it has q's base
+        # rows: the space keeping it and the space without its e node give
+        # the p clause inputs of equal content, which fire once between them
+        kb, axioms = parse_kb(
+            "(q A B)\n(q B C)\n(s B X)\n(s C Y)\n(e D E)\n"
+            "(<= (p ?x ?z) (q ?x ?y) (s ?y ?z))\n(<= (q ?x ?y) (e ?x ?y) (e ?y ?x))"
+        )
+        graph = build_graph(axioms, [GoalSchema("p", 2, (True, False)), GoalSchema("p", 2, (False, True))], 4, kb=kb)
+        e_nodes = {oid for oid, node in graph.or_nodes.items() if node.predicate == "e"}
+        spaces = [induced_space(graph, graph.or_nodes), induced_space(graph, set(graph.or_nodes) - e_nodes)]
+        assert [len(s.retained_axiom_ids()) for s in spaces] == [2, 1]
+        queries = [Q("p", "A", "?z"), Q("p", "?x", "Y")]
+        wants = []  # per space: the answer counts backchained, the profile without a cache
+        for space in spaces:
+            alone = Evaluator(kb, graph.axioms.restrict(space.retained_axiom_ids()))
+            wants.append((tuple((q.text, "", len(alone.ask(q, 2))) for q in queries), depth_profile(space, kb)))
+        assert wants[0][0] == wants[1][0] == (("(p A ?z)", "", 1), ("(p ?x Y)", "", 1))
+        fired = []
+        fire = engine._fire_clause
+
+        def spy(clause, child_sets, order=None, counts=None):
+            fired.append(clause.head.predicate)
+            return fire(clause, child_sets, order, counts)
+
+        monkeypatch.setattr(engine, "_fire_clause", spy)
+        cache = SnapshotCache(kb)
+        for space, (answers, profile) in zip(spaces, wants):
+            assert answered_fraction(space, kb, queries, 2, True, cache).per_query == answers
+            assert depth_profile(space, kb, True, cache) == profile
+        assert fired.count("p") == 1 and cache.content_hits == 1
+
+
+def _copying_domain(flavor: str, seed: int):
+    """A random domain whose first query predicate p also derives from a
+    fresh predicate holding p's facts and (e0 e0), through two clauses: the
+    heads repeat p's base rows and each other's."""
+    dom = random_domain(seed, flavor == "genlpreds", flavor == "recursive")
+    p = dom.templates[0].predicate
+    rows = {("e0", "e0"), *dom.kb.rows(p)}
+    kb = KnowledgeBase([*dom.kb.sorted_facts(), *(F("copy", *row) for row in rows)])
+    copies = [HornClause(A(p, "?x", "?y"), (A("copy", *args),), id=f"copy{i}")
+              for i, args in enumerate([("?x", "?y"), ("?y", "?x")])]
+    return kb, AxiomSet([*dom.axioms, *copies]), dom.templates
+
+
+def union_profile(space, kb):
+    """Distinct atoms per depth: the union of ``bottom_up_eval``'s sets of
+    the member nodes at that depth."""
+    by_depth = defaultdict(set)
+    for oid, atoms in bottom_up_eval(space, kb).items():
+        by_depth[space.graph.or_nodes[oid].depth] |= atoms
+    return {d: len(atoms) for d, atoms in sorted(by_depth.items())}
+
+
+class TestRowBags:
+    """A relation's rows are its parts concatenated, so a row repeats once
+    per part that derives it; every count made from them counts distinct
+    rows."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["stratified", "genlpreds", "recursive"]),
+        st.integers(0, 10_000),
+        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 6)), min_size=1, max_size=4),
+    )
+    def test_counts_are_of_distinct_rows(self, flavor, seed, cells):
+        kb, axioms, templates = _copying_domain(flavor, seed)
+        graph = build_graph(axioms, root_schemas(templates), 6, kb=kb)
+        queries = expand_templates(kb, templates)
+        spaces = [induced_space(graph, graph.or_nodes), *_sampled_spaces(graph, 8)]
+        cache = SnapshotCache(kb)  # one store for every cell
+        for i, depth in [(0, 3), *cells]:
+            space = spaces[i]
+            alone = Evaluator(kb, graph.axioms.restrict(space.retained_axiom_ids()))
+            want = tuple((q.text, q.template_id, len(alone.ask(q, depth))) for q in queries)
+            assert answered_fraction(space, kb, queries, depth, True, cache).per_query == want
+            assert depth_profile(space, kb, True, cache) == union_profile(space, kb)
+        assert cache._sizes
+        assert all(size == len(set(cache.rows(rid, {}))) for rid, size in cache._sizes.items())
+        bags = [cache.rows(rid, {}) for rid in range(len(cache._relations))]
+        assert any(len(rows) > len(set(rows)) for rows in bags)
 
 
 _SYMBOLS = ("c0", "c1", "c2", "d0", "d1")

@@ -7,7 +7,8 @@ import pytest
 
 from percolog import QueryTemplate, depth_profile, expand_templates, serialize_kb
 from percolog.growth import SynthConfig, synth_kb
-from percolog.engine import Evaluator
+from percolog import engine
+from percolog.engine import Evaluator, SnapshotCache
 from percolog.metrics import answered_fraction
 from percolog.sampling import cell_params, sample
 from percolog.harness import (
@@ -332,6 +333,38 @@ class TestRunSweep:
         result = run_sweep(cfg)
         assert len(result.rows) == 3 * 6 * 7
         assert all(not r.is_error for r in result.rows)
+
+    def test_each_content_key_fires_once_per_snapshot(self, tmp_path, monkeypatch):
+        # a count of the store's work, free of timing noise: every rule
+        # firing stores a new content key in its snapshot's cache, so as
+        # many firings as keys means no key fired twice
+        kb, _, _ = write_experiment(tmp_path)
+        caches, fired = [], []
+        init, fire = SnapshotCache.__init__, engine._fire_clause
+
+        def spy_init(self, *args):
+            init(self, *args)
+            caches.append(self)
+
+        def spy_fire(*args, **kwargs):
+            fired.append(args[0])
+            return fire(*args, **kwargs)
+
+        monkeypatch.setattr(SnapshotCache, "__init__", spy_init)
+        monkeypatch.setattr(engine, "_fire_clause", spy_fire)
+        cfg = ExperimentConfig(
+            kb=str(tmp_path / "kb.kb"),
+            templates=str(tmp_path / "templates.json"),
+            snapshot_sizes=(kb.fact_count - 60, kb.fact_count),
+            model1_k=(2, 3),
+            model2_beta=(30,),
+            replicates=2,
+            master_seed=9,
+        )
+        run_sweep(cfg)
+        assert len(caches) == 2
+        assert len(fired) == sum(len(c._content) for c in caches) > 0
+        assert sum(c.content_hits for c in caches) > 0
 
     def test_row_count_beta_grid(self, tmp_path):
         write_experiment(tmp_path)
