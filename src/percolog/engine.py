@@ -27,7 +27,11 @@ The store hash-conses relations: a relation is a predicate and arity with a
 set of rule applications, each a clause (by content) over the relations of
 its body atoms, and its rows are the base rows followed by every
 application's head rows, concatenated.  So a row may repeat, once per part
-that derives it, and every reader counts rows through a set.  An
+that derives it, and every reader counts rows through a set.  No part copies
+a row already held: the base rows of a predicate answered by one KB
+predicate are that predicate's sorted row tuple in the KB, and a firing
+whose head keeps its input row whole, as a copy rule's does, gives the
+input's own tuple as the head row.  An
 application fires once per content key: its clause over the canonical ids
 of its body relations, where a relation's canonical id leaves out its
 applications with no heads, so inputs of equal content share one firing.
@@ -175,6 +179,7 @@ class _Step(NamedTuple):
     same: tuple  # (argument, argument) a matching row repeats a slot at
     row_key: Callable  # row -> its values at the arguments the key reads
     row_new: Callable  # row -> its values of the kept slots
+    whole: bool  # row_new keeps every argument in order: the kept values are the row itself
 
     def subgoal(self, key: tuple) -> tuple:
         """The canonical goal the atom makes under a key."""
@@ -190,6 +195,7 @@ class _Plan(NamedTuple):
     start: Callable  # goal parts -> the initial partial (goal constants the body reads)
     steps: tuple[_Step, ...]
     emit: Callable  # final partial -> answer tuple in goal slot order
+    whole: bool  # emit keeps every column in order: the answer is the final partial itself
 
     def admits(self, parts: tuple) -> bool:
         """Whether the goal's constants pass the head match."""
@@ -278,16 +284,19 @@ def _rule_plan(clause: HornClause, shape: tuple, order: Optional[tuple] = None) 
                 first.append(pos)
         keep_old = [j for j, c in enumerate(cols) if c in needed[rank]]
         keep_new = [s for c, s in fresh.items() if c in needed[rank]]
+        row_new = [first[s] for s in keep_new]
         steps.append(_Step(
             i, body[i].predicate, tuple(spec), _getter(*[j for _, j in key]), _getter(*keep_old),
             None if keep_new == list(range(len(fresh))) else _getter(*keep_new),
             (_getter(*[pos for pos, _ in consts]), tuple(c for _, c in consts)) if consts else None,
-            tuple(same), _getter(*[pos for pos, _ in key]), _getter(*[first[s] for s in keep_new]),
+            tuple(same), _getter(*[pos for pos, _ in key]), _getter(*row_new),
+            row_new == list(range(len(spec))),
         ))
         cols = [cols[j] for j in keep_old] + [c for c, s in fresh.items() if c in needed[rank]]
     where = {c: j for j, c in enumerate(cols)}
     emit = _emitter([(False, c) if isinstance(c, str) else (True, where[c]) for c in out])
-    return _Plan(tuple(checks), tuple(eqs), _getter(*[j for j, _ in start]), tuple(steps), emit)
+    whole = [where.get(c) for c in out] == list(range(len(cols)))
+    return _Plan(tuple(checks), tuple(eqs), _getter(*[j for j, _ in start]), tuple(steps), emit, whole)
 
 
 def _join(partials: set[tuple], step: _Step, lookup: Callable) -> set[tuple]:
@@ -377,7 +386,9 @@ class SnapshotCache:
     predicate and arity (``base_rows``), which every relation includes.
     Equal ids mean equal rows, whichever space, binding mask, depth or
     metric built them, so the head rows of each rule application are kept
-    once, each distinct row as one tuple.
+    once.  A row is held where it already is: base rows are the KB's own row
+    tuples, and a head row that keeps an input row whole is that row's tuple
+    (``_fire_clause``).
 
     Rule applications are also keyed by what their inputs derive.  A
     relation first evaluated records its canonical id (``_canonical``): the
@@ -394,7 +405,7 @@ class SnapshotCache:
     def __init__(self, kb: KnowledgeBase, genlpreds_mode: bool = True):
         self.kb = kb
         self.mode = genlpreds_mode
-        self._base: dict[tuple[str, int], frozenset[tuple]] = {}  # (predicate, arity) -> KB rows
+        self._base: dict[tuple[str, int], Collection[tuple]] = {}  # (predicate, arity) -> KB rows
         self._ids: dict[tuple, int] = {}  # (predicate, arity, rule applications) -> relation id
         self._relations: list[tuple] = []  # relation id -> (predicate, arity, rule applications)
         self._fired: dict[tuple, tuple] = {}  # (clause, body relation ids) -> head rows
@@ -402,7 +413,6 @@ class SnapshotCache:
         self._content: dict[tuple, tuple] = {}  # (clause, canonical body ids) -> head rows
         self._canon: dict[int, int] = {}  # relation id -> canonical relation id
         self._sizes: dict[int, int] = {}  # relation id -> its distinct rows
-        self._rows: dict[tuple, tuple] = {}  # head row -> its one cached tuple
         self.fired_hits = 0
         self.content_hits = 0
         self.size_hits = 0
@@ -414,15 +424,17 @@ class SnapshotCache:
         if kb is not self.kb or genlpreds_mode != self.mode:
             raise ValueError("a SnapshotCache serves one KB snapshot and genlPreds mode")
 
-    def base_rows(self, predicate: str, arity: int) -> frozenset[tuple]:
-        """The KB rows at the arity of the predicates answering goals of the
-        predicate (``KnowledgeBase.answering_preds``), built on first use."""
+    def base_rows(self, predicate: str, arity: int) -> Collection[tuple]:
+        """The distinct KB rows at the arity of the predicates answering goals
+        of the predicate (``KnowledgeBase.answering_preds``): one such
+        predicate's own sorted row tuple, or the frozenset union of several
+        (genlPreds), built on first use."""
         rows = self._base.get((predicate, arity))
         if rows is None:
             kb = self.kb
-            rows = self._base[(predicate, arity)] = frozenset().union(
-                *(kb.rows(p) for p in kb.answering_preds(predicate, self.mode) if kb.arity(p) == arity)
-            )
+            preds = [p for p in kb.answering_preds(predicate, self.mode) if kb.arity(p) == arity]
+            rows = kb.rows(preds[0]) if len(preds) == 1 else frozenset().union(*map(kb.rows, preds))
+            self._base[(predicate, arity)] = rows
         return rows
 
     def relation(self, predicate: str, arity: int, applied: frozenset = frozenset()) -> int:
@@ -441,7 +453,7 @@ class SnapshotCache:
     def rows(self, rid: int, memo: dict[int, Collection[tuple]]) -> Collection[tuple]:
         """The relation's rows: its base rows followed by every rule
         application's head rows (``_heads``); ``memo`` keeps the rows built
-        for the caller.  A relation without heads is its base frozenset.
+        for the caller.  A relation without heads is its distinct base rows.
         Otherwise the rows are a bag, each part's rows once, so a row may
         repeat up to once per part: count them through a set."""
         rows = memo.get(rid)
@@ -464,7 +476,7 @@ class SnapshotCache:
         heads = self._content.get(key)
         if heads is None:
             fired = _fire_clause(clause, [self.rows(b, memo) for b in body], counts=self.join_rows)
-            heads = self._content[key] = tuple(map(self._rows.setdefault, fired, fired))
+            heads = self._content[key] = tuple(fired)
         else:
             self.content_hits += 1
         self._fired[app] = heads
@@ -486,7 +498,8 @@ class SnapshotCache:
         size = self._sizes.get(rid)
         if size is None:
             rows = self.rows(rid, memo)
-            size = self._sizes[rid] = len(rows) if isinstance(rows, frozenset) else len(set(rows))
+            predicate, arity, _ = self._relations[rid]
+            size = self._sizes[rid] = len(rows) if rows is self.base_rows(predicate, arity) else len(set(rows))
         else:
             self.size_hits += 1
         return size
@@ -732,13 +745,18 @@ def _fire_clause(
     """Hash-join the clause body against its body relations' rows through
     the clause's all-slots plan in ``order`` (body positions; by default
     ``_size_order``) and emit the instantiated head rows.  The inputs may be
-    bags, as ``SnapshotCache.rows`` builds them: a repeated row joins as one,
-    since the partials and the output are sets.  The first atom's kept
-    columns are the first partials; each later atom indexes only the rows
-    whose key some partial probes (a semi-join filter, scanned in C).  A
-    step left with no rows after its filters ends the join with no heads.
-    ``counts``, when given, gains per atom the child rows scanned and the
-    rows the filter kept (all of the first atom's)."""
+    sorted tuples of distinct rows or bags, as ``SnapshotCache.rows`` hands
+    them over: a repeated row joins as one, since the partials and the
+    output are sets.  The first atom's kept columns are the first partials;
+    each later atom indexes only the rows whose key some partial probes (a
+    semi-join filter, scanned in C).  A step left with no rows after its
+    filters ends the join with no heads.  Nothing is copied that a whole
+    row already holds: a first atom keeping every argument in order gives
+    its input tuples as the partials, and a plan whose emit keeps every
+    column in order returns the final partials as the heads, so a one-atom
+    copy rule's head rows are its input's own tuples.  ``counts``, when
+    given, gains per atom the child rows scanned and the rows the filter
+    kept (all of the first atom's)."""
     if order is None:
         order = _size_order(clause, [len(rows) for rows in child_sets])
     plan = _rule_plan(clause, tuple(range(clause.head.arity)), order)
@@ -766,10 +784,10 @@ def _fire_clause(
                 index[row_key(row)].add(row_new(row))
             partials = _join(partials, step, index.get)
         else:
-            partials = set(map(step.row_new, rows))
+            partials = set(rows) if step.whole else set(map(step.row_new, rows))
         if not partials:
             return set()
-    return set(map(plan.emit, partials))
+    return partials if plan.whole else set(map(plan.emit, partials))
 
 
 def _node_relations(
